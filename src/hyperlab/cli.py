@@ -2,8 +2,11 @@
 
 Subcommands: uep-search, toeplitz, stinespring, korovkin, suite.  Configs
 are JSON (matrices as nested [re, im] literals, exact rationals as "p/q"
-strings); every output embeds the seed and a SHA-256 digest of its config,
-and identical (config, seed) pairs produce byte-identical outputs.
+strings); every output embeds a SHA-256 digest of its config, and the
+seeded commands (uep-search, suite) also embed their seed.  Identical
+(config, seed) pairs produce byte-identical outputs; the other commands
+draw no random numbers.  HYPERLAB_THREADS caps BLAS threads (applied when
+the package is imported; see ``hyperlab/__init__.py``).
 
 Exit codes: 0 completed, 2 invalid input, 3 solver non-convergence.
 """
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
 
 import numpy as np
@@ -24,15 +26,6 @@ from .serialize import config_digest, literal_to_matrix, matrix_to_literal, read
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
-
-
-def _cap_threads():
-    """Best-effort parallelism cap for the BLAS backends numpy may use."""
-    n = os.environ.get("HYPERLAB_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, n)
 
 
 # ----------------------------------------------------------------------------
@@ -56,7 +49,6 @@ def _cmd_uep_search(args) -> int:
         tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-7)),
         max_iter=args.max_iter,
         seed=args.seed,
-        pin_adjoints=bool(cfg.get("pin_adjoints", True)),
     )
     report = uep.solve(P)
     out = report.to_json()
@@ -135,7 +127,7 @@ def _cmd_toeplitz(args) -> int:
             results.append({"expr": expr, "result": value.to_json()})
         else:
             raise InvalidInput("toeplitz script entry needs 'let' or 'eval'")
-    out = {"results": results, "config_digest": digest, "seed": args.seed}
+    out = {"results": results, "config_digest": digest}
     if args.out:
         write_json(args.out, out)
     print(f"toeplitz: {len(results)} expressions evaluated digest={digest[:12]}")
@@ -162,7 +154,6 @@ def _cmd_stinespring(args) -> int:
         "minimal": D.minimal,
         "isometry_defect": iso_defect,
         "config_digest": digest,
-        "seed": args.seed,
     }
     if args.out:
         write_json(args.out, out)
@@ -208,7 +199,6 @@ def _cmd_korovkin(args) -> int:
                        g_labels=cfg.get("g_labels"), probe_labels=cfg.get("probe_labels"))
     rows = korovkin.csv_export(rep)
     rows.append(f"config_digest,{digest}")
-    rows.append(f"seed,{args.seed}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
@@ -241,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("uep-search", help="run the unique-extension-property falsifier")
-    p.add_argument("--config", required=True, help="problem JSON: {d, generators, probes?, pin_adjoints?}")
+    p.add_argument("--config", required=True, help="problem JSON: {d, generators, probes?, tol?}; "
+                   "G and its adjoints are always pinned")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=20000)
@@ -250,19 +241,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toeplitz", help="evaluate exact Toeplitz-algebra scripts")
     p.add_argument("--script", required=True, help="JSON list of let/eval entries")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_toeplitz)
 
     p = sub.add_parser("stinespring", help="dilate a UCP map given by its Choi matrix")
     p.add_argument("--config", required=True, help="JSON: {choi: {d, matrix}}")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_stinespring)
 
     p = sub.add_parser("korovkin", help="run a Korovkin convergence experiment")
     p.add_argument("--config", required=True, help="family JSON: {kind, n_min, n_max, params, G, probes}")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV report path")
     p.set_defaults(func=_cmd_korovkin)
 
@@ -276,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

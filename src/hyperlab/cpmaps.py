@@ -80,10 +80,6 @@ class KrausSet:
             out += K @ A @ K.conj().T
         return out
 
-    def unital_defect(self) -> float:
-        S = sum(K @ K.conj().T for K in self.operators)
-        return linalg.op_norm(S - np.eye(self.d_out))
-
 
 @dataclass(frozen=True)
 class StinespringDilation:

@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (operator systems, Choi calculus, the UCP search)
-funnels through the handful of primitives here: Hermitian eigendecomposition,
-operator norm, PSD projection and the Kronecker / partial-trace pair.
+funnels through the handful of primitives here: input coercion,
+hermitization, operator and Frobenius norms, and the partial trace.
 Matrices are plain complex numpy arrays; all dimensions are desk-scale
 (<= 64) so everything is dense.
 """
@@ -52,20 +52,6 @@ def hermitize(A) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def herm_eig(A):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and eigenvectors as the columns of a unitary matrix.  The input is
-    symmetrized before decomposing.
-    """
-    A = require_square(A)
-    if not is_hermitian(A):
-        raise InvalidInput("herm_eig requires a Hermitian matrix")
-    w, U = np.linalg.eigh(hermitize(A))
-    return w[::-1].copy(), U[:, ::-1].copy()
-
-
 def op_norm(A) -> float:
     """Largest singular value, via the top eigenvalue of A*A."""
     A = as_matrix(A)
@@ -85,25 +71,11 @@ def frob_inner(A, B) -> complex:
     return complex(np.vdot(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)))
 
 
-def psd_project(A) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
-    A = require_square(A)
-    if not is_hermitian(A):
-        raise InvalidInput("psd_project requires a Hermitian matrix")
-    w, U = np.linalg.eigh(hermitize(A))
-    w = np.clip(w, 0.0, None)
-    return hermitize((U * w) @ U.conj().T)
-
-
-def kron(A, B) -> np.ndarray:
-    return np.kron(as_matrix(A), as_matrix(B))
-
-
 def partial_trace_first(C, d: int) -> np.ndarray:
     """Trace out the first tensor factor of a matrix on C^d (x) C^m.
 
     Row/column index convention is row-major: index (a, mu) -> a*m + mu,
-    so partial_trace_first(kron(A, B), d) == trace(A) * B.
+    so partial_trace_first(np.kron(A, B), d) == trace(A) * B.
     """
     C = require_square(C)
     n = C.shape[0]

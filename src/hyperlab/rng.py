@@ -36,11 +36,6 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return Q * ph
 
 
-def random_isometry(rng: np.random.Generator, n_to: int, d: int) -> np.ndarray:
-    """First d columns of a random n_to x n_to unitary (n_to >= d)."""
-    return random_unitary(rng, n_to)[:, :d].copy()
-
-
 def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     v = random_complex(rng, n, 1)[:, 0]
     return v / np.linalg.norm(v)

@@ -128,9 +128,6 @@ class LaurentPoly:
     def max_degree(self) -> int:
         return max(self.coeffs) if self.coeffs else 0
 
-    def min_degree(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():

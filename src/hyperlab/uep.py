@@ -25,6 +25,7 @@ an artifact of infeasibility drift.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,12 @@ def unhermvec(x: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
+def _psd_clip(x: np.ndarray, n: int) -> np.ndarray:
+    """Nearest PSD matrix in hermvec coordinates (batched eigenvalue clip)."""
+    w, U = np.linalg.eigh(unhermvec(x, n))
+    return hermvec((U * np.clip(w, 0.0, None)[..., None, :]) @ U.conj().swapaxes(-1, -2))
+
+
 # ----------------------------------------------------------------------------
 # Problem statement and results
 # ----------------------------------------------------------------------------
@@ -93,14 +100,11 @@ class UepProblem:
     max_iter: int = 20000
     seed: int = 0
     n_witnesses: int = 8
-    pin_adjoints: bool = True
 
     def pinned_elements(self) -> list:
-        if self.G is None:
-            return []
-        if self.pin_adjoints:
-            return self.G.with_adjoints()
-        return list(self.G.generators)
+        """G u G*: Phi(g) = g already forces Phi(g*) = g* for *-preserving Phi,
+        so pinning the adjoints changes the equations, not the feasible set."""
+        return [] if self.G is None else self.G.with_adjoints()
 
 
 @dataclass
@@ -226,35 +230,11 @@ class ConstraintSystem:
         return np.linalg.norm(X @ self.rows.T - self.b, axis=-1)
 
     def proj_psd(self, X: np.ndarray) -> np.ndarray:
-        M = unhermvec(X, self.n)
-        w, U = np.linalg.eigh(M)
-        wc = np.clip(w, 0.0, None)
-        P = (U * wc[..., None, :]) @ U.conj().swapaxes(-1, -2)
-        return hermvec(P)
+        return _psd_clip(X, self.n)
 
     def psd_residual(self, X: np.ndarray) -> np.ndarray:
         w = np.linalg.eigvalsh(unhermvec(X, self.n))
         return np.clip(-w[..., 0], 0.0, None)
-
-    def dykstra(self, X: np.ndarray, max_iter: int = 400, tol: float = DYKSTRA_TOL) -> np.ndarray:
-        """Dykstra's alternating projections onto PSD and affine sets.
-
-        Returns affine-exact points; residual PSD violation is measured
-        separately by the caller.
-        """
-        p = np.zeros_like(X)
-        q = np.zeros_like(X)
-        x = X
-        for _ in range(max_iter):
-            y = self.proj_psd(x + p)
-            p = x + p - y
-            xn = self.proj_affine(y + q)
-            q = y + q - xn
-            gap = np.linalg.norm(y - xn, axis=-1)
-            x = xn
-            if np.all(gap <= tol):
-                break
-        return x
 
 
 def _pinned_face(P: UepProblem) -> np.ndarray:
@@ -309,47 +289,36 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
     """Affine system: unitality plus agreement with the identity on G u G*,
     compressed onto the pinned face.
 
-    Uses Phi(g)_{mn} = tr((g^T (x) E_nm) C) and
-    (partial_trace_first C)_{mn} = tr((I (x) E_nm) C).
+    Stacks S = [I, g_1, ..., g_1*, ...] and uses
+    Phi_C(s)_{mn} = tr((s^T (x) E_nm) C); s = I gives the unitality rows
+    (partial_trace_first C)_{mn}.  Each (s, m, n) contributes the real and
+    then the imaginary part of that functional, with target s_{mn}.
     """
     d = P.d
-    I = np.eye(d)
-    pairs = []
-    for m in range(d):
-        for n in range(d):
-            E_nm = linalg.matrix_unit(d, n, m)
-            pairs.append((np.kron(I, E_nm), 1.0 if m == n else 0.0))
-    for g in P.pinned_elements():
-        g = linalg.require_square(g)
+    pinned = [linalg.require_square(g) for g in P.pinned_elements()]
+    for g in pinned:
         if g.shape != (d, d):
             raise InvalidInput(f"pinned element shape {g.shape} != ({d}, {d})")
-        for m in range(d):
-            for n in range(d):
-                E_nm = linalg.matrix_unit(d, n, m)
-                pairs.append((np.kron(g.T, E_nm), g[m, n]))
+    S = np.array([np.eye(d, dtype=complex)] + pinned)
 
     face = _pinned_face(P)
     n_face = face.shape[1]
 
-    rows = []
-    b = []
-    fmats = []
-    ambient_rows = []
-    for F, target in pairs:
-        for Fp, val in (((F + F.conj().T) / 2.0, float(np.real(target))),
-                        ((F - F.conj().T) / 2.0j, float(np.imag(target)))):
-            ambient_rows.append(hermvec(Fp))
-            Fc = face.conj().T @ Fp @ face
-            rows.append(hermvec(Fc))
-            fmats.append(Fc)
-            b.append(val)
-    R = np.array(rows)
-    bv = np.array(b)
+    # F[e, m, n] = S_e^T (x) E_nm, built by one einsum against the matrix
+    # units and compressed onto the face in one batched product.
+    E = np.eye(d)
+    F = np.einsum("eji,pn,qm->emnipjq", S, E, E).reshape(-1, d * d, d * d)
+    Fc = face.conj().T @ F @ face
+    FcH = Fc.conj().swapaxes(-1, -2)
+    fmats = np.stack([(Fc + FcH) / 2.0, (Fc - FcH) / 2.0j], axis=1).reshape(-1, n_face, n_face)
+    R = hermvec(fmats)
+    bv = np.stack([S.real, S.imag], axis=-1).reshape(-1)
 
-    # The reported rank is that of the ambient system (before facial
-    # reduction) so that ranks of different generator sets are comparable.
-    sv = np.linalg.svd(np.array(ambient_rows), compute_uv=False)
-    rank = int(np.sum(sv > 1e-12 * (sv[0] if sv[0] > 0 else 1.0)))
+    # A Hermitian Choi matrix makes Phi *-preserving, so the real span of the
+    # ambient functionals is the Hermitian part of S^T (x) M_d and the
+    # ambient rank (comparable across generator sets) is d^2 dim_C span S.
+    sv = np.linalg.svd(S.reshape(len(S), -1), compute_uv=False)
+    rank = d * d * int(np.sum(sv > 1e-12 * sv[0]))
     pinv = np.linalg.pinv(R, rcond=1e-12)
 
     C_id = cpmaps.identity_choi(d).mat
@@ -362,7 +331,7 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
         raise Infeasible("identity map violates the affine constraints as assembled")
 
     return ConstraintSystem(d=d, n=n_face, face=face, rows=R, b=bv, rank=rank,
-                            pinv=pinv, x_identity=x_id, functional_mats=np.array(fmats))
+                            pinv=pinv, x_identity=x_id, functional_mats=fmats)
 
 
 # ----------------------------------------------------------------------------
@@ -378,7 +347,6 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
 # eigenvalues of M.  Only certified points are ever accepted.
 
 FACE_TAUS = (0.5, 0.1, 0.02)
-FACE_RANK_CAP = 12
 
 
 def _face_dykstra(RT: np.ndarray, pin: np.ndarray, b: np.ndarray,
@@ -390,9 +358,7 @@ def _face_dykstra(RT: np.ndarray, pin: np.ndarray, b: np.ndarray,
     q = np.zeros_like(m)
     x = m
     for _ in range(max_iter):
-        M = unhermvec(x + p, r)
-        w, U = np.linalg.eigh(M)
-        y = hermvec((U * np.clip(w, 0.0, None)[..., None, :]) @ U.conj().swapaxes(-1, -2))
+        y = _psd_clip(x + p, r)
         p = x + p - y
         xn = (y + q) - pin @ (RT @ (y + q) - b)
         q = y + q - xn
@@ -421,7 +387,7 @@ def _face_polish(cs: ConstraintSystem, x: np.ndarray) -> list:
     guesses |= {r + 1 for r in guesses} | {n}
     out = []
     for r in sorted(guesses):
-        if r == 0 or r > min(n, FACE_RANK_CAP):
+        if r == 0 or r > n:
             continue
         Ur = U[:, n - r:]
         Fc = Ur.conj().T @ (cs.functional_mats @ Ur)
@@ -519,6 +485,14 @@ def solve(P: UepProblem) -> UepReport:
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
+    if not (math.isfinite(P.tol) and P.tol >= 0.0):
+        raise InvalidInput(f"tol must be finite and >= 0, got {P.tol}")
+    if P.max_iter < 1:
+        raise InvalidInput(f"max_iter must be >= 1, got {P.max_iter}")
+    if P.n_witnesses < 1:
+        raise InvalidInput(f"n_witnesses must be >= 1, got {P.n_witnesses}")
+    if P.probes is not None and len(P.probes) == 0:
+        raise InvalidInput("probe list is empty")
     d = P.d
     cs = build_constraints(P)
     alg = opsys.generate_algebra(P.G)
@@ -537,7 +511,7 @@ def solve(P: UepProblem) -> UepReport:
         info.append((idx, resid, in_alg))
 
     rng = make_rng(P.seed)
-    n_w = max(1, int(P.n_witnesses))
+    n_w = int(P.n_witnesses)
 
     # Round 0: random Hermitian witnesses for every probe, in +/- pairs
     # (a witness only sees deviation directions it overlaps positively,
@@ -579,7 +553,7 @@ def solve(P: UepProblem) -> UepReport:
             if best_dev[idx] <= P.tol / 10.0:
                 continue
             C = cpmaps.ChoiMatrix(d=d, mat=cs.to_choi_mat(best_x[idx]))
-            W = apply_choi_raw(C, a) - a
+            W = cpmaps.apply_choi(C, a) - a
             wn = linalg.frob_norm(W)
             if wn <= P.tol / 10.0:
                 continue
@@ -621,7 +595,7 @@ def solve(P: UepProblem) -> UepReport:
             certificate = ViolationCertificate(
                 choi=choi,
                 probe=a,
-                deviation=linalg.op_norm(apply_choi_raw(choi, a) - a),
+                deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a),
                 residuals=residuals,
             )
             if validate_certificate(certificate, P):
@@ -644,10 +618,6 @@ def solve(P: UepProblem) -> UepReport:
         seed=P.seed,
         tol=P.tol,
     )
-
-
-def apply_choi_raw(C: cpmaps.ChoiMatrix, a: np.ndarray) -> np.ndarray:
-    return cpmaps.apply_choi(C, a)
 
 
 def validate_certificate(cert: ViolationCertificate, P: UepProblem) -> bool:

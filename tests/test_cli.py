@@ -89,16 +89,26 @@ def test_korovkin_command(tmp_path, capsys):
         "G": [{"poly": [0.0, 1.0]}], "probes": [{"poly": [0.0, 0.0, 1.0]}],
     })
     out = str(tmp_path / "kor.csv")
-    assert main(["korovkin", "--config", cfg, "--seed", "9", "--out", out]) == 0
+    assert main(["korovkin", "--config", cfg, "--out", out]) == 0
     lines = (tmp_path / "kor.csv").read_text().strip().splitlines()
     assert lines[0].startswith("n,")
-    assert lines[-2].startswith("config_digest,")
-    assert lines[-1] == "seed,9"
+    assert lines[-1].startswith("config_digest,")
 
 
 def test_missing_config_exits_2(capsys):
     assert main(["uep-search", "--config", "/nonexistent/cfg.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, argv, message", [
+    ({"probes": []}, [], "probe list is empty"),
+    ({}, ["--max-iter", "0"], "max_iter"),
+    ({}, ["--tol", "nan"], "tol"),
+])
+def test_uep_search_bad_input_exits_2(tmp_path, capsys, extra, argv, message):
+    cfg = write(tmp_path, "x.json", {"d": 3, "generators": [diag3(0, 1, 2)], **extra})
+    assert main(["uep-search", "--config", cfg] + argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -5,48 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hyperlab import linalg
+from hyperlab import linalg, uep
 from hyperlab.errors import InvalidInput
-from hyperlab.rng import make_rng, random_complex, random_hermitian, random_unitary
-
-
-def test_herm_eig_diagonal():
-    w, U = linalg.herm_eig(np.diag([3.0, 1.0]))
-    assert np.allclose(w, [3.0, 1.0])
-    assert np.allclose(np.abs(U), np.eye(2))
-
-
-def test_herm_eig_pauli_x():
-    w, U = linalg.herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(w, [1.0, -1.0])
-    assert np.allclose(np.abs(U), np.full((2, 2), 1.0 / np.sqrt(2)))
-
-
-def test_herm_eig_construct_then_decompose():
-    rng = make_rng(3)
-    Q = random_unitary(rng, 3)
-    A = Q @ np.diag([5.0, 2.0, -1.0]) @ Q.conj().T
-    w, _ = linalg.herm_eig(A)
-    assert np.allclose(w, [5.0, 2.0, -1.0], atol=1e-10)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(InvalidInput):
-        linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(InvalidInput):
-        linalg.herm_eig(np.zeros((2, 3)))
-
-
-def test_herm_eig_reconstruction_battery():
-    rng = make_rng(4)
-    for _ in range(200):
-        d = int(rng.integers(2, 17))
-        A = random_hermitian(rng, d)
-        w, U = linalg.herm_eig(A)
-        assert np.all(np.diff(w) <= 1e-12)
-        err = np.linalg.norm(A - (U * w) @ U.conj().T)
-        assert err <= 1e-10 * (1.0 + np.linalg.norm(A))
-        assert np.allclose(U.conj().T @ U, np.eye(d), atol=1e-10)
+from hyperlab.rng import make_rng, random_complex, random_hermitian
 
 
 def test_op_norm_examples():
@@ -73,33 +34,42 @@ def test_op_norm_submultiplicative():
         assert linalg.op_norm(A @ B) <= linalg.op_norm(A) * linalg.op_norm(B) + 1e-9
 
 
+def _psd_clip(A):
+    """The solver's PSD projection (ConstraintSystem.proj_psd, an eigenvalue
+    clip in hermvec coordinates) applied to a 4x4 Hermitian matrix."""
+    cs = uep.build_constraints(uep.UepProblem(d=2, G=None))
+    assert cs.n == 4
+    return uep.unhermvec(cs.proj_psd(uep.hermvec(A)), 4)
+
+
 def test_psd_project_examples():
-    assert np.allclose(linalg.psd_project(np.diag([2.0, -1.0])), np.diag([2.0, 0.0]))
-    X = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(linalg.psd_project(X), 0.5 * np.ones((2, 2)))
+    assert np.allclose(_psd_clip(np.diag([2.0, -1.0, 0.5, -3.0])), np.diag([2.0, 0.0, 0.5, 0.0]))
+    X = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(_psd_clip(X), np.kron(np.eye(2), 0.5 * np.ones((2, 2))))
     rng = make_rng(7)
     A = random_hermitian(rng, 4)
-    P = linalg.psd_project(A @ A.conj().T)  # already PSD
+    P = _psd_clip(A @ A.conj().T)  # already PSD
     assert np.allclose(P, A @ A.conj().T, atol=1e-12)
 
 
 def test_psd_project_idempotent_and_guarded():
+    # hermvec coordinates describe Hermitian matrices only, so the clip has
+    # no non-Hermitian input to reject; the guard is the coordinate system.
     rng = make_rng(8)
-    A = random_hermitian(rng, 5)
-    P = linalg.psd_project(A)
-    assert np.allclose(linalg.psd_project(P), P, atol=1e-12)
+    A = random_hermitian(rng, 4)
+    P = _psd_clip(A)
+    assert np.allclose(_psd_clip(P), P, atol=1e-12)
+    assert np.allclose(P, P.conj().T)
     assert np.linalg.eigvalsh(P)[0] >= -1e-12
-    with pytest.raises(InvalidInput):
-        linalg.psd_project(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_partial_trace_identities():
     rng = make_rng(9)
     B = random_complex(rng, 3, 3)
-    assert np.allclose(linalg.partial_trace_first(linalg.kron(np.eye(2), B), 2), 2.0 * B)
-    assert np.allclose(linalg.partial_trace_first(linalg.kron(np.diag([1.0, 0.0]), B), 2), B)
+    assert np.allclose(linalg.partial_trace_first(np.kron(np.eye(2), B), 2), 2.0 * B)
+    assert np.allclose(linalg.partial_trace_first(np.kron(np.diag([1.0, 0.0]), B), 2), B)
     A = random_complex(rng, 3, 3)
-    out = linalg.partial_trace_first(linalg.kron(A, B), 3)
+    out = linalg.partial_trace_first(np.kron(A, B), 3)
     assert np.allclose(out, np.trace(A) * B, atol=1e-12)
 
 

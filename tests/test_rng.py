@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hyperlab.rng import (make_rng, random_complex, random_hermitian, random_isometry,
-                          random_normal_matrix, random_ucp_kraus, random_unit_vector,
-                          random_unitary)
+from hyperlab.rng import (make_rng, random_complex, random_hermitian, random_normal_matrix,
+                          random_ucp_kraus, random_unit_vector, random_unitary)
 
 # First four raw 63-bit integers of Philox keyed with 42; any conforming
 # implementation must reproduce these exactly.
@@ -43,12 +42,6 @@ def test_random_hermitian_is_hermitian():
 def test_random_unitary_is_unitary():
     U = random_unitary(make_rng(2), 6)
     assert np.allclose(U.conj().T @ U, np.eye(6), atol=1e-12)
-
-
-def test_random_isometry_columns():
-    V = random_isometry(make_rng(3), 6, 3)
-    assert V.shape == (6, 3)
-    assert np.allclose(V.conj().T @ V, np.eye(3), atol=1e-12)
 
 
 def test_random_unit_vector_norm():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from hyperlab import cpmaps, linalg, opsys, uep
-from hyperlab.rng import make_rng, random_complex, random_hermitian, random_unitary
+from hyperlab.errors import InvalidInput
+from hyperlab.rng import (make_rng, random_complex, random_hermitian, random_normal_matrix,
+                          random_unitary)
 from hyperlab.suite import hand_certificate
 
 
@@ -25,6 +27,55 @@ def test_hermvec_isometry():
     assert v.shape == (25,)
     assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(A))
     assert np.allclose(uep.unhermvec(v, 5), A, atol=1e-12)
+
+
+def _ambient_system(d, G):
+    """Loop reference for build_constraints: the Hermitian functional and
+    target of every row, real then imaginary part per (element, m, n)."""
+    elems = [np.eye(d)] + ([] if G is None else G.with_adjoints())
+    mats, targets = [], []
+    for s in elems:
+        for m in range(d):
+            for n in range(d):
+                F = np.kron(s.T, linalg.matrix_unit(d, n, m))
+                FH = F.conj().T
+                mats += [(F + FH) / 2.0, (F - FH) / 2.0j]
+                targets += [s[m, n].real, s[m, n].imag]
+    return np.array(mats), np.array(targets)
+
+
+def _generator_cases(d):
+    rng = make_rng(500 + d)
+    T = random_complex(rng, d, d)
+    N = random_normal_matrix(rng, d)
+    H = random_hermitian(rng, d)
+    return {
+        "polar": (T, T.conj().T @ T, T @ T.conj().T),
+        "normal": (N, N @ N.conj().T),
+        "unitary": (random_unitary(rng, d),),
+        "hermitian": (H,),
+        "non-normal": (np.triu(T),),
+        "identity": (np.eye(d),),
+        "X-and-square": (H, H @ H),
+        "none": None,
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_build_constraints_matches_loop_reference(d):
+    """The stacked assembly reproduces the per-row functionals and targets,
+    and rank = d^2 dim_C span{I, G, G*} equals the SVD rank of the ambient
+    system."""
+    for name, gens in _generator_cases(d).items():
+        G = None if gens is None else gen(d, *gens)
+        cs = uep.build_constraints(uep.UepProblem(d=d, G=G))
+        mats, targets = _ambient_system(d, G)
+        U = cs.face
+        assert np.allclose(cs.functional_mats, U.conj().T @ mats @ U, rtol=0, atol=1e-12), name
+        assert np.array_equal(cs.b, targets), name
+        sv = np.linalg.svd(uep.hermvec(mats), compute_uv=False)
+        assert cs.rank == int(np.sum(sv > 1e-12 * sv[0])), name
+        assert cs.rank_margin == d ** 4 - cs.rank
 
 
 def test_build_constraints_unitality_only():
@@ -148,6 +199,30 @@ def test_self_adjoint_three_eigenvalues_violates():
         rep = uep.solve(P)
         assert rep.status == "ViolationFound"
         assert rep.max_deviation >= 0.1
+
+
+def test_wide_face_search_finds_violation():
+    """A single Hermitian generator at d = 6 has a pinned face of dimension
+    26; every face guess is tried, so the violation is found rather than
+    reported as unique."""
+    H = random_hermitian(make_rng(106), 6)
+    P = uep.UepProblem(d=6, G=gen(6, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=2000)
+    assert uep.build_constraints(P).n > 12
+    rep = uep.solve(P)
+    assert rep.status == "ViolationFound"
+    assert uep.validate_certificate(rep.certificate, P)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("max_iter", 0), ("n_witnesses", 0), ("probes", []),
+])
+def test_solve_rejects_bad_inputs(field, value):
+    X = x_diag()
+    P = uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2)
+    setattr(P, field, value)
+    with pytest.raises(InvalidInput):
+        uep.solve(P)
 
 
 def test_schwarz_pinning_check():
