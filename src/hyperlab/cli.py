@@ -276,7 +276,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except (InvalidInput, HyperlabError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        msg = f"config is missing the key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -117,7 +117,7 @@ def choi_from_kraus(K: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(d=d, mat=C)
 
 
-def kraus_from_choi(C: ChoiMatrix, eig_rtol: float = KRAUS_EIG_RTOL) -> KrausSet:
+def kraus_from_choi(C: ChoiMatrix) -> KrausSet:
     """Kraus operators from the Choi eigendecomposition.
 
     Raises NotCompletelyPositive when C has an eigenvalue below
@@ -131,7 +131,7 @@ def kraus_from_choi(C: ChoiMatrix, eig_rtol: float = KRAUS_EIG_RTOL) -> KrausSet
         raise NotCompletelyPositive(f"Choi matrix has eigenvalue {w[0]:.3e}")
     ops = []
     for k in range(len(w) - 1, -1, -1):
-        if w[k] <= eig_rtol * scale:
+        if w[k] <= KRAUS_EIG_RTOL * scale:
             break
         ops.append(np.sqrt(w[k]) * U[:, k].reshape(d, d).T)
     if not ops:
@@ -147,6 +147,14 @@ def apply_choi(C: ChoiMatrix, A) -> np.ndarray:
         raise InvalidInput(f"input must be {d} x {d}")
     C4 = C.mat.reshape(d, d, d, d)
     return np.einsum("imjn,ij->mn", C4, A)
+
+
+def choi_functional(A, W) -> np.ndarray:
+    """F = A^T (x) W*, so tr(F C) = tr(W* Phi_C(A)) for every Choi matrix C:
+    the adjoint of apply_choi, batched over broadcast leading axes."""
+    A, W = np.asarray(A), np.asarray(W)
+    F = np.einsum("...ij,...mn->...jnim", A, W.conj())
+    return F.reshape(F.shape[:-4] + (A.shape[-1] ** 2,) * 2)
 
 
 def validate_ucp(C: ChoiMatrix) -> dict:
@@ -166,7 +174,7 @@ def _require_ucp(C: ChoiMatrix, tol: float):
         )
 
 
-def stinespring_from_kraus(K: KrausSet, minimality_rtol: float = 1e-9) -> StinespringDilation:
+def stinespring_from_kraus(K: KrausSet) -> StinespringDilation:
     """Dilation by stacking Kraus adjoints; multiplicity r = len(K)."""
     d_in, d_out, r = K.d_in, K.d_out, len(K.operators)
     # V[(m, a), j] = conj(K_a[j, m]) so that V*V = sum K K* and
@@ -174,26 +182,17 @@ def stinespring_from_kraus(K: KrausSet, minimality_rtol: float = 1e-9) -> Stines
     V = np.zeros((d_in * r, d_out), dtype=complex)
     for a, op in enumerate(K.operators):
         V[a::r, :] = op.conj().T
-    minimal = _is_minimal(V, d_in, r, minimality_rtol)
+    # Minimal, i.e. span{(a (x) I_r) V xi} = C^d (x) C^r, iff the Kraus
+    # operators are linearly independent: that span is C^d (x) the row
+    # space of the stacked vec(K_a).
+    sv = np.linalg.svd(np.array([op.reshape(-1) for op in K.operators]), compute_uv=False)
+    minimal = int(np.sum(sv > 1e-9 * (sv[0] if sv[0] > 0 else 1.0))) == r
     return StinespringDilation(d=d_in, r=r, V=V, minimal=minimal)
 
 
-def _is_minimal(V: np.ndarray, d: int, r: int, rtol: float) -> bool:
-    """Rank test: span{(a (x) I_r) V xi} over basis a, xi fills C^d (x) C^r."""
-    cols = []
-    for p in range(d):
-        for q in range(d):
-            block = np.kron(linalg.matrix_unit(d, p, q), np.eye(r)) @ V
-            cols.append(block)
-    M = np.hstack(cols)
-    sv = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(sv > rtol * (sv[0] if sv[0] > 0 else 1.0)))
-    return rank == d * r
-
-
-def stinespring(C: ChoiMatrix, ucp_tol: float = UCP_TOL) -> StinespringDilation:
+def stinespring(C: ChoiMatrix) -> StinespringDilation:
     """Stinespring dilation of a UCP map given by its Choi matrix."""
-    _require_ucp(C, ucp_tol)
+    _require_ucp(C, UCP_TOL)
     return stinespring_from_kraus(kraus_from_choi(C))
 
 
@@ -210,14 +209,14 @@ def _schwarz_from_apply(phi, a) -> dict:
     }
 
 
-def schwarz_defects(C: ChoiMatrix, a, ucp_tol: float = UCP_TOL) -> dict:
+def schwarz_defects(C: ChoiMatrix, a) -> dict:
     """Kadison-Schwarz defect matrices of a UCP map at a.
 
     left = Phi(a*a) - Phi(a)*Phi(a), right = Phi(aa*) - Phi(a)Phi(a)*;
     both are PSD for UCP maps, and both vanish exactly when a lies in the
     multiplicative domain.
     """
-    _require_ucp(C, ucp_tol)
+    _require_ucp(C, UCP_TOL)
     return _schwarz_from_apply(lambda x: apply_choi(C, x), a)
 
 

@@ -22,11 +22,10 @@ RANK_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A finite list of d x d generators (with or without the unit)."""
+    """A finite list of d x d generators."""
 
     d: int
     generators: tuple
-    include_unit: bool = True
 
     def __post_init__(self):
         if not self.generators:
@@ -47,7 +46,6 @@ class AlgebraBasis:
 
     d: int
     basis: list = field(default_factory=list)
-    word_degree_reached: int = 0
     stabilized: bool = True
 
     @property
@@ -65,12 +63,12 @@ class AlgebraBasis:
         return linalg.frob_norm(np.asarray(A, dtype=complex) - self.project(A))
 
 
-def _mgs_extend(basis: list, candidates: list, rtol: float = RANK_RTOL) -> list:
+def _mgs_extend(basis: list, candidates: list) -> list:
     """Extend an orthonormal basis by modified Gram-Schmidt.
 
     Each candidate is orthogonalized twice against the running basis
     (re-orthogonalization pass) and accepted when its residual norm stays
-    above rtol relative to the candidate's own norm.
+    above RANK_RTOL relative to the candidate's own norm.
     """
     added = []
     for cand in candidates:
@@ -82,7 +80,7 @@ def _mgs_extend(basis: list, candidates: list, rtol: float = RANK_RTOL) -> list:
             for b in basis:
                 v = v - linalg.frob_inner(b, v) * b
         nrm = linalg.frob_norm(v)
-        if nrm > rtol * scale:
+        if nrm > RANK_RTOL * scale:
             v = v / nrm
             basis.append(v)
             added.append(v)
@@ -106,8 +104,7 @@ def generate_algebra(G: GeneratorSet, max_degree: int | None = None) -> AlgebraB
 
     gens = G.with_adjoints()
     basis: list = []
-    seeds = ([linalg.eye(d)] if G.include_unit else []) + gens
-    new = _mgs_extend(basis, seeds)
+    new = _mgs_extend(basis, [linalg.eye(d)] + gens)
     degree = 1
     stabilized = len(basis) == d * d
     while degree < max_degree and not stabilized:
@@ -116,7 +113,7 @@ def generate_algebra(G: GeneratorSet, max_degree: int | None = None) -> AlgebraB
         degree += 1
         if not new or len(basis) == d * d:
             stabilized = True
-    result = AlgebraBasis(d=d, basis=basis, word_degree_reached=degree, stabilized=stabilized)
+    result = AlgebraBasis(d=d, basis=basis, stabilized=stabilized)
     if not stabilized:
         raise NonStabilized(
             f"word closure not stabilized at degree {max_degree} (dim {len(basis)})",
@@ -147,7 +144,7 @@ def commutant(G: GeneratorSet) -> AlgebraBasis:
     # Eigenvector columns are orthonormal already; a re-pass guards roundoff.
     ortho: list = []
     _mgs_extend(ortho, basis)
-    return AlgebraBasis(d=d, basis=ortho, word_degree_reached=0, stabilized=True)
+    return AlgebraBasis(d=d, basis=ortho, stabilized=True)
 
 
 def is_irreducible(G: GeneratorSet) -> bool:

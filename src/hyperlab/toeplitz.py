@@ -282,11 +282,6 @@ def is_essentially_unitary(A: ToeplitzElement) -> bool:
     return (A.symbol * A.symbol.adjoint()).is_one()
 
 
-def essential_defects(A: ToeplitzElement) -> tuple:
-    """The witnesses (I - A*A, I - AA*)."""
-    return sub(identity(), mul(adj(A), A)), sub(identity(), mul(A, adj(A)))
-
-
 def truncate(A: ToeplitzElement, n: int) -> np.ndarray:
     """Upper-left n x n corner P_n A P_n as a float matrix."""
     if n < 1:

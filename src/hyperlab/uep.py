@@ -4,9 +4,11 @@ The question "is the identity representation the only UCP map pinned to
 agree with it on a generator set G?" is decided at desk scale by searching
 the spectrahedron
 
-    { Choi matrices C : C PSD, Phi_C unital, Phi_C(g) = g for g in G u G* }
+    { Choi matrices C : C PSD, Phi_C(h) = h for h in H }
 
-for maps that move some probe a from the generated algebra.  Searching
+for maps that move some probe a from the generated algebra, where H is an
+orthonormal Hermitian basis of the operator system span{I, G, G*} (Phi is
+*-preserving, so fixing H means unital and fixing G and G*).  Searching
 Choi matrices on all of M_d is sound here: a UCP map on C*(G) extends to
 M_d by Arveson's extension theorem, so restricting deviation measurement
 to probes inside C*(G) loses nothing, while probes outside the algebra
@@ -24,6 +26,7 @@ an artifact of infeasibility drift.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,10 +48,20 @@ DYKSTRA_TOL = 1e-12
 # residual is below this (relative) threshold.
 MEMBERSHIP_RTOL = 1e-8
 
+# Longest word in {T, T*} checked by schwarz_pinning_check.
+WORD_LENGTH = 4
+
 
 # ----------------------------------------------------------------------------
 # Real coordinates on the space of Hermitian matrices
 # ----------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _triu(n: int) -> tuple:
+    """(upper-triangle index arrays, diagonal range) of n x n matrices;
+    shared by every caller, so only ever read."""
+    return np.triu_indices(n, 1), np.arange(n)
+
 
 def hermvec(X: np.ndarray) -> np.ndarray:
     """Isometric real coordinates of Hermitian matrices (batched).
@@ -57,9 +70,7 @@ def hermvec(X: np.ndarray) -> np.ndarray:
     sqrt(2) * upper-triangle imaginary parts; the Frobenius inner product
     becomes the Euclidean dot product.
     """
-    n = X.shape[-1]
-    iu = np.triu_indices(n, 1)
-    ar = np.arange(n)
+    iu, ar = _triu(X.shape[-1])
     diag = np.real(X[..., ar, ar])
     re = SQRT2 * np.real(X[..., iu[0], iu[1]])
     im = SQRT2 * np.imag(X[..., iu[0], iu[1]])
@@ -67,8 +78,7 @@ def hermvec(X: np.ndarray) -> np.ndarray:
 
 
 def unhermvec(x: np.ndarray, n: int) -> np.ndarray:
-    iu = np.triu_indices(n, 1)
-    ar = np.arange(n)
+    iu, ar = _triu(n)
     k = len(iu[0])
     diag = x[..., :n]
     off = (x[..., n:n + k] + 1j * x[..., n + k:n + 2 * k]) / SQRT2
@@ -185,12 +195,15 @@ class UepReport:
 class ConstraintSystem:
     """Real-linear equations R x = b on hermvec coordinates of the Choi.
 
-    The system lives on a face of the PSD cone: ``face`` is an isometry
-    U (d^2 x n) such that every feasible Choi matrix is U M U* with M an
-    n x n PSD matrix (facial reduction; see _pinned_face).  All solver
-    coordinates x are hermvec(M).  ``functional_mats`` keeps the compressed
-    Hermitian functional matrix of every row (row_i . x = <F_i, M>), so the
-    system can be compressed further onto sub-faces during rounding.
+    Row (a, b) reads <E_b, Phi(H_a)> = <E_b, H_a> (see build_constraints),
+    one row per equation, so ||R x - b|| is the Frobenius norm of
+    (Phi(H_a) - H_a)_a.  The system lives on a face of the PSD cone:
+    ``face`` is an isometry U (d^2 x n) such that every feasible Choi matrix
+    is U M U* with M an n x n PSD matrix (facial reduction; see
+    _pinned_face).  All solver coordinates x are hermvec(M).
+    ``functional_mats`` keeps the compressed Hermitian functional matrix of
+    every row (row_i . x = <F_i, M>), so the system can be compressed
+    further onto sub-faces during rounding.
     """
 
     d: int
@@ -204,23 +217,14 @@ class ConstraintSystem:
     functional_mats: np.ndarray = field(repr=False, default=None)
 
     @property
-    def ambient_dim(self) -> int:
-        """Real dimension of the space of Hermitian d^2 x d^2 matrices."""
-        return self.d ** 4
-
-    @property
     def rank_margin(self) -> int:
-        return self.ambient_dim - self.rank
+        """Real dimension d^4 of the Hermitian d^2 x d^2 matrices minus rank."""
+        return self.d ** 4 - self.rank
 
     def to_choi_mat(self, x: np.ndarray) -> np.ndarray:
         """Ambient d^2 x d^2 Choi matrix of a face coordinate vector."""
         M = unhermvec(x, self.n)
         return self.face @ M @ self.face.conj().T
-
-    def compress_functional(self, F: np.ndarray) -> np.ndarray:
-        """hermvec coordinates of <F, .> restricted to the face."""
-        Fh = (F + F.conj().T) / 2.0
-        return hermvec(self.face.conj().T @ Fh @ self.face)
 
     def proj_affine(self, X: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto {x : R x = b} (batched)."""
@@ -268,7 +272,10 @@ def _pinned_face(P: UepProblem) -> np.ndarray:
     kernel = []
     for H in samples:
         w, V = np.linalg.eigh(H)
-        scale = max(float(w[-1] - w[0]), 1e-30)
+        scale = float(w[-1] - w[0])
+        # Skip multiples of I up to rounding: their noise eigenvectors are no boundary.
+        if scale <= 1e-12 * max(abs(w[0]), abs(w[-1])):
+            continue
         for mu in (w - w[0], w[-1] - w):
             ker = [V[:, k] for k in range(d) if mu[k] <= 1e-12 * scale]
             rng_vecs = [V[:, k] for k in range(d) if mu[k] >= 1e-6 * scale]
@@ -286,39 +293,31 @@ def _pinned_face(P: UepProblem) -> np.ndarray:
 
 
 def build_constraints(P: UepProblem) -> ConstraintSystem:
-    """Affine system: unitality plus agreement with the identity on G u G*,
-    compressed onto the pinned face.
+    """Affine system Phi(h) = h for h in an orthonormal Hermitian basis H of
+    span{I, G, G*}, compressed onto the pinned face.
 
-    Stacks S = [I, g_1, ..., g_1*, ...] and uses
-    Phi_C(s)_{mn} = tr((s^T (x) E_nm) C); s = I gives the unitality rows
-    (partial_trace_first C)_{mn}.  Each (s, m, n) contributes the real and
-    then the imaginary part of that functional, with target s_{mn}.
+    H comes from one SVD of the hermvec coordinates of I and the Hermitian
+    and anti-Hermitian parts of every generator.  Row (a, b) is the
+    functional C |-> <E_b, Phi_C(H_a)> = tr((H_a^T (x) E_b) C) over the
+    hermvec basis E, with target hermvec(H_a)_b.  The k d^2 ambient rows
+    are orthonormal, so the rank is the row count, d^2 dim_C span{I, G, G*}.
     """
     d = P.d
-    pinned = [linalg.require_square(g) for g in P.pinned_elements()]
-    for g in pinned:
-        if g.shape != (d, d):
-            raise InvalidInput(f"pinned element shape {g.shape} != ({d}, {d})")
-    S = np.array([np.eye(d, dtype=complex)] + pinned)
+    gens = [] if P.G is None else list(P.G.generators)
+    if gens and gens[0].shape != (d, d):  # GeneratorSet makes all shapes equal
+        raise InvalidInput(f"pinned element shape {gens[0].shape} != ({d}, {d})")
+    S = np.array([np.eye(d, dtype=complex)] + gens)
+    parts = np.concatenate([hermvec((S + S.conj().swapaxes(-1, -2)) / 2.0),
+                            hermvec((S - S.conj().swapaxes(-1, -2)) / 2.0j)])
+    _, sv, Vh = np.linalg.svd(parts, full_matrices=False)
+    H = unhermvec(Vh[sv > 1e-12 * sv[0]], d)
 
     face = _pinned_face(P)
-    n_face = face.shape[1]
-
-    # F[e, m, n] = S_e^T (x) E_nm, built by one einsum against the matrix
-    # units and compressed onto the face in one batched product.
-    E = np.eye(d)
-    F = np.einsum("eji,pn,qm->emnipjq", S, E, E).reshape(-1, d * d, d * d)
-    Fc = face.conj().T @ F @ face
-    FcH = Fc.conj().swapaxes(-1, -2)
-    fmats = np.stack([(Fc + FcH) / 2.0, (Fc - FcH) / 2.0j], axis=1).reshape(-1, n_face, n_face)
+    E = unhermvec(np.eye(d * d), d)
+    F = cpmaps.choi_functional(H[:, None], E[None, :]).reshape(-1, d * d, d * d)
+    fmats = face.conj().T @ F @ face
     R = hermvec(fmats)
-    bv = np.stack([S.real, S.imag], axis=-1).reshape(-1)
-
-    # A Hermitian Choi matrix makes Phi *-preserving, so the real span of the
-    # ambient functionals is the Hermitian part of S^T (x) M_d and the
-    # ambient rank (comparable across generator sets) is d^2 dim_C span S.
-    sv = np.linalg.svd(S.reshape(len(S), -1), compute_uv=False)
-    rank = d * d * int(np.sum(sv > 1e-12 * sv[0]))
+    bv = hermvec(H).ravel()
     pinv = np.linalg.pinv(R, rcond=1e-12)
 
     C_id = cpmaps.identity_choi(d).mat
@@ -330,7 +329,7 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
     if np.linalg.norm(R @ x_id - bv) > 1e-7 * b_scale or face_resid > 1e-7:
         raise Infeasible("identity map violates the affine constraints as assembled")
 
-    return ConstraintSystem(d=d, n=n_face, face=face, rows=R, b=bv, rank=rank,
+    return ConstraintSystem(d=d, n=face.shape[1], face=face, rows=R, b=bv, rank=len(R),
                             pinv=pinv, x_identity=x_id, functional_mats=fmats)
 
 
@@ -347,17 +346,18 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
 # eigenvalues of M.  Only certified points are ever accepted.
 
 FACE_TAUS = (0.5, 0.1, 0.02)
+DYKSTRA_MAX_ITER = 200
 
 
 def _face_dykstra(RT: np.ndarray, pin: np.ndarray, b: np.ndarray,
-                  m: np.ndarray, r: int, max_iter: int = 200) -> np.ndarray:
+                  m: np.ndarray, r: int) -> np.ndarray:
     """Dykstra on (PSD_r intersect affine) in face coordinates; returns an
     affine-exact point.  Inside the correct face the intersection usually
     has relative interior, so this converges quickly."""
     p = np.zeros_like(m)
     q = np.zeros_like(m)
     x = m
-    for _ in range(max_iter):
+    for _ in range(DYKSTRA_MAX_ITER):
         y = _psd_clip(x + p, r)
         p = x + p - y
         xn = (y + q) - pin @ (RT @ (y + q) - b)
@@ -411,8 +411,13 @@ def _face_polish(cs: ConstraintSystem, x: np.ndarray) -> list:
 # Linear maximization over the spectrahedron (batched over witnesses)
 # ----------------------------------------------------------------------------
 
-def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int,
-                      polish_every: int = 25, stall_break: int = 8):
+# Ascent steps between facial-rounding checkpoints, and the number of
+# checkpoints in a row without progress after which a task has stalled.
+POLISH_EVERY = 25
+STALL_BREAK = 8
+
+
+def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int):
     """Maximize each linear functional g_k . x over {R x = b, PSD}.
 
     Projected gradient ascent (step, PSD clip, affine projection) with a
@@ -420,7 +425,9 @@ def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int,
     running, while _face_polish turns the current iterate into certified
     feasible candidates and "best" only ever moves to one of those.  Tasks
     that stop improving get their step halved (refinement) and the batch
-    stops once every task has stalled stall_break checkpoints in a row.
+    stops once every task has stalled STALL_BREAK checkpoints in a row.
+    Returns (best points, best objectives, iterations, stalled); stalled is
+    False when max_iter ran out first.
     """
     K = gvecs.shape[0]
     x0 = cs.x_identity
@@ -435,7 +442,7 @@ def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int,
     stall = np.zeros(K, dtype=int)
     it = 0
     while it < max_iter:
-        inner = min(polish_every, max_iter - it)
+        inner = min(POLISH_EVERY, max_iter - it)
         for _ in range(inner):
             X = X + step[:, None] * gvecs
             X = cs.proj_psd(X)
@@ -460,14 +467,9 @@ def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int,
         stall = np.where(improved | raw_gain, 0, stall + 1)
         shrink = stall >= 2
         step[shrink] = np.maximum(step[shrink] * 0.5, min_step[shrink])
-        if np.all(stall >= stall_break):
-            break
-    return best_X, best_obj, it
-
-
-def _witness_gradient(cs: ConstraintSystem, a: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Face-coordinate gradient of C |-> Re tr(W* Phi_C(a)) = Re tr((a^T (x) W*) C)."""
-    return cs.compress_functional(np.kron(a.T, W.conj().T))
+        if np.all(stall >= STALL_BREAK):
+            return best_X, best_obj, it, True
+    return best_X, best_obj, it, False
 
 
 # ----------------------------------------------------------------------------
@@ -527,14 +529,19 @@ def solve(P: UepProblem) -> UepReport:
     best_dev = np.zeros(len(probes))
     best_x = {idx: cs.x_identity for idx in range(len(probes))}
     total_iters = 0
+    exhausted = False
 
     def run_tasks(task_list):
-        nonlocal total_iters
+        nonlocal total_iters, exhausted
         if not task_list:
             return
-        gvecs = np.array([_witness_gradient(cs, probes[idx], W) for idx, W in task_list])
-        bx, bobj, iters = _linear_max_batch(cs, gvecs, P.max_iter)
+        # Face-coordinate gradients of C |-> Re tr(W* Phi_C(a)), all at once.
+        idxs, Ws = zip(*task_list)
+        Fc = cs.face.conj().T @ cpmaps.choi_functional([probes[i] for i in idxs], Ws) @ cs.face
+        gvecs = hermvec((Fc + Fc.conj().swapaxes(-1, -2)) / 2.0)
+        bx, bobj, iters, stalled = _linear_max_batch(cs, gvecs, P.max_iter)
         total_iters += iters
+        exhausted = exhausted or not stalled
         for t, (idx, W) in enumerate(task_list):
             wnorm = max(linalg.frob_norm(W), 1e-30)
             base = float(np.real(np.trace(W.conj().T @ probes[idx])))
@@ -575,7 +582,8 @@ def solve(P: UepProblem) -> UepReport:
 
     if max_dev <= P.tol:
         worst_idx = on_alg[0].index if on_alg else 0
-        status = "Unique-evidence"
+        # A search cut off by its budget is no evidence of uniqueness.
+        status = "NonConverged" if exhausted else "Unique-evidence"
         certificate = None
     else:
         worst_idx = max(on_alg, key=lambda p: p.deviation).index
@@ -641,27 +649,27 @@ def validate_certificate(cert: ViolationCertificate, P: UepProblem) -> bool:
     return dev >= 10.0 * max(agreement, P.tol)
 
 
-def schwarz_pinning_check(P: UepProblem, C: cpmaps.ChoiMatrix, word_length: int = 4) -> dict:
+def schwarz_pinning_check(P: UepProblem, C: cpmaps.ChoiMatrix) -> dict:
     """Schwarz defects of the pinned generators plus word agreement.
 
     When G contains T, T*T and TT* (T = first generator), both Schwarz
     defects of T are differences of pinned quantities, so any feasible C
     has defects at the feasibility-residual level, and the multiplicative
     domain argument forces Phi to agree with the identity on all words in
-    {T, T*}; the maximum word deviation over lengths <= word_length is
+    {T, T*}; the maximum word deviation over lengths <= WORD_LENGTH is
     reported.
     """
     if P.G is None:
         raise InvalidInput("schwarz_pinning_check requires a generator set")
     gen_defects = []
     for g in P.G.generators:
-        dd = cpmaps.schwarz_defects(C, g, ucp_tol=1e-6)
+        dd = cpmaps.schwarz_defects(C, g)
         gen_defects.append({"left_norm": dd["left_norm"], "right_norm": dd["right_norm"]})
     T = P.G.generators[0]
     letters = [T, T.conj().T]
     max_word_dev = 0.0
     count = 0
-    for length in range(1, word_length + 1):
+    for length in range(1, WORD_LENGTH + 1):
         for word in itertools.product(letters, repeat=length):
             w = np.eye(P.d, dtype=complex)
             for letter in word:

@@ -111,6 +111,18 @@ def test_uep_search_bad_input_exits_2(tmp_path, capsys, extra, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_stinespring_missing_choi_key_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "st.json", {"choi": {"matrix": [[[1.0, 0.0]]]}})
+    assert main(["stinespring", "--config", cfg]) == 2
+    assert "error: config is missing the key 'd'" in capsys.readouterr().err
+
+
+def test_korovkin_missing_choi_key_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "kor.json", {"kind": "constant_certificate", "params": {"choi": {"d": 2}}})
+    assert main(["korovkin", "--config", cfg]) == 2
+    assert "error: config is missing the key 'matrix'" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

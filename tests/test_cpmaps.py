@@ -94,6 +94,31 @@ def test_stinespring_identity():
     assert np.allclose(np.abs(D.V), np.eye(2), atol=1e-12)
 
 
+def test_stinespring_dependent_kraus_not_minimal():
+    """Kraus operators (K, K)/sqrt(2) define the same map as {K} but are
+    linearly dependent, so their dilation is not minimal."""
+    U = random_unitary(make_rng(23), 3)
+    D = cpmaps.stinespring_from_kraus(cpmaps.KrausSet(d_in=3, d_out=3,
+                                                      operators=(U / np.sqrt(2), U / np.sqrt(2))))
+    assert D.r == 2
+    assert not D.minimal
+    assert cpmaps.stinespring_from_kraus(cpmaps.KrausSet(d_in=3, d_out=3, operators=(U,))).minimal
+
+
+def test_choi_functional_is_adjoint_of_apply_choi():
+    rng = make_rng(24)
+    C = cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=3, d_out=3,
+                                               operators=tuple(random_ucp_kraus(rng, 3, 2))))
+    A = np.array([random_complex(rng, 3, 3) for _ in range(2)])
+    W = np.array([random_complex(rng, 3, 3) for _ in range(2)])
+    F = cpmaps.choi_functional(A, W)
+    assert F.shape == (2, 9, 9)
+    for k in range(2):
+        assert np.allclose(F[k], np.kron(A[k].T, W[k].conj().T), atol=0)
+        expect = np.trace(W[k].conj().T @ cpmaps.apply_choi(C, A[k]))
+        assert np.trace(F[k] @ C.mat) == pytest.approx(expect, abs=1e-12)
+
+
 def test_stinespring_depolarizing():
     D = cpmaps.stinespring(depolarizing_choi())
     assert D.r == 4

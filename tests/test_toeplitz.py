@@ -45,7 +45,8 @@ def test_adjoint_laws():
 def test_essential_unitarity():
     S = toeplitz.shift()
     assert toeplitz.is_essentially_unitary(S)
-    dl, dr = toeplitz.essential_defects(S)
+    dl = toeplitz.sub(toeplitz.identity(), toeplitz.mul(toeplitz.adj(S), S))
+    dr = toeplitz.sub(toeplitz.identity(), toeplitz.mul(S, toeplitz.adj(S)))
     assert dl == toeplitz.zero()
     assert dr == toeplitz.from_tail({(0, 0): 1})
 

@@ -63,18 +63,22 @@ def _generator_cases(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_build_constraints_matches_loop_reference(d):
-    """The stacked assembly reproduces the per-row functionals and targets,
-    and rank = d^2 dim_C span{I, G, G*} equals the SVD rank of the ambient
-    system."""
+    """The system over the orthonormal basis of span{I, G, G*} has the same
+    solution set as the per-element loop reference on the face (equal
+    affine projections), and one row per equation: rows = rank = the SVD
+    rank of the ambient reference system."""
+    rng = make_rng(600 + d)
     for name, gens in _generator_cases(d).items():
         G = None if gens is None else gen(d, *gens)
         cs = uep.build_constraints(uep.UepProblem(d=d, G=G))
         mats, targets = _ambient_system(d, G)
         U = cs.face
-        assert np.allclose(cs.functional_mats, U.conj().T @ mats @ U, rtol=0, atol=1e-12), name
-        assert np.array_equal(cs.b, targets), name
+        R = uep.hermvec(U.conj().T @ mats @ U)
+        X = rng.standard_normal((4, cs.n * cs.n))
+        ref = X - (X @ R.T - targets) @ np.linalg.pinv(R, rcond=1e-12).T
+        assert np.allclose(cs.proj_affine(X), ref, rtol=0, atol=1e-10), name
         sv = np.linalg.svd(uep.hermvec(mats), compute_uv=False)
-        assert cs.rank == int(np.sum(sv > 1e-12 * sv[0])), name
+        assert cs.rows.shape[0] == cs.rank == int(np.sum(sv > 1e-12 * sv[0])), name
         assert cs.rank_margin == d ** 4 - cs.rank
 
 
@@ -211,6 +215,32 @@ def test_wide_face_search_finds_violation():
     rep = uep.solve(P)
     assert rep.status == "ViolationFound"
     assert uep.validate_certificate(rep.certificate, P)
+
+
+def test_noisy_identity_generator_keeps_face_and_violation():
+    """W W* equals I only up to rounding; pinning it must neither shrink the
+    face nor hide the violation of {X}."""
+    X = x_diag()
+    W = random_unitary(make_rng(950), 3)
+    P = uep.UepProblem(d=3, G=gen(3, X, W @ W.conj().T), probes=[X @ X], seed=1, n_witnesses=2)
+    assert uep.build_constraints(P).n == uep.build_constraints(uep.UepProblem(d=3, G=gen(3, X))).n
+    rep = uep.solve(P)
+    assert rep.status == "ViolationFound"
+    assert uep.validate_certificate(rep.certificate, P)
+    for d in (2, 3, 4, 5):
+        U = random_unitary(make_rng(960 + d), d)
+        n_u = uep.build_constraints(uep.UepProblem(d=d, G=gen(d, U))).n
+        assert uep.build_constraints(uep.UepProblem(d=d, G=gen(d, U, U @ U.conj().T))).n == n_u
+
+
+def test_exhausted_budget_is_not_converged():
+    """A search cut off by max_iter before its stall test fired is no
+    evidence of uniqueness (this generator has a violation)."""
+    H = random_hermitian(make_rng(104), 4)
+    P = uep.UepProblem(d=4, G=gen(4, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=25)
+    rep = uep.solve(P)
+    assert rep.status == "NonConverged"
+    assert rep.iterations == 25
 
 
 @pytest.mark.parametrize("field, value", [
