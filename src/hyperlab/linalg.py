@@ -87,9 +87,3 @@ def partial_trace_first(C, d: int) -> np.ndarray:
 
 def eye(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex)
-
-
-def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    E = np.zeros((d, d), dtype=complex)
-    E[i, j] = 1.0
-    return E

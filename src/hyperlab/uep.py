@@ -89,10 +89,10 @@ def unhermvec(x: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-def _psd_clip(x: np.ndarray, n: int) -> np.ndarray:
-    """Nearest PSD matrix in hermvec coordinates (batched eigenvalue clip)."""
-    w, U = np.linalg.eigh(unhermvec(x, n))
-    return hermvec((U * np.clip(w, 0.0, None)[..., None, :]) @ U.conj().swapaxes(-1, -2))
+def _psd_clip(M: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to Hermitian M (batched eigenvalue clip)."""
+    w, U = np.linalg.eigh(M)
+    return (U * np.maximum(w, 0.0)[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
 # ----------------------------------------------------------------------------
@@ -234,7 +234,7 @@ class ConstraintSystem:
         return np.linalg.norm(X @ self.rows.T - self.b, axis=-1)
 
     def proj_psd(self, X: np.ndarray) -> np.ndarray:
-        return _psd_clip(X, self.n)
+        return hermvec(_psd_clip(unhermvec(X, self.n)))
 
     def psd_residual(self, X: np.ndarray) -> np.ndarray:
         w = np.linalg.eigvalsh(unhermvec(X, self.n))
@@ -264,29 +264,29 @@ def _pinned_face(P: UepProblem) -> np.ndarray:
             if linalg.maxabs(H) > 1e-14:
                 basis.append(H)
     rng = make_rng(0x0FACE)
-    samples = list(basis)
-    for _ in range(4 * len(basis) + 8):
-        c = rng.standard_normal(len(basis))
-        samples.append(sum(ck * Bk for ck, Bk in zip(c, basis)))
+    coef = rng.standard_normal((4 * len(basis) + 8, len(basis)))
+    mix = 0  # summed term by term, in basis order
+    for k, Bk in enumerate(basis):
+        mix = mix + coef[:, k, None, None] * Bk
+    w, V = np.linalg.eigh(np.concatenate([basis, mix]))
 
-    kernel = []
-    for H in samples:
-        w, V = np.linalg.eigh(H)
-        scale = float(w[-1] - w[0])
-        # Skip multiples of I up to rounding: their noise eigenvectors are no boundary.
-        if scale <= 1e-12 * max(abs(w[0]), abs(w[-1])):
-            continue
-        for mu in (w - w[0], w[-1] - w):
-            ker = [V[:, k] for k in range(d) if mu[k] <= 1e-12 * scale]
-            rng_vecs = [V[:, k] for k in range(d) if mu[k] >= 1e-6 * scale]
-            for u in ker:
-                for x in rng_vecs:
-                    kernel.append(np.kron(x.conj(), u))
-    if not kernel:
+    scale = w[:, -1] - w[:, 0]
+    # Skip multiples of I up to rounding: their noise eigenvectors are no boundary.
+    live = scale > 1e-12 * np.maximum(abs(w[:, 0]), abs(w[:, -1]))
+    mu = np.stack([w - w[:, :1], w[:, -1:] - w], axis=1)  # both shifts, per sample
+    ker = (mu <= 1e-12 * scale[:, None, None]) & live[:, None, None]
+    rng_vecs = mu >= 1e-6 * scale[:, None, None]
+    # Row (sample, shift, u, x) is kron(conj(x), u) for kernel vector u and
+    # range vector x of that shift.
+    Vt = V.swapaxes(-1, -2)
+    outer = (Vt.conj()[:, None, :, :, None] * Vt[:, :, None, None, :]).reshape(-1, d, d, D)
+    pick = ker[..., :, None] & rng_vecs[..., None, :]
+    kernel = np.broadcast_to(outer.reshape(-1, 1, d, d, D), pick.shape + (D,))[pick]
+    if not len(kernel):
         return np.eye(D, dtype=complex)
     # Null space of the conjugated stack = orthogonal complement of the
     # kernel vectors (<v, z> = 0 means conj(v) . z = 0).
-    Kmat = np.array(kernel).conj()
+    Kmat = kernel.conj()
     _, sv, Vh = np.linalg.svd(Kmat)
     r = int(np.sum(sv > 1e-8 * (sv[0] if sv[0] > 0 else 1.0)))
     return Vh[r:].conj().T  # D x (D - r) orthonormal complement
@@ -349,62 +349,82 @@ FACE_TAUS = (0.5, 0.1, 0.02)
 DYKSTRA_MAX_ITER = 200
 
 
-def _face_dykstra(RT: np.ndarray, pin: np.ndarray, b: np.ndarray,
-                  m: np.ndarray, r: int) -> np.ndarray:
-    """Dykstra on (PSD_r intersect affine) in face coordinates; returns an
-    affine-exact point.  Inside the correct face the intersection usually
-    has relative interior, so this converges quickly."""
-    p = np.zeros_like(m)
-    q = np.zeros_like(m)
-    x = m
+def _face_dykstra(F: np.ndarray, Pm: np.ndarray, b: np.ndarray,
+                  M: np.ndarray) -> np.ndarray:
+    """Batched Dykstra on (PSD_r intersect affine) in r x r face matrices;
+    returns the affine-exact points.  Item i projects Z to
+    Z - sum_j (tr(F[i,j] Z) - b_j) Pm[i,j] (Pm: pseudo-inverse columns as
+    matrices), two real products since tr(F Z) of Hermitian matrices is the
+    dot product of their real views.  Each item stops on its own gap test,
+    so it runs the iterates of a solo run."""
+    B, m = F.shape[:2]
+    Ff = F.view(float).reshape(B, m, -1)
+    Pf = Pm.view(float).reshape(B, m, -1)
+    out, live = np.empty_like(M), np.arange(B)
+    x, p, q = M, np.zeros_like(M), np.zeros_like(M)
     for _ in range(DYKSTRA_MAX_ITER):
-        y = _psd_clip(x + p, r)
-        p = x + p - y
-        xn = (y + q) - pin @ (RT @ (y + q) - b)
-        q = y + q - xn
-        gap = np.linalg.norm(y - xn)
-        x = xn
-        if gap <= DYKSTRA_TOL:
-            break
-    return x
+        t = x + p
+        y = _psd_clip(t)
+        p = t - y
+        z = y + q
+        zf = z.view(float).reshape(len(live), -1)
+        s = (Ff @ zf[:, :, None])[..., 0] - b
+        x = (zf - (s[:, None, :] @ Pf)[:, 0]).view(complex).reshape(z.shape)
+        q = z - x
+        done = np.linalg.norm((y - x).reshape(len(live), -1), axis=1) <= DYKSTRA_TOL
+        if done.any():
+            out[live[done]] = x[done]
+            keep = ~done
+            live, x, p, q, Ff, Pf = live[keep], x[keep], p[keep], q[keep], Ff[keep], Pf[keep]
+            if not len(live):
+                return out
+    out[live] = x
+    return out
 
 
-def _face_polish(cs: ConstraintSystem, x: np.ndarray) -> list:
-    """Certified feasible points near x, one per plausible face rank.
+def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
+    """Certified feasible points near the rows of X: (row, point) pairs,
+    one per plausible face rank of a row, in increasing rank per row.
 
-    Guesses faces from the eigenvalue profile of x, solves the affine
-    system inside each face anchored at the compression of x, and returns
-    only points passing the affine and PSD feasibility checks.
-    """
+    Guesses faces from each row's eigenvalue profile, solves the affine
+    system inside each face anchored at the row's compression, and keeps
+    only points passing the affine and PSD checks.  Each rank takes one
+    batched pass over all rows that try it, with one _face_dykstra call."""
     n = cs.n
-    M = unhermvec(x, n)
+    M = unhermvec(X, n)
     w, U = np.linalg.eigh(M)
-    wmax = max(float(w[-1]), 1e-30)
+    wmax = np.maximum(w[:, -1], 1e-30)
     b_scale = 1.0 + float(np.linalg.norm(cs.b))
-    guesses = {int(np.sum(w > tau * wmax)) for tau in FACE_TAUS}
+    guess = np.sum(w[:, None, :] > np.multiply.outer(wmax, FACE_TAUS)[..., None], axis=-1)
     # The eigenvalue profile can under-estimate the feasible face, so also
     # try one rank up from each guess and the full face.
-    guesses |= {r + 1 for r in guesses} | {n}
-    out = []
-    for r in sorted(guesses):
-        if r == 0 or r > n:
+    tried = np.zeros((len(X), n + 2), dtype=bool)
+    np.put_along_axis(tried, np.concatenate([guess, guess + 1], axis=1), True, axis=1)
+    tried[:, n] = True
+    found = []  # (row, point), rank by rank
+    for r in range(1, n + 1):
+        rows = np.flatnonzero(tried[:, r])
+        if not len(rows):
             continue
-        Ur = U[:, n - r:]
-        Fc = Ur.conj().T @ (cs.functional_mats @ Ur)
-        RT = hermvec(Fc)
-        m0 = hermvec(Ur.conj().T @ M @ Ur)
+        Ur = U[rows, :, n - r:]
+        UrH = Ur.conj().swapaxes(-1, -2)
+        RT = hermvec(UrH[:, None] @ (cs.functional_mats @ Ur[:, None]))
+        m0 = hermvec(UrH @ M[rows] @ Ur)
         pin = np.linalg.pinv(RT, rcond=1e-10)
-        mm = m0 - pin @ (RT @ m0 - cs.b)
-        wr = np.linalg.eigvalsh(unhermvec(mm, r))
-        if wr[0] < -0.05 * wmax:
-            continue  # too infeasible to rescue; not worth a Dykstra run
-        if wr[0] < -FEAS_TOL:
-            mm = _face_dykstra(RT, pin, cs.b, mm, r)
-            wr = np.linalg.eigvalsh(unhermvec(mm, r))
-        aff = float(np.linalg.norm(RT @ mm - cs.b))
-        if aff <= FEAS_TOL * b_scale and wr[0] >= -FEAS_TOL:
-            out.append(hermvec(Ur @ unhermvec(mm, r) @ Ur.conj().T))
-    return out
+        mm = m0 - (pin @ ((RT @ m0[..., None])[..., 0] - cs.b)[..., None])[..., 0]
+        wr = np.linalg.eigvalsh(unhermvec(mm, r))[:, 0]
+        # Rows too infeasible to rescue are not worth a Dykstra run.
+        rescue = wr >= -0.05 * wmax[rows]
+        dyk = np.flatnonzero(rescue & (wr < -FEAS_TOL))
+        if len(dyk):
+            mm[dyk] = hermvec(_face_dykstra(unhermvec(RT[dyk], r),
+                                            unhermvec(pin[dyk].swapaxes(-1, -2), r),
+                                            cs.b, unhermvec(mm[dyk], r)))
+            wr[dyk] = np.linalg.eigvalsh(unhermvec(mm[dyk], r))[:, 0]
+        aff = np.linalg.norm((RT @ mm[..., None])[..., 0] - cs.b, axis=-1)
+        ok = rescue & (aff <= FEAS_TOL * b_scale) & (wr >= -FEAS_TOL)
+        found += zip(rows[ok].tolist(), hermvec(Ur[ok] @ unhermvec(mm[ok], r) @ UrH[ok]))
+    return sorted(found, key=lambda rz: rz[0])  # stable: ranks stay increasing
 
 
 # ----------------------------------------------------------------------------
@@ -422,8 +442,9 @@ def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int):
 
     Projected gradient ascent (step, PSD clip, affine projection) with a
     facial-rounding harvest at every checkpoint: the raw trajectory keeps
-    running, while _face_polish turns the current iterate into certified
-    feasible candidates and "best" only ever moves to one of those.  Tasks
+    running, while one _face_polish call turns the current iterates of all
+    tasks whose raw objective beats their certified best into certified
+    feasible candidates, and "best" only ever moves to one of those.  Tasks
     that stop improving get their step halved (refinement) and the batch
     stops once every task has stalled STALL_BREAK checkpoints in a row.
     Returns (best points, best objectives, iterations, stalled); stalled is
@@ -452,16 +473,15 @@ def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int):
         raw_gain = raw_obj > prev_raw + 1e-8 * (1.0 + np.abs(prev_raw))
         prev_raw = np.maximum(prev_raw, raw_obj)
         improved = np.zeros(K, dtype=bool)
-        for k in range(K):
-            # The raw objective bounds what rounding can certify here.
-            if raw_obj[k] <= best_obj[k] + 1e-10:
-                continue
-            for z in _face_polish(cs, X[k]):
-                obj = float(gvecs[k] @ z)
-                if obj > best_obj[k] + 1e-10:
-                    best_obj[k] = obj
-                    best_X[k] = z
-                    improved[k] = True
+        # The raw objective bounds what rounding can certify here.
+        cand = np.flatnonzero(raw_obj > best_obj + 1e-10)
+        for j, z in (_face_polish(cs, X[cand]) if len(cand) else ()):
+            k = cand[j]
+            obj = float(gvecs[k] @ z)
+            if obj > best_obj[k] + 1e-10:
+                best_obj[k] = obj
+                best_X[k] = z
+                improved[k] = True
         # A task only stalls once neither the certified best nor the raw
         # trajectory is moving; step halving is reserved for that phase.
         stall = np.where(improved | raw_gain, 0, stall + 1)

@@ -20,7 +20,7 @@ def transpose_choi() -> cpmaps.ChoiMatrix:
     C = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
-            E = linalg.matrix_unit(2, i, j)
+            E = np.outer(np.eye(2)[i], np.eye(2)[j])  # E_ij
             C += np.kron(E, E.T)
     return cpmaps.ChoiMatrix(d=2, mat=C)
 
@@ -142,7 +142,7 @@ def test_stinespring_roundtrip_battery():
         D = cpmaps.stinespring(cpmaps.choi_from_kraus(K))
         for i in range(d):
             for j in range(d):
-                E = linalg.matrix_unit(d, i, j)
+                E = np.outer(np.eye(d)[i], np.eye(d)[j])  # E_ij
                 assert linalg.op_norm(D.compress(E) - K.apply(E)) <= 1e-8
 
 
@@ -159,7 +159,7 @@ def test_schwarz_defects_examples():
 
     # Compression onto the first coordinate, a = E_10: Phi(a* a) = 1, Phi(a) = 0.
     K = cpmaps.KrausSet(d_in=2, d_out=1, operators=(np.array([[1.0, 0.0]]),))
-    dd = cpmaps.schwarz_defects_kraus(K, linalg.matrix_unit(2, 1, 0))
+    dd = cpmaps.schwarz_defects_kraus(K, np.outer(np.eye(2)[1], np.eye(2)[0]))
     assert dd["left_norm"] == pytest.approx(1.0)
 
 

@@ -37,7 +37,7 @@ def _ambient_system(d, G):
     for s in elems:
         for m in range(d):
             for n in range(d):
-                F = np.kron(s.T, linalg.matrix_unit(d, n, m))
+                F = np.kron(s.T, np.outer(np.eye(d)[n], np.eye(d)[m]))  # s^T (x) E_nm
                 FH = F.conj().T
                 mats += [(F + FH) / 2.0, (F - FH) / 2.0j]
                 targets += [s[m, n].real, s[m, n].imag]
@@ -82,6 +82,48 @@ def test_build_constraints_matches_loop_reference(d):
         assert cs.rank_margin == d ** 4 - cs.rank
 
 
+def _pinned_face_reference(P):
+    """Per-sample loop reference for uep._pinned_face."""
+    d = P.d
+    basis = [np.eye(d, dtype=complex)]
+    for g in P.pinned_elements():
+        g = np.asarray(g, dtype=complex)
+        for H in ((g + g.conj().T) / 2.0, (g - g.conj().T) / 2.0j):
+            if linalg.maxabs(H) > 1e-14:
+                basis.append(H)
+    rng = make_rng(0x0FACE)
+    samples = list(basis)
+    for _ in range(4 * len(basis) + 8):
+        c = rng.standard_normal(len(basis))
+        samples.append(sum(ck * Bk for ck, Bk in zip(c, basis)))
+    kernel = []
+    for H in samples:
+        w, V = np.linalg.eigh(H)
+        scale = float(w[-1] - w[0])
+        if scale <= 1e-12 * max(abs(w[0]), abs(w[-1])):
+            continue
+        for mu in (w - w[0], w[-1] - w):
+            ker = [V[:, k] for k in range(d) if mu[k] <= 1e-12 * scale]
+            rng_vecs = [V[:, k] for k in range(d) if mu[k] >= 1e-6 * scale]
+            for u in ker:
+                for x in rng_vecs:
+                    kernel.append(np.kron(x.conj(), u))
+    if not kernel:
+        return np.eye(d * d, dtype=complex)
+    _, sv, Vh = np.linalg.svd(np.array(kernel).conj())
+    r = int(np.sum(sv > 1e-8 * (sv[0] if sv[0] > 0 else 1.0)))
+    return Vh[r:].conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pinned_face_matches_reference(d):
+    """The vectorized sampling gives bit for bit the face of the loop."""
+    cases = _generator_cases(d)
+    for name in ("polar", "normal", "unitary", "hermitian"):
+        P = uep.UepProblem(d=d, G=gen(d, *cases[name]))
+        assert np.array_equal(uep._pinned_face(P), _pinned_face_reference(P)), name
+
+
 def test_build_constraints_unitality_only():
     """With no pinned generators only unitality constrains the Choi."""
     P = uep.UepProblem(d=2, G=None)
@@ -110,6 +152,127 @@ def test_identity_choi_is_feasible():
     C = cs.to_choi_mat(cs.x_identity)
     assert np.allclose(C, cpmaps.identity_choi(3).mat, atol=1e-8)
     assert np.linalg.norm(cs.affine_residual(cs.x_identity)) <= 1e-8
+
+
+def _hermvec_clip(x, n):
+    w, U = np.linalg.eigh(uep.unhermvec(x, n))
+    return uep.hermvec((U * np.clip(w, 0.0, None)) @ U.conj().T)
+
+
+def _face_dykstra_reference(RT, pin, b, m, r):
+    """One row's Dykstra in hermvec coordinates."""
+    p = np.zeros_like(m)
+    q = np.zeros_like(m)
+    x = m
+    for _ in range(uep.DYKSTRA_MAX_ITER):
+        y = _hermvec_clip(x + p, r)
+        p = x + p - y
+        xn = (y + q) - pin @ (RT @ (y + q) - b)
+        q = y + q - xn
+        gap = np.linalg.norm(y - xn)
+        x = xn
+        if gap <= uep.DYKSTRA_TOL:
+            break
+    return x
+
+
+def _face_polish_reference(cs, x, stats):
+    """One row's rounding in hermvec coordinates; returns [(rank, point)]."""
+    n = cs.n
+    M = uep.unhermvec(x, n)
+    w, U = np.linalg.eigh(M)
+    wmax = max(float(w[-1]), 1e-30)
+    b_scale = 1.0 + float(np.linalg.norm(cs.b))
+    guesses = {int(np.sum(w > tau * wmax)) for tau in uep.FACE_TAUS}
+    guesses |= {r + 1 for r in guesses} | {n}
+    out = []
+    for r in sorted(guesses):
+        if r == 0 or r > n:
+            continue
+        Ur = U[:, n - r:]
+        RT = uep.hermvec(Ur.conj().T @ (cs.functional_mats @ Ur))
+        m0 = uep.hermvec(Ur.conj().T @ M @ Ur)
+        pin = np.linalg.pinv(RT, rcond=1e-10)
+        mm = m0 - pin @ (RT @ m0 - cs.b)
+        wr = np.linalg.eigvalsh(uep.unhermvec(mm, r))
+        if wr[0] < -0.05 * wmax:
+            continue
+        if wr[0] < -uep.FEAS_TOL:
+            mm = _face_dykstra_reference(RT, pin, cs.b, mm, r)
+            stats["dykstra"] += 1
+            wr = np.linalg.eigvalsh(uep.unhermvec(mm, r))
+        aff = float(np.linalg.norm(RT @ mm - cs.b))
+        if aff <= uep.FEAS_TOL * b_scale and wr[0] >= -uep.FEAS_TOL:
+            out.append((r, uep.hermvec(Ur @ uep.unhermvec(mm, r) @ Ur.conj().T)))
+    return out
+
+
+def _ascent_iterates(d=3, tasks=4, checkpoints=4):
+    """Rows of a short projected-gradient ascent on {X}, one block of tasks
+    per rounding checkpoint, stepped as _linear_max_batch steps them."""
+    X = np.diag(np.arange(d, dtype=float)).astype(complex)
+    cs = uep.build_constraints(uep.UepProblem(d=d, G=gen(d, X)))
+    rng = make_rng(77)
+    F = cs.face.conj().T @ cpmaps.choi_functional(
+        [X @ X] * tasks, [random_hermitian(rng, d) for _ in range(tasks)]) @ cs.face
+    gvecs = uep.hermvec((F + F.conj().swapaxes(-1, -2)) / 2.0)
+    step = 0.1 * d / np.linalg.norm(gvecs, axis=1)
+    Z = np.tile(cs.x_identity, (tasks, 1))
+    rows = []
+    for _ in range(checkpoints):
+        for _ in range(uep.POLISH_EVERY):
+            Z = cs.proj_affine(cs.proj_psd(Z + step[:, None] * gvecs))
+        rows.append(Z)
+    return cs, np.concatenate(rows)
+
+
+def test_face_polish_matches_per_row_reference():
+    """One batched call certifies the same (row, rank) candidates, in the
+    same order, as rounding each row alone in hermvec coordinates."""
+    cs, X = _ascent_iterates()
+    stats = {"dykstra": 0}
+    ref = [(k, r, z) for k in range(len(X)) for r, z in _face_polish_reference(cs, X[k], stats)]
+    got = uep._face_polish(cs, X)
+    assert stats["dykstra"] > 0 and ref  # the Dykstra and the direct path both ran
+    assert [k for k, _ in got] == [k for k, _, _ in ref]
+    for (_, z), (k, r, zr) in zip(got, ref):
+        assert np.allclose(z, zr, rtol=0, atol=1e-10), (k, r)
+
+
+def test_face_dykstra_batch_equals_solo(monkeypatch):
+    """A batch mixing an item that converges early with one that runs out
+    of iterations gives each item its solo result."""
+    r = 3
+    rng = make_rng(78)
+    extra = [random_hermitian(rng, r) for _ in range(2)]
+    target = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    b = uep.hermvec(np.array([np.eye(r)] + extra)) @ uep.hermvec(target)
+    # Item 0 pins tr(M) = 1 and meets the PSD cone inside; item 1 reads the
+    # same b through -I, i.e. tr(M) = -1, and misses the cone.
+    items = []
+    for sign in (1.0, -1.0):
+        RT = uep.hermvec(np.array([sign * np.eye(r)] + extra))
+        items.append((uep.unhermvec(RT, r), uep.unhermvec(np.linalg.pinv(RT, rcond=1e-10).T, r)))
+    start = target + np.diag([0.5, -0.2, -0.3]).astype(complex)  # not PSD
+    sizes = []
+    clip = uep._psd_clip
+    monkeypatch.setattr(uep, "_psd_clip", lambda M: sizes.append(len(M)) or clip(M))
+
+    def run(idx):
+        sizes.clear()
+        out = uep._face_dykstra(np.array([items[i][0] for i in idx]),
+                                np.array([items[i][1] for i in idx]),
+                                b, np.array([start] * len(idx)))
+        return out, list(sizes)
+
+    (early,), early_sizes = run([0])
+    (capped,), capped_sizes = run([1])
+    both, both_sizes = run([0, 1])
+    n_early = len(early_sizes)
+    assert n_early < uep.DYKSTRA_MAX_ITER == len(capped_sizes)
+    assert both_sizes == [2] * n_early + [1] * (uep.DYKSTRA_MAX_ITER - n_early)
+    assert np.array_equal(both[0], early) and np.array_equal(both[1], capped)
+    assert np.linalg.eigvalsh(early)[0] >= -uep.FEAS_TOL
 
 
 def test_solve_x_only_finds_violation():
