@@ -22,6 +22,10 @@ refinement).  Each linear maximization runs projected gradient ascent with
 facial-rounding polish onto (PSD intersect affine); deviations are only
 ever reported at certified feasible points, so "Unique-evidence" cannot be
 an artifact of infeasibility drift.
+
+Every solver point is an n x n Hermitian face matrix M (the Choi matrix is
+U M U* for the face isometry U); hermvec coordinates appear only in
+_pinv_mats and in the basis of build_constraints.
 """
 
 from __future__ import annotations
@@ -93,6 +97,32 @@ def _psd_clip(M: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix to Hermitian M (batched eigenvalue clip)."""
     w, U = np.linalg.eigh(M)
     return (U * np.maximum(w, 0.0)[..., None, :]) @ U.conj().swapaxes(-1, -2)
+
+
+def _tr(F: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """tr(F_j Z) of Hermitian F_j and Z, the dot products of their real views:
+    one stack F (m, n, n) for a batch Z (K, n, n), or one per point."""
+    Ff = F.view(float).reshape(F.shape[:-2] + (-1,))
+    zf = Z.view(float).reshape(Z.shape[:-2] + (-1,))
+    if F.ndim == Z.ndim:  # shared stack: one product
+        return zf @ Ff.T
+    return (Ff @ zf[..., None])[..., 0]
+
+
+def _affine_project(F: np.ndarray, P: np.ndarray, b: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Z - sum_j (tr(F_j Z) - b_j) P_j (batched as in _tr): the projection
+    onto {tr(F_j Z) = b_j} when P holds the pseudo-inverse columns of F."""
+    s = _tr(F, Z) - b
+    Pf = P.view(float).reshape(P.shape[:-2] + (-1,))
+    step = s @ Pf if P.ndim == Z.ndim else (s[..., None, :] @ Pf)[..., 0, :]
+    return Z - step.view(complex).reshape(Z.shape)
+
+
+def _pinv_mats(F: np.ndarray, rcond: float) -> np.ndarray:
+    """Pseudo-inverse columns of the functionals F (..., m, n, n) as n x n
+    matrices; the SVD runs on hermvec coordinates, half the real width."""
+    pinv = np.linalg.pinv(hermvec(F), rcond=rcond)
+    return unhermvec(pinv.swapaxes(-1, -2), F.shape[-1])
 
 
 # ----------------------------------------------------------------------------
@@ -193,51 +223,46 @@ class UepReport:
 
 @dataclass
 class ConstraintSystem:
-    """Real-linear equations R x = b on hermvec coordinates of the Choi.
+    """Real-linear equations tr(F_j M) = b_j on n x n Hermitian face matrices.
 
-    Row (a, b) reads <E_b, Phi(H_a)> = <E_b, H_a> (see build_constraints),
-    one row per equation, so ||R x - b|| is the Frobenius norm of
-    (Phi(H_a) - H_a)_a.  The system lives on a face of the PSD cone:
     ``face`` is an isometry U (d^2 x n) such that every feasible Choi matrix
     is U M U* with M an n x n PSD matrix (facial reduction; see
-    _pinned_face).  All solver coordinates x are hermvec(M).
-    ``functional_mats`` keeps the compressed Hermitian functional matrix of
-    every row (row_i . x = <F_i, M>), so the system can be compressed
-    further onto sub-faces during rounding.
+    _pinned_face); every solver point is such an M.  Equation (a, b) reads
+    <E_b, Phi(H_a)> = <E_b, H_a> (see build_constraints), so the residual
+    norm is the Frobenius norm of (Phi(H_a) - H_a)_a.  ``P`` holds the
+    pseudo-inverse columns of the functionals ``F`` as matrices.
     """
 
     d: int
     n: int
     face: np.ndarray = field(repr=False)
-    rows: np.ndarray = field(repr=False, default=None)
+    F: np.ndarray = field(repr=False, default=None)
+    P: np.ndarray = field(repr=False, default=None)
     b: np.ndarray = field(repr=False, default=None)
     rank: int = 0
-    pinv: np.ndarray = field(repr=False, default=None)
     x_identity: np.ndarray = field(repr=False, default=None)
-    functional_mats: np.ndarray = field(repr=False, default=None)
 
     @property
     def rank_margin(self) -> int:
         """Real dimension d^4 of the Hermitian d^2 x d^2 matrices minus rank."""
         return self.d ** 4 - self.rank
 
-    def to_choi_mat(self, x: np.ndarray) -> np.ndarray:
-        """Ambient d^2 x d^2 Choi matrix of a face coordinate vector."""
-        M = unhermvec(x, self.n)
+    def to_choi_mat(self, M: np.ndarray) -> np.ndarray:
+        """Ambient d^2 x d^2 Choi matrix of a face matrix."""
         return self.face @ M @ self.face.conj().T
 
-    def proj_affine(self, X: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto {x : R x = b} (batched)."""
-        return X - (X @ self.rows.T - self.b) @ self.pinv.T
+    def proj_affine(self, Z: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto {tr(F_j Z) = b_j} (batched)."""
+        return _affine_project(self.F, self.P, self.b, Z)
 
-    def affine_residual(self, X: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(X @ self.rows.T - self.b, axis=-1)
+    def affine_residual(self, Z: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(_tr(self.F, Z) - self.b, axis=-1)
 
-    def proj_psd(self, X: np.ndarray) -> np.ndarray:
-        return hermvec(_psd_clip(unhermvec(X, self.n)))
+    def proj_psd(self, Z: np.ndarray) -> np.ndarray:
+        return _psd_clip(Z)
 
-    def psd_residual(self, X: np.ndarray) -> np.ndarray:
-        w = np.linalg.eigvalsh(unhermvec(X, self.n))
+    def psd_residual(self, Z: np.ndarray) -> np.ndarray:
+        w = np.linalg.eigvalsh(Z)
         return np.clip(-w[..., 0], 0.0, None)
 
 
@@ -297,10 +322,11 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
     span{I, G, G*}, compressed onto the pinned face.
 
     H comes from one SVD of the hermvec coordinates of I and the Hermitian
-    and anti-Hermitian parts of every generator.  Row (a, b) is the
+    and anti-Hermitian parts of every generator.  Equation (a, b) is the
     functional C |-> <E_b, Phi_C(H_a)> = tr((H_a^T (x) E_b) C) over the
-    hermvec basis E, with target hermvec(H_a)_b.  The k d^2 ambient rows
-    are orthonormal, so the rank is the row count, d^2 dim_C span{I, G, G*}.
+    hermvec basis E, with target hermvec(H_a)_b; F holds its compression
+    U* (H_a^T (x) E_b) U onto the face U.  The k d^2 ambient functionals
+    are orthonormal, so the rank is their count, d^2 dim_C span{I, G, G*}.
     """
     d = P.d
     gens = [] if P.G is None else list(P.G.generators)
@@ -315,22 +341,20 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
     face = _pinned_face(P)
     E = unhermvec(np.eye(d * d), d)
     F = cpmaps.choi_functional(H[:, None], E[None, :]).reshape(-1, d * d, d * d)
-    fmats = face.conj().T @ F @ face
-    R = hermvec(fmats)
+    F = face.conj().T @ F @ face
     bv = hermvec(H).ravel()
-    pinv = np.linalg.pinv(R, rcond=1e-12)
 
     C_id = cpmaps.identity_choi(d).mat
-    x_id = hermvec(face.conj().T @ C_id @ face)
+    x_id = face.conj().T @ C_id @ face
     b_scale = 1.0 + np.linalg.norm(bv)
     # The identity map must satisfy its own pinning and lie on the face;
     # failure means the system as posed has no solution.
-    face_resid = linalg.frob_norm(face @ face.conj().T @ C_id @ face @ face.conj().T - C_id)
-    if np.linalg.norm(R @ x_id - bv) > 1e-7 * b_scale or face_resid > 1e-7:
+    face_resid = linalg.frob_norm(face @ x_id @ face.conj().T - C_id)
+    if np.linalg.norm(_tr(F, x_id) - bv) > 1e-7 * b_scale or face_resid > 1e-7:
         raise Infeasible("identity map violates the affine constraints as assembled")
 
-    return ConstraintSystem(d=d, n=face.shape[1], face=face, rows=R, b=bv, rank=len(R),
-                            pinv=pinv, x_identity=x_id, functional_mats=fmats)
+    return ConstraintSystem(d=d, n=face.shape[1], face=face, F=F, P=_pinv_mats(F, 1e-12),
+                            b=bv, rank=len(F), x_identity=x_id)
 
 
 # ----------------------------------------------------------------------------
@@ -349,33 +373,25 @@ FACE_TAUS = (0.5, 0.1, 0.02)
 DYKSTRA_MAX_ITER = 200
 
 
-def _face_dykstra(F: np.ndarray, Pm: np.ndarray, b: np.ndarray,
-                  M: np.ndarray) -> np.ndarray:
+def _face_dykstra(F: np.ndarray, P: np.ndarray, b: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Batched Dykstra on (PSD_r intersect affine) in r x r face matrices;
-    returns the affine-exact points.  Item i projects Z to
-    Z - sum_j (tr(F[i,j] Z) - b_j) Pm[i,j] (Pm: pseudo-inverse columns as
-    matrices), two real products since tr(F Z) of Hermitian matrices is the
-    dot product of their real views.  Each item stops on its own gap test,
+    returns the affine-exact points.  Item i alternates the PSD clip with
+    _affine_project(F[i], P[i], b, .); each item stops on its own gap test,
     so it runs the iterates of a solo run."""
-    B, m = F.shape[:2]
-    Ff = F.view(float).reshape(B, m, -1)
-    Pf = Pm.view(float).reshape(B, m, -1)
-    out, live = np.empty_like(M), np.arange(B)
+    out, live = np.empty_like(M), np.arange(len(M))
     x, p, q = M, np.zeros_like(M), np.zeros_like(M)
     for _ in range(DYKSTRA_MAX_ITER):
         t = x + p
         y = _psd_clip(t)
         p = t - y
         z = y + q
-        zf = z.view(float).reshape(len(live), -1)
-        s = (Ff @ zf[:, :, None])[..., 0] - b
-        x = (zf - (s[:, None, :] @ Pf)[:, 0]).view(complex).reshape(z.shape)
+        x = _affine_project(F, P, b, z)
         q = z - x
         done = np.linalg.norm((y - x).reshape(len(live), -1), axis=1) <= DYKSTRA_TOL
         if done.any():
             out[live[done]] = x[done]
             keep = ~done
-            live, x, p, q, Ff, Pf = live[keep], x[keep], p[keep], q[keep], Ff[keep], Pf[keep]
+            live, x, p, q, F, P = live[keep], x[keep], p[keep], q[keep], F[keep], P[keep]
             if not len(live):
                 return out
     out[live] = x
@@ -383,16 +399,15 @@ def _face_dykstra(F: np.ndarray, Pm: np.ndarray, b: np.ndarray,
 
 
 def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
-    """Certified feasible points near the rows of X: (row, point) pairs,
-    one per plausible face rank of a row, in increasing rank per row.
+    """Certified feasible points near the face matrices X: (row, point)
+    pairs, one per plausible face rank of a row, in increasing rank per row.
 
-    Guesses faces from each row's eigenvalue profile, solves the affine
-    system inside each face anchored at the row's compression, and keeps
-    only points passing the affine and PSD checks.  Each rank takes one
-    batched pass over all rows that try it, with one _face_dykstra call."""
+    Guesses sub-faces U_r from each row's eigenvalue profile, restores the
+    compressed system U_r* F U_r exactly from the row's compression, and
+    keeps only points passing the affine and PSD checks.  Each rank takes
+    one batched pass over all rows that try it, with one _face_dykstra call."""
     n = cs.n
-    M = unhermvec(X, n)
-    w, U = np.linalg.eigh(M)
+    w, U = np.linalg.eigh(X)
     wmax = np.maximum(w[:, -1], 1e-30)
     b_scale = 1.0 + float(np.linalg.norm(cs.b))
     guess = np.sum(w[:, None, :] > np.multiply.outer(wmax, FACE_TAUS)[..., None], axis=-1)
@@ -408,22 +423,19 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
             continue
         Ur = U[rows, :, n - r:]
         UrH = Ur.conj().swapaxes(-1, -2)
-        RT = hermvec(UrH[:, None] @ (cs.functional_mats @ Ur[:, None]))
-        m0 = hermvec(UrH @ M[rows] @ Ur)
-        pin = np.linalg.pinv(RT, rcond=1e-10)
-        mm = m0 - (pin @ ((RT @ m0[..., None])[..., 0] - cs.b)[..., None])[..., 0]
-        wr = np.linalg.eigvalsh(unhermvec(mm, r))[:, 0]
+        F = UrH[:, None] @ cs.F @ Ur[:, None]
+        P = _pinv_mats(F, 1e-10)
+        mm = _affine_project(F, P, cs.b, UrH @ X[rows] @ Ur)
+        wr = np.linalg.eigvalsh(mm)[:, 0]
         # Rows too infeasible to rescue are not worth a Dykstra run.
         rescue = wr >= -0.05 * wmax[rows]
         dyk = np.flatnonzero(rescue & (wr < -FEAS_TOL))
         if len(dyk):
-            mm[dyk] = hermvec(_face_dykstra(unhermvec(RT[dyk], r),
-                                            unhermvec(pin[dyk].swapaxes(-1, -2), r),
-                                            cs.b, unhermvec(mm[dyk], r)))
-            wr[dyk] = np.linalg.eigvalsh(unhermvec(mm[dyk], r))[:, 0]
-        aff = np.linalg.norm((RT @ mm[..., None])[..., 0] - cs.b, axis=-1)
+            mm[dyk] = _face_dykstra(F[dyk], P[dyk], cs.b, mm[dyk])
+            wr[dyk] = np.linalg.eigvalsh(mm[dyk])[:, 0]
+        aff = np.linalg.norm(_tr(F, mm) - cs.b, axis=-1)
         ok = rescue & (aff <= FEAS_TOL * b_scale) & (wr >= -FEAS_TOL)
-        found += zip(rows[ok].tolist(), hermvec(Ur[ok] @ unhermvec(mm[ok], r) @ UrH[ok]))
+        found += zip(rows[ok].tolist(), Ur[ok] @ mm[ok] @ UrH[ok])
     return sorted(found, key=lambda rz: rz[0])  # stable: ranks stay increasing
 
 
@@ -437,8 +449,8 @@ POLISH_EVERY = 25
 STALL_BREAK = 8
 
 
-def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int):
-    """Maximize each linear functional g_k . x over {R x = b, PSD}.
+def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
+    """Maximize each linear functional tr(G_k M) over {affine, PSD}.
 
     Projected gradient ascent (step, PSD clip, affine projection) with a
     facial-rounding harvest at every checkpoint: the raw trajectory keeps
@@ -450,14 +462,13 @@ def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int):
     Returns (best points, best objectives, iterations, stalled); stalled is
     False when max_iter ran out first.
     """
-    K = gvecs.shape[0]
-    x0 = cs.x_identity
-    X = np.tile(x0, (K, 1))
-    gnorm = np.linalg.norm(gvecs, axis=1)
+    K = len(G)
+    X = np.tile(cs.x_identity, (K, 1, 1))
+    gnorm = np.linalg.norm(G.reshape(K, -1), axis=1)
     # Step ~ a modest fraction of the spectrahedron diameter per move.
     step = 0.1 * cs.d / np.maximum(gnorm, 1e-30)
     min_step = 1e-4 * cs.d / np.maximum(gnorm, 1e-30)
-    best_obj = gvecs @ x0
+    best_obj = _tr(G, cs.x_identity)
     best_X = X.copy()
     prev_raw = best_obj.copy()
     stall = np.zeros(K, dtype=int)
@@ -465,11 +476,11 @@ def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int):
     while it < max_iter:
         inner = min(POLISH_EVERY, max_iter - it)
         for _ in range(inner):
-            X = X + step[:, None] * gvecs
+            X = X + step[:, None, None] * G
             X = cs.proj_psd(X)
             X = cs.proj_affine(X)
         it += inner
-        raw_obj = np.einsum("kn,kn->k", gvecs, X)
+        raw_obj = _tr(G[:, None], X)[:, 0]
         raw_gain = raw_obj > prev_raw + 1e-8 * (1.0 + np.abs(prev_raw))
         prev_raw = np.maximum(prev_raw, raw_obj)
         improved = np.zeros(K, dtype=bool)
@@ -477,7 +488,7 @@ def _linear_max_batch(cs: ConstraintSystem, gvecs: np.ndarray, max_iter: int):
         cand = np.flatnonzero(raw_obj > best_obj + 1e-10)
         for j, z in (_face_polish(cs, X[cand]) if len(cand) else ()):
             k = cand[j]
-            obj = float(gvecs[k] @ z)
+            obj = float(_tr(G[k], z))
             if obj > best_obj[k] + 1e-10:
                 best_obj[k] = obj
                 best_X[k] = z
@@ -553,13 +564,11 @@ def solve(P: UepProblem) -> UepReport:
 
     def run_tasks(task_list):
         nonlocal total_iters, exhausted
-        if not task_list:
-            return
-        # Face-coordinate gradients of C |-> Re tr(W* Phi_C(a)), all at once.
+        # Face-matrix gradients of C |-> Re tr(W* Phi_C(a)), all at once.
         idxs, Ws = zip(*task_list)
         Fc = cs.face.conj().T @ cpmaps.choi_functional([probes[i] for i in idxs], Ws) @ cs.face
-        gvecs = hermvec((Fc + Fc.conj().swapaxes(-1, -2)) / 2.0)
-        bx, bobj, iters, stalled = _linear_max_batch(cs, gvecs, P.max_iter)
+        grads = (Fc + Fc.conj().swapaxes(-1, -2)) / 2.0
+        bx, bobj, iters, stalled = _linear_max_batch(cs, grads, P.max_iter)
         total_iters += iters
         exhausted = exhausted or not stalled
         for t, (idx, W) in enumerate(task_list):
@@ -602,37 +611,28 @@ def solve(P: UepProblem) -> UepReport:
 
     if max_dev <= P.tol:
         worst_idx = on_alg[0].index if on_alg else 0
-        # A search cut off by its budget is no evidence of uniqueness.
-        status = "NonConverged" if exhausted else "Unique-evidence"
-        certificate = None
     else:
         worst_idx = max(on_alg, key=lambda p: p.deviation).index
-        status = None
-        certificate = None
-
     x_final = best_x[worst_idx]
     choi = cpmaps.ChoiMatrix(d=d, mat=cs.to_choi_mat(x_final))
     residuals = {
-        "affine": float(cs.affine_residual(x_final[None, :])[0]),
-        "psd": float(cs.psd_residual(x_final[None, :])[0]),
+        "affine": float(cs.affine_residual(x_final)),
+        "psd": float(cs.psd_residual(x_final)),
     }
 
-    if status is None:
-        if max_dev >= 10.0 * P.tol:
-            a = probes[worst_idx]
-            certificate = ViolationCertificate(
-                choi=choi,
-                probe=a,
-                deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a),
-                residuals=residuals,
-            )
-            if validate_certificate(certificate, P):
-                status = "ViolationFound"
-            else:
-                certificate = None
-                status = "NonConverged"
-        else:
-            status = "NonConverged"
+    certificate = None
+    if max_dev <= P.tol:
+        # A search cut off by its budget is no evidence of uniqueness.
+        status = "NonConverged" if exhausted else "Unique-evidence"
+    elif max_dev < 10.0 * P.tol:
+        status = "NonConverged"
+    else:
+        a = probes[worst_idx]
+        certificate = ViolationCertificate(choi=choi, probe=a, residuals=residuals,
+                                           deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a))
+        if not validate_certificate(certificate, P):
+            certificate = None
+        status = "NonConverged" if certificate is None else "ViolationFound"
 
     return UepReport(
         status=status,

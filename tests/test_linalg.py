@@ -36,10 +36,10 @@ def test_op_norm_submultiplicative():
 
 def _psd_clip(A):
     """The solver's PSD projection (ConstraintSystem.proj_psd, an eigenvalue
-    clip in hermvec coordinates) applied to a 4x4 Hermitian matrix."""
+    clip of face matrices) applied to a 4x4 Hermitian matrix."""
     cs = uep.build_constraints(uep.UepProblem(d=2, G=None))
     assert cs.n == 4
-    return uep.unhermvec(cs.proj_psd(uep.hermvec(A)), 4)
+    return cs.proj_psd(A)
 
 
 def test_psd_project_examples():
@@ -53,8 +53,8 @@ def test_psd_project_examples():
 
 
 def test_psd_project_idempotent_and_guarded():
-    # hermvec coordinates describe Hermitian matrices only, so the clip has
-    # no non-Hermitian input to reject; the guard is the coordinate system.
+    # The solver hands the clip Hermitian face matrices only, so it has no
+    # non-Hermitian input to reject; the guard is the Hermitian output.
     rng = make_rng(8)
     A = random_hermitian(rng, 4)
     P = _psd_clip(A)

@@ -76,9 +76,10 @@ def test_build_constraints_matches_loop_reference(d):
         R = uep.hermvec(U.conj().T @ mats @ U)
         X = rng.standard_normal((4, cs.n * cs.n))
         ref = X - (X @ R.T - targets) @ np.linalg.pinv(R, rcond=1e-12).T
-        assert np.allclose(cs.proj_affine(X), ref, rtol=0, atol=1e-10), name
+        got = cs.proj_affine(uep.unhermvec(X, cs.n))
+        assert np.allclose(got, uep.unhermvec(ref, cs.n), rtol=0, atol=1e-10), name
         sv = np.linalg.svd(uep.hermvec(mats), compute_uv=False)
-        assert cs.rows.shape[0] == cs.rank == int(np.sum(sv > 1e-12 * sv[0])), name
+        assert len(cs.F) == cs.rank == int(np.sum(sv > 1e-12 * sv[0])), name
         assert cs.rank_margin == d ** 4 - cs.rank
 
 
@@ -122,6 +123,43 @@ def test_pinned_face_matches_reference(d):
     for name in ("polar", "normal", "unitary", "hermitian"):
         P = uep.UepProblem(d=d, G=gen(d, *cases[name]))
         assert np.array_equal(uep._pinned_face(P), _pinned_face_reference(P)), name
+
+
+def _unique_family(family, d, rng):
+    """Generators of a family with the unique extension property, drawn
+    from rng, and the dimension of its minimal face.  A polar triple
+    leaves only the identity map, whose Choi matrix has rank 1; the other
+    families generate the diagonal algebra of an eigenbasis, and the maps
+    fixing it are the Schur multipliers there, whose Choi matrices span
+    span{e_i (x) e_i} (dimension d)."""
+    if family == "polar":
+        T = random_complex(rng, d, d)
+        return (T, T.conj().T @ T, T @ T.conj().T), 1
+    if family == "normal":
+        N = random_normal_matrix(rng, d)
+        return (N, N @ N.conj().T), d
+    if family == "unitary":
+        return (random_unitary(rng, d),), d
+    H = random_hermitian(rng, d)
+    return (H, H @ H), d
+
+
+_MINIMAL_FACE_DRAWS = [(d, 8000 + 10 * d + draw) for d in range(2, 7) for draw in range(6)]
+
+
+@pytest.mark.parametrize("family, draws", [
+    *[pytest.param(f, _MINIMAL_FACE_DRAWS, id=f)
+      for f in ("polar", "normal", "unitary", "X-and-square")],
+    # The fixed d = 5 normal set of the benchmark's unique battery (stream
+    # key 10): sampling finds a face of dimension 9, not the minimal 5.
+    pytest.param("normal", [(5, 510)], id="normal-510",
+                 marks=pytest.mark.xfail(strict=True, reason="face n = 9 > 5 is not minimal")),
+])
+def test_pinned_face_is_minimal_on_unique_families(family, draws):
+    """The sampled face of a unique family is the minimal face."""
+    for d, seed in draws:
+        gens, n_min = _unique_family(family, d, make_rng(seed))
+        assert uep._pinned_face(uep.UepProblem(d=d, G=gen(d, *gens))).shape[1] == n_min, (d, seed)
 
 
 def test_build_constraints_unitality_only():
@@ -190,7 +228,7 @@ def _face_polish_reference(cs, x, stats):
         if r == 0 or r > n:
             continue
         Ur = U[:, n - r:]
-        RT = uep.hermvec(Ur.conj().T @ (cs.functional_mats @ Ur))
+        RT = uep.hermvec(Ur.conj().T @ (cs.F @ Ur))
         m0 = uep.hermvec(Ur.conj().T @ M @ Ur)
         pin = np.linalg.pinv(RT, rcond=1e-10)
         mm = m0 - pin @ (RT @ m0 - cs.b)
@@ -208,20 +246,20 @@ def _face_polish_reference(cs, x, stats):
 
 
 def _ascent_iterates(d=3, tasks=4, checkpoints=4):
-    """Rows of a short projected-gradient ascent on {X}, one block of tasks
-    per rounding checkpoint, stepped as _linear_max_batch steps them."""
+    """Face matrices of a short projected-gradient ascent on {X}, one block
+    of tasks per rounding checkpoint, stepped as _linear_max_batch steps them."""
     X = np.diag(np.arange(d, dtype=float)).astype(complex)
     cs = uep.build_constraints(uep.UepProblem(d=d, G=gen(d, X)))
     rng = make_rng(77)
     F = cs.face.conj().T @ cpmaps.choi_functional(
         [X @ X] * tasks, [random_hermitian(rng, d) for _ in range(tasks)]) @ cs.face
-    gvecs = uep.hermvec((F + F.conj().swapaxes(-1, -2)) / 2.0)
-    step = 0.1 * d / np.linalg.norm(gvecs, axis=1)
-    Z = np.tile(cs.x_identity, (tasks, 1))
+    grads = (F + F.conj().swapaxes(-1, -2)) / 2.0
+    step = 0.1 * d / np.linalg.norm(grads.reshape(tasks, -1), axis=1)
+    Z = np.tile(cs.x_identity, (tasks, 1, 1))
     rows = []
     for _ in range(checkpoints):
         for _ in range(uep.POLISH_EVERY):
-            Z = cs.proj_affine(cs.proj_psd(Z + step[:, None] * gvecs))
+            Z = cs.proj_affine(cs.proj_psd(Z + step[:, None, None] * grads))
         rows.append(Z)
     return cs, np.concatenate(rows)
 
@@ -231,12 +269,13 @@ def test_face_polish_matches_per_row_reference():
     same order, as rounding each row alone in hermvec coordinates."""
     cs, X = _ascent_iterates()
     stats = {"dykstra": 0}
-    ref = [(k, r, z) for k in range(len(X)) for r, z in _face_polish_reference(cs, X[k], stats)]
+    ref = [(k, r, z) for k in range(len(X))
+           for r, z in _face_polish_reference(cs, uep.hermvec(X[k]), stats)]
     got = uep._face_polish(cs, X)
     assert stats["dykstra"] > 0 and ref  # the Dykstra and the direct path both ran
     assert [k for k, _ in got] == [k for k, _, _ in ref]
     for (_, z), (k, r, zr) in zip(got, ref):
-        assert np.allclose(z, zr, rtol=0, atol=1e-10), (k, r)
+        assert np.allclose(z, uep.unhermvec(zr, cs.n), rtol=0, atol=1e-10), (k, r)
 
 
 def test_face_dykstra_batch_equals_solo(monkeypatch):
