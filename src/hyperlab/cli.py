@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import cpmaps, korovkin, opsys, suite, toeplitz, uep
-from .errors import HyperlabError, InvalidInput, NonStabilized
+from .errors import HyperlabError, InvalidInput
 from .serialize import config_digest, literal_to_matrix, matrix_to_literal, read_json, write_json
 
 EXIT_OK = 0
@@ -272,9 +272,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NonStabilized as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except (InvalidInput, HyperlabError, OSError, ValueError, KeyError) as exc:
         msg = f"config is missing the key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
         print(f"error: {msg}", file=sys.stderr)

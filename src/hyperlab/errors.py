@@ -9,17 +9,6 @@ class InvalidInput(HyperlabError, ValueError):
     """Malformed or out-of-contract input (wrong shape, non-Hermitian, ...)."""
 
 
-class NonStabilized(HyperlabError):
-    """Word closure did not stabilize within the degree budget.
-
-    Carries the partial basis computed so far in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class NotCompletelyPositive(HyperlabError):
     """Choi matrix has a negative eigenvalue beyond tolerance."""
 

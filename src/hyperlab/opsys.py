@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, NonStabilized
+from .errors import InvalidInput
 
 # Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-9
@@ -46,7 +46,6 @@ class AlgebraBasis:
 
     d: int
     basis: list = field(default_factory=list)
-    stabilized: bool = True
 
     @property
     def dim(self) -> int:
@@ -54,21 +53,21 @@ class AlgebraBasis:
 
     def project(self, A: np.ndarray) -> np.ndarray:
         """Orthogonal projection of A onto the span of the basis."""
-        P = np.zeros_like(np.asarray(A, dtype=complex))
-        for b in self.basis:
-            P = P + linalg.frob_inner(b, A) * b
-        return P
+        A = np.asarray(A, dtype=complex)
+        B = np.reshape(self.basis, (self.dim, A.size))  # rows: the flattened basis
+        return ((B.conj() @ A.ravel()) @ B).reshape(A.shape)
 
     def projection_residual(self, A: np.ndarray) -> float:
         return linalg.frob_norm(np.asarray(A, dtype=complex) - self.project(A))
 
 
 def _mgs_extend(basis: list, candidates: list) -> list:
-    """Extend an orthonormal basis by modified Gram-Schmidt.
+    """Extend an orthonormal basis by Gram-Schmidt.
 
-    Each candidate is orthogonalized twice against the running basis
-    (re-orthogonalization pass) and accepted when its residual norm stays
-    above RANK_RTOL relative to the candidate's own norm.
+    Each candidate is orthogonalized twice against the running basis (one
+    array projection per pass, the second a re-orthogonalization) and
+    accepted when its residual norm stays above RANK_RTOL relative to the
+    candidate's own norm.
     """
     added = []
     for cand in candidates:
@@ -76,50 +75,32 @@ def _mgs_extend(basis: list, candidates: list) -> list:
         scale = linalg.frob_norm(v)
         if scale == 0.0:
             continue
+        B = np.reshape(basis, (len(basis), v.size))  # rows: the flattened basis
+        x = v.ravel()
         for _ in range(2):
-            for b in basis:
-                v = v - linalg.frob_inner(b, v) * b
-        nrm = linalg.frob_norm(v)
+            x = x - (B.conj() @ x) @ B
+        nrm = float(np.linalg.norm(x))
         if nrm > RANK_RTOL * scale:
-            v = v / nrm
+            v = (x / nrm).reshape(v.shape)
             basis.append(v)
             added.append(v)
     return added
 
 
-def generate_algebra(G: GeneratorSet, max_degree: int | None = None) -> AlgebraBasis:
+def generate_algebra(G: GeneratorSet) -> AlgebraBasis:
     """Orthonormal basis of the unital *-algebra generated by G.
 
     Words of increasing length in G, G* (and I) are folded into the span
-    until a degree adds nothing new.  Raises NonStabilized (carrying the
-    partial basis) if max_degree is hit first; with the default budget of
-    2 d^2 that cannot happen, since the span dimension strictly increases
-    until stable and is bounded by d^2.
+    until a degree adds nothing new or the span is all of M_d.  Every
+    degree before that adds a dimension, so at most d^2 degrees run.
     """
     d = G.d
-    if max_degree is None:
-        max_degree = 2 * d * d
-    if max_degree < 1:
-        raise InvalidInput("max_degree must be >= 1")
-
     gens = G.with_adjoints()
     basis: list = []
     new = _mgs_extend(basis, [linalg.eye(d)] + gens)
-    degree = 1
-    stabilized = len(basis) == d * d
-    while degree < max_degree and not stabilized:
-        candidates = [w @ g for w in new for g in gens]
-        new = _mgs_extend(basis, candidates)
-        degree += 1
-        if not new or len(basis) == d * d:
-            stabilized = True
-    result = AlgebraBasis(d=d, basis=basis, stabilized=stabilized)
-    if not stabilized:
-        raise NonStabilized(
-            f"word closure not stabilized at degree {max_degree} (dim {len(basis)})",
-            partial=result,
-        )
-    return result
+    while new and len(basis) < d * d:
+        new = _mgs_extend(basis, [w @ g for w in new for g in gens])
+    return AlgebraBasis(d=d, basis=basis)
 
 
 def commutant(G: GeneratorSet) -> AlgebraBasis:
@@ -144,7 +125,7 @@ def commutant(G: GeneratorSet) -> AlgebraBasis:
     # Eigenvector columns are orthonormal already; a re-pass guards roundoff.
     ortho: list = []
     _mgs_extend(ortho, basis)
-    return AlgebraBasis(d=d, basis=ortho, stabilized=True)
+    return AlgebraBasis(d=d, basis=ortho)
 
 
 def is_irreducible(G: GeneratorSet) -> bool:

@@ -18,10 +18,13 @@ The maximum of the convex function ||Phi(a) - a|| over the feasible set is
 lower-bounded by maximizing linear witness functionals <W, Phi(a)>:
 a handful of random Hermitian directions W plus the adaptive choice
 W = Phi(a) - a from the previous round (a conditional-gradient-style
-refinement).  Each linear maximization runs projected gradient ascent with
-facial-rounding polish onto (PSD intersect affine); deviations are only
-ever reported at certified feasible points, so "Unique-evidence" cannot be
-an artifact of infeasibility drift.
+refinement).  A witness whose objective cannot move on the constraint
+slice (its gradient is normal to the slice, as for every witness of a set
+with the unique extension property on its minimal face) has a fixed
+answer and is skipped.  Each remaining linear maximization runs projected
+gradient ascent with facial-rounding polish onto (PSD intersect affine);
+deviations are only ever reported at certified feasible points, so
+"Unique-evidence" cannot be an artifact of infeasibility drift.
 
 Every solver point is an n x n Hermitian face matrix M (the Choi matrix is
 U M U* for the face isometry U); hermvec coordinates appear only in
@@ -514,7 +517,9 @@ def solve(P: UepProblem) -> UepReport:
     Deviations are support-function lower bounds max_W <W, Phi(a) - a>/||W||
     (Frobenius-normalized witnesses), evaluated only at polished feasible
     Choi matrices; the certificate deviation is re-measured in operator norm
-    and revalidated by an independent code path.
+    and revalidated by an independent code path.  Witness tasks whose
+    objective no feasible point can move by more than tol/10 skip the
+    ascent; ``iterations`` is 0 when every task is skipped.
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
@@ -568,10 +573,19 @@ def solve(P: UepProblem) -> UepReport:
         idxs, Ws = zip(*task_list)
         Fc = cs.face.conj().T @ cpmaps.choi_functional([probes[i] for i in idxs], Ws) @ cs.face
         grads = (Fc + Fc.conj().swapaxes(-1, -2)) / 2.0
-        bx, bobj, iters, stalled = _linear_max_batch(cs, grads, P.max_iter)
+        # Feasible face matrices have trace d, so no feasible point moves a
+        # unit witness's objective by more than 2d ||G_t||_F, G_t the part of
+        # its gradient tangent to the slice: below tol/10 the answer is fixed.
+        tangent = _affine_project(cs.F, cs.P, 0.0, grads)
+        live = np.flatnonzero(2 * d * np.linalg.norm(tangent.reshape(len(grads), -1), axis=1)
+                              > P.tol / 10.0)
+        if not len(live):
+            return
+        bx, bobj, iters, stalled = _linear_max_batch(cs, grads[live], P.max_iter)
         total_iters += iters
         exhausted = exhausted or not stalled
-        for t, (idx, W) in enumerate(task_list):
+        for t, k in enumerate(live):
+            idx, W = task_list[k]
             wnorm = max(linalg.frob_norm(W), 1e-30)
             base = float(np.real(np.trace(W.conj().T @ probes[idx])))
             dev = (float(bobj[t]) - base) / wnorm

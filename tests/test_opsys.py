@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperlab import linalg, opsys
-from hyperlab.errors import InvalidInput, NonStabilized
+from hyperlab.errors import InvalidInput
 from hyperlab.rng import make_rng, random_complex
 
 
@@ -26,19 +26,11 @@ def test_generate_algebra_jordan_is_full():
     G = opsys.GeneratorSet(d=3, generators=(jordan_block(3),))
     alg = opsys.generate_algebra(G)
     assert alg.dim == 9
-    assert alg.stabilized
 
 
 def test_generate_algebra_identity_only():
     G = opsys.GeneratorSet(d=3, generators=(np.eye(3, dtype=complex),))
     assert opsys.generate_algebra(G).dim == 1
-
-
-def test_generate_algebra_nonstabilized_carries_partial():
-    G = opsys.GeneratorSet(d=3, generators=(jordan_block(3),))
-    with pytest.raises(NonStabilized) as exc:
-        opsys.generate_algebra(G, max_degree=1)
-    assert exc.value.partial.dim >= 3
 
 
 def test_generated_span_is_star_and_product_closed():

@@ -445,6 +445,47 @@ def test_exhausted_budget_is_not_converged():
     assert rep.iterations == 25
 
 
+def test_constant_tasks_skip_the_ascent():
+    """On the minimal face of a unique family every witness objective is
+    constant on the constraint slice, so no task enters the ascent and
+    every in-algebra deviation is exactly zero."""
+    for family in ("polar", "normal", "unitary", "X-and-square"):
+        for d in range(2, 6):
+            gens, _ = _unique_family(family, d, make_rng(8000 + 10 * d))
+            rep = uep.solve(uep.UepProblem(d=d, G=gen(d, *gens), seed=d, n_witnesses=2))
+            assert rep.status == "Unique-evidence", (family, d)
+            assert rep.iterations == 0, (family, d)
+            assert all(p.deviation == 0.0 for p in rep.deviations if p.in_algebra), (family, d)
+
+
+def test_skipped_tasks_cannot_move():
+    """A full ascent moves a task that meets the skip rule (2d ||G_t||_F <=
+    tol/10, G_t the gradient's part tangent to the slice) by at most
+    2d ||G_t||_F, while on {X} some kept task moves by more than tol."""
+    d, tol = 3, 1e-7
+    P = uep.UepProblem(d=d, G=gen(d, x_diag()), tol=tol)
+    cs = uep.build_constraints(P)
+    probes = opsys.generate_algebra(P.G).basis
+    rng = make_rng(3)
+    idxs, Ws = [], []
+    for i in range(len(probes)):
+        for _ in range(2):
+            W = random_hermitian(rng, d)
+            W = W / np.linalg.norm(W)
+            idxs += [i, i]
+            Ws += [W, -W]
+    Fc = cs.face.conj().T @ cpmaps.choi_functional([probes[i] for i in idxs], Ws) @ cs.face
+    grads = (Fc + Fc.conj().swapaxes(-1, -2)) / 2.0
+    tangent = uep._affine_project(cs.F, cs.P, 0.0, grads)
+    bound = 2 * d * np.linalg.norm(tangent.reshape(len(grads), -1), axis=1)
+    skip = bound <= tol / 10.0
+    assert skip.any() and not skip.all()
+    _, bobj, _, _ = uep._linear_max_batch(cs, grads, P.max_iter)
+    gain = bobj - uep._tr(grads, cs.x_identity)
+    assert np.all(gain[skip] <= bound[skip])
+    assert np.any(gain[~skip] > tol)
+
+
 @pytest.mark.parametrize("field, value", [
     ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
     ("max_iter", 0), ("n_witnesses", 0), ("probes", []),
