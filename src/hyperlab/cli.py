@@ -64,15 +64,16 @@ def _cmd_uep_search(args) -> int:
 # toeplitz scripts
 # ----------------------------------------------------------------------------
 
+# Name -> (function, the kind of each argument).
 _TOEPLITZ_FUNCS = {
-    "mul": toeplitz.mul,
-    "adj": toeplitz.adj,
-    "add": toeplitz.add,
-    "sub": toeplitz.sub,
-    "scale": toeplitz.scale,
-    "identity": toeplitz.identity,
-    "shift": toeplitz.shift,
-    "zero": toeplitz.zero,
+    "mul": (toeplitz.mul, ("element", "element")),
+    "adj": (toeplitz.adj, ("element",)),
+    "add": (toeplitz.add, ("element", "element")),
+    "sub": (toeplitz.sub, ("element", "element")),
+    "scale": (toeplitz.scale, ("coefficient", "element")),
+    "identity": (toeplitz.identity, ()),
+    "shift": (toeplitz.shift, ()),
+    "zero": (toeplitz.zero, ()),
 }
 
 
@@ -88,10 +89,14 @@ def _eval_toeplitz(node, env):
     if isinstance(node, ast.List):
         return [_eval_toeplitz(el, env) for el in node.elts]
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        fn = _TOEPLITZ_FUNCS.get(node.func.id)
-        if fn is None or node.keywords:
-            raise InvalidInput(f"unknown function {node.func.id!r} in toeplitz expression")
-        return fn(*[_eval_toeplitz(a, env) for a in node.args])
+        name = node.func.id
+        if name not in _TOEPLITZ_FUNCS or node.keywords:
+            raise InvalidInput(f"unknown function {name!r} in toeplitz expression")
+        fn, kinds = _TOEPLITZ_FUNCS[name]
+        args = [_eval_toeplitz(a, env) for a in node.args]
+        if [isinstance(a, toeplitz.ToeplitzElement) for a in args] != [k == "element" for k in kinds]:
+            raise InvalidInput(f"toeplitz function {name}() takes ({', '.join(kinds)})")
+        return fn(*args)
     raise InvalidInput("unsupported syntax in toeplitz expression")
 
 
@@ -124,6 +129,8 @@ def _cmd_toeplitz(args) -> int:
         elif "eval" in entry:
             expr = str(entry["eval"])
             value = _eval_toeplitz(ast.parse(expr, mode="eval"), env)
+            if not isinstance(value, toeplitz.ToeplitzElement):
+                raise InvalidInput(f"toeplitz eval {expr!r} is not a Toeplitz element")
             results.append({"expr": expr, "result": value.to_json()})
         else:
             raise InvalidInput("toeplitz script entry needs 'let' or 'eval'")
@@ -189,8 +196,6 @@ def _cmd_korovkin(args) -> int:
     if "choi" in params:
         spec = params["choi"]
         params["choi"] = cpmaps.ChoiMatrix(d=int(spec["d"]), mat=literal_to_matrix(spec["matrix"]))
-    if "blocks" in params:
-        params["blocks"] = [tuple(int(i) for i in blk) for blk in params["blocks"]]
     fam = korovkin.MapFamily(kind=str(cfg["kind"]), n_min=int(cfg.get("n_min", 1)),
                              n_max=int(cfg.get("n_max", 10)), params=params)
     G = [_korovkin_element(e, fam.domain) for e in cfg.get("G", [])]

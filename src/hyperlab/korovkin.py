@@ -16,7 +16,7 @@ issues a converges/stalls verdict per element.  Two domains are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import lgamma
 
 import numpy as np
 
@@ -47,12 +47,15 @@ def bernstein_apply(n: int, f) -> np.ndarray:
     if f.shape != (GRID_POINTS,):
         raise InvalidInput(f"grid functions have {GRID_POINTS} points, got shape {f.shape}")
     x = grid()
-    nodes = np.arange(n + 1) / n
-    fn = np.interp(nodes, x, f)
+    fn = np.interp(np.arange(n + 1) / n, x, f)
+    # C(n,k) x^k (1-x)^(n-k) in log space, as a float C(n,k) overflows from
+    # n = 1030; at the endpoints B_n f = f exactly.
     k = np.arange(n + 1)[:, None]
-    binom = np.array([comb(n, j) for j in range(n + 1)], dtype=float)[:, None]
-    basis = binom * x[None, :] ** k * (1.0 - x[None, :]) ** (n - k)
-    return fn @ basis
+    log_c = np.array([[lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)] for j in range(n + 1)])
+    out = np.empty(GRID_POINTS)
+    out[0], out[-1] = fn[0], fn[-1]
+    out[1:-1] = fn @ np.exp(log_c + k * np.log(x[1:-1]) + (n - k) * np.log1p(-x[1:-1]))
+    return out
 
 
 @dataclass
@@ -77,10 +80,17 @@ class MapFamily:
             raise InvalidInput("need 1 <= n_min <= n_max")
         if self.kind == "constant_certificate" and "choi" not in self.params:
             raise InvalidInput("constant_certificate needs a 'choi' parameter")
-        if self.kind in ("unitary_conjugation", "pinching") and "d" not in self.params:
-            raise InvalidInput(f"{self.kind} needs a dimension parameter 'd'")
-        if self.kind == "pinching" and "blocks" not in self.params:
-            raise InvalidInput("pinching needs a 'blocks' partition")
+        if self.kind in ("unitary_conjugation", "pinching"):
+            d = self.params.get("d")
+            if not isinstance(d, int) or d < 1:
+                raise InvalidInput(f"{self.kind} needs a positive integer dimension 'd', got {d!r}")
+        if self.kind == "pinching":
+            try:
+                flat = sorted(i for block in self.params.get("blocks") for i in block)
+            except TypeError:  # not a list of lists of comparable indices
+                flat = None
+            if flat != list(range(d)) or not all(isinstance(i, int) for i in flat):
+                raise InvalidInput(f"pinching needs 'blocks', a partition of range({d}) into lists")
 
     @property
     def domain(self) -> str:
@@ -98,15 +108,10 @@ class MapFamily:
         if self.kind == "unitary_conjugation":
             U = self._rotation(n)
             return U @ A @ U.conj().T
-        blocks = self.params["blocks"]
-        d = self.params["d"]
-        out = np.zeros((d, d), dtype=complex)
-        for block in blocks:
-            P = np.zeros((d, d), dtype=complex)
-            for i in block:
-                P[i, i] = 1.0
-            out += P @ A @ P
-        return out
+        label = np.empty(self.params["d"], dtype=int)  # block number of each index
+        for j, block in enumerate(self.params["blocks"]):
+            label[list(block)] = j
+        return np.where(label[:, None] == label, A, 0).astype(complex)
 
     def _rotation(self, n: int) -> np.ndarray:
         """Rotation by about 1/n: normalize the rational matrix [[1,-t],[t,1]].
@@ -121,10 +126,7 @@ class MapFamily:
         t = 1.0 / n
         s = 1.0 / np.sqrt(1.0 + t * t)
         U = np.eye(d, dtype=complex)
-        U[0, 0] = s
-        U[0, 1] = -t * s
-        U[1, 0] = t * s
-        U[1, 1] = s
+        U[:2, :2] = [[s, -t * s], [t * s, s]]
         return U
 
 
@@ -148,8 +150,7 @@ def _sup_deviation(domain: str, image, target) -> float:
 
 
 def _verdict(devs: np.ndarray, tol: float) -> str:
-    last3 = devs[-3:] if len(devs) >= 3 else devs
-    if np.all(last3 <= tol):
+    if np.all(devs[-3:] <= tol):
         return "converges"
     half = devs[len(devs) // 2:]
     if np.all(half >= 10.0 * tol):
@@ -166,13 +167,11 @@ def run(family: MapFamily, G: list, probes: list, tol: float | None = None,
     probes = list(probes)
     if not G:
         raise InvalidInput("test set G must be nonempty")
+    d = family.params["choi"].d if family.kind == "constant_certificate" else family.params.get("d")
+    shape = (GRID_POINTS,) if family.domain == "grid" else (d, d)
     for value in G + probes:
-        arr = np.asarray(value)
-        if family.domain == "grid":
-            if arr.shape != (GRID_POINTS,):
-                raise InvalidInput("grid family applied to a non-grid element")
-        elif arr.ndim != 2:
-            raise InvalidInput("matrix family applied to a non-matrix element")
+        if np.shape(value) != shape:
+            raise InvalidInput(f"{family.kind} elements need shape {shape}, got {np.shape(value)}")
     ns = list(family.indices())
     g_dev = np.zeros((len(ns), len(G)))
     p_dev = np.zeros((len(ns), len(probes)))

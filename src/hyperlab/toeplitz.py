@@ -116,17 +116,11 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_one(self) -> bool:
         return self.coeffs == {0: GQ_ONE}
-
-    def max_degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)

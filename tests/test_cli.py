@@ -95,6 +95,13 @@ def test_korovkin_command(tmp_path, capsys):
     assert lines[-1].startswith("config_digest,")
 
 
+def test_korovkin_bernstein_beyond_float_binomials(tmp_path, capsys):
+    """A float C(n, k) overflows from n = 1030 on."""
+    cfg = write(tmp_path, "kor.json", {"kind": "bernstein", "n_min": 1030, "n_max": 1030,
+                                       "G": [{"poly": [0.0, 1.0]}]})
+    assert main(["korovkin", "--config", cfg]) == 0
+
+
 def test_missing_config_exits_2(capsys):
     assert main(["uep-search", "--config", "/nonexistent/cfg.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -121,6 +128,28 @@ def test_korovkin_missing_choi_key_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "kor.json", {"kind": "constant_certificate", "params": {"choi": {"d": 2}}})
     assert main(["korovkin", "--config", cfg]) == 2
     assert "error: config is missing the key 'matrix'" in capsys.readouterr().err
+
+
+_SHIFT = {"let": "S", "expr": "shift()"}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("korovkin", {"kind": "pinching", "params": {"d": 3, "blocks": [[0], [5]]},
+                  "G": [diag3(0, 1, 2)]}, "'blocks'"),
+    ("korovkin", {"kind": "pinching", "params": {"d": "3", "blocks": [[0], [1], [2]]},
+                  "G": [diag3(0, 1, 2)]}, "'d'"),
+    ("korovkin", {"kind": "unitary_conjugation", "params": {"d": 2},
+                  "G": [diag3(0, 1, 2)]}, "shape (2, 2)"),
+    ("toeplitz", [_SHIFT, {"eval": "mul(S)"}], "mul()"),
+    ("toeplitz", [_SHIFT, {"eval": "shift(S)"}], "shift()"),
+    ("toeplitz", [_SHIFT, {"eval": "mul(1, S)"}], "mul()"),
+    ("toeplitz", [{"eval": "adj(2)"}], "adj()"),
+    ("toeplitz", [{"eval": "1"}], "not a Toeplitz element"),
+])
+def test_bad_config_exits_2(tmp_path, capsys, command, cfg, message):
+    p = write(tmp_path, "bad.json", cfg)
+    assert main([command, "--script" if command == "toeplitz" else "--config", p]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

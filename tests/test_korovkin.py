@@ -22,6 +22,15 @@ def test_bernstein_closed_form_on_square():
         assert np.allclose(img, x * x + x * (1.0 - x) / n, atol=1e-10)
 
 
+def test_bernstein_large_n():
+    """A float C(n, k) overflows from n = 1030 on; the log-space basis keeps
+    B_n(x^2) within grid-interpolation error of the closed form."""
+    x = xs()
+    for n in (1030, 4000):
+        img = korovkin.bernstein_apply(n, x * x)
+        assert np.max(np.abs(img - (x * x + x * (1.0 - x) / n))) <= 2.5e-7
+
+
 def test_bernstein_fixes_affine():
     x = xs()
     for n in (1, 3, 10):

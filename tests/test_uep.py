@@ -215,13 +215,18 @@ def _face_dykstra_reference(RT, pin, b, m, r):
 
 
 def _face_polish_reference(cs, x, stats):
-    """One row's rounding in hermvec coordinates; returns [(rank, point)]."""
+    """One row's rounding in hermvec coordinates; returns [(rank, point)].
+
+    Unlike _face_polish (one threshold, 0.02, and a 1e-12 cutoff), it reads
+    face ranks at the thresholds 0.5, 0.1 and 0.02 and restores with a
+    1e-10 pseudo-inverse cutoff: the ranks read at 0.5 and 0.1 certify no
+    further point, and the two cutoffs give the same points."""
     n = cs.n
     M = uep.unhermvec(x, n)
     w, U = np.linalg.eigh(M)
     wmax = max(float(w[-1]), 1e-30)
     b_scale = 1.0 + float(np.linalg.norm(cs.b))
-    guesses = {int(np.sum(w > tau * wmax)) for tau in uep.FACE_TAUS}
+    guesses = {int(np.sum(w > tau * wmax)) for tau in (0.5, 0.1, 0.02)}
     guesses |= {r + 1 for r in guesses} | {n}
     out = []
     for r in sorted(guesses):
@@ -409,8 +414,8 @@ def test_self_adjoint_three_eigenvalues_violates():
 
 def test_wide_face_search_finds_violation():
     """A single Hermitian generator at d = 6 has a pinned face of dimension
-    26; every face guess is tried, so the violation is found rather than
-    reported as unique."""
+    26; rounding also tries the full face, which certifies the violation
+    here, so it is found rather than reported as unique."""
     H = random_hermitian(make_rng(106), 6)
     P = uep.UepProblem(d=6, G=gen(6, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=2000)
     assert uep.build_constraints(P).n > 12
