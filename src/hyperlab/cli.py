@@ -64,17 +64,21 @@ def _cmd_uep_search(args) -> int:
 # toeplitz scripts
 # ----------------------------------------------------------------------------
 
-# Name -> (function, the kind of each argument).
 _TOEPLITZ_FUNCS = {
-    "mul": (toeplitz.mul, ("element", "element")),
-    "adj": (toeplitz.adj, ("element",)),
-    "add": (toeplitz.add, ("element", "element")),
-    "sub": (toeplitz.sub, ("element", "element")),
-    "scale": (toeplitz.scale, ("coefficient", "element")),
-    "identity": (toeplitz.identity, ()),
-    "shift": (toeplitz.shift, ()),
-    "zero": (toeplitz.zero, ()),
+    "mul": toeplitz.mul,
+    "adj": toeplitz.adj,
+    "add": toeplitz.add,
+    "sub": toeplitz.sub,
+    "scale": toeplitz.scale,
+    "identity": toeplitz.identity,
+    "shift": toeplitz.shift,
+    "zero": toeplitz.zero,
 }
+
+# Whether each argument is a Toeplitz element (scale's first is a coefficient);
+# the other functions take no arguments.
+_TOEPLITZ_ARGS = {"mul": (True, True), "adj": (True,), "add": (True, True),
+                  "sub": (True, True), "scale": (False, True)}
 
 
 def _eval_toeplitz(node, env):
@@ -92,11 +96,12 @@ def _eval_toeplitz(node, env):
         name = node.func.id
         if name not in _TOEPLITZ_FUNCS or node.keywords:
             raise InvalidInput(f"unknown function {name!r} in toeplitz expression")
-        fn, kinds = _TOEPLITZ_FUNCS[name]
         args = [_eval_toeplitz(a, env) for a in node.args]
-        if [isinstance(a, toeplitz.ToeplitzElement) for a in args] != [k == "element" for k in kinds]:
-            raise InvalidInput(f"toeplitz function {name}() takes ({', '.join(kinds)})")
-        return fn(*args)
+        want = _TOEPLITZ_ARGS.get(name, ())
+        if tuple(isinstance(a, toeplitz.ToeplitzElement) for a in args) != want:
+            kinds = ", ".join("element" if e else "coefficient" for e in want)
+            raise InvalidInput(f"toeplitz function {name}() takes ({kinds})")
+        return _TOEPLITZ_FUNCS[name](*args)
     raise InvalidInput("unsupported syntax in toeplitz expression")
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lgamma
+from numbers import Integral
 
 import numpy as np
 
@@ -39,7 +40,8 @@ def bernstein_apply(n: int, f) -> np.ndarray:
 
     (B_n f)(x) = sum_k f(k/n) C(n,k) x^k (1-x)^(n-k); node values f(k/n)
     are linearly interpolated from the grid.  B_n is positive and fixes
-    constants exactly up to float summation.
+    constants up to the rounding of its log-space basis (1.5e-13 at
+    n = 400, 3e-12 at n = 4000); at the endpoints B_n f = f exactly.
     """
     if n < 1:
         raise InvalidInput("Bernstein index must be >= 1")
@@ -49,13 +51,17 @@ def bernstein_apply(n: int, f) -> np.ndarray:
     x = grid()
     fn = np.interp(np.arange(n + 1) / n, x, f)
     # C(n,k) x^k (1-x)^(n-k) in log space, as a float C(n,k) overflows from
-    # n = 1030; at the endpoints B_n f = f exactly.
+    # n = 1030 on.
     k = np.arange(n + 1)[:, None]
     log_c = np.array([[lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)] for j in range(n + 1)])
     out = np.empty(GRID_POINTS)
     out[0], out[-1] = fn[0], fn[-1]
     out[1:-1] = fn @ np.exp(log_c + k * np.log(x[1:-1]) + (n - k) * np.log1p(-x[1:-1]))
     return out
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 @dataclass
@@ -82,14 +88,14 @@ class MapFamily:
             raise InvalidInput("constant_certificate needs a 'choi' parameter")
         if self.kind in ("unitary_conjugation", "pinching"):
             d = self.params.get("d")
-            if not isinstance(d, int) or d < 1:
+            if not _is_index(d) or d < 1:
                 raise InvalidInput(f"{self.kind} needs a positive integer dimension 'd', got {d!r}")
         if self.kind == "pinching":
             try:
                 flat = sorted(i for block in self.params.get("blocks") for i in block)
             except TypeError:  # not a list of lists of comparable indices
                 flat = None
-            if flat != list(range(d)) or not all(isinstance(i, int) for i in flat):
+            if flat != list(range(d)) or not all(_is_index(i) for i in flat):
                 raise InvalidInput(f"pinching needs 'blocks', a partition of range({d}) into lists")
 
     @property
@@ -108,10 +114,15 @@ class MapFamily:
         if self.kind == "unitary_conjugation":
             U = self._rotation(n)
             return U @ A @ U.conj().T
-        label = np.empty(self.params["d"], dtype=int)  # block number of each index
-        for j, block in enumerate(self.params["blocks"]):
-            label[list(block)] = j
-        return np.where(label[:, None] == label, A, 0).astype(complex)
+        blocks = self.params["blocks"]
+        d = self.params["d"]
+        out = np.zeros((d, d), dtype=complex)
+        for block in blocks:
+            P = np.zeros((d, d), dtype=complex)
+            for i in block:
+                P[i, i] = 1.0
+            out += P @ A @ P
+        return out
 
     def _rotation(self, n: int) -> np.ndarray:
         """Rotation by about 1/n: normalize the rational matrix [[1,-t],[t,1]].
@@ -126,7 +137,10 @@ class MapFamily:
         t = 1.0 / n
         s = 1.0 / np.sqrt(1.0 + t * t)
         U = np.eye(d, dtype=complex)
-        U[:2, :2] = [[s, -t * s], [t * s, s]]
+        U[0, 0] = s
+        U[0, 1] = -t * s
+        U[1, 0] = t * s
+        U[1, 1] = s
         return U
 
 

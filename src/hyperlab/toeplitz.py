@@ -116,6 +116,9 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

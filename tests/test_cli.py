@@ -84,22 +84,17 @@ def test_stinespring_command(tmp_path, capsys):
 
 
 def test_korovkin_command(tmp_path, capsys):
-    cfg = write(tmp_path, "kor.json", {
-        "kind": "bernstein", "n_min": 1, "n_max": 5,
-        "G": [{"poly": [0.0, 1.0]}], "probes": [{"poly": [0.0, 0.0, 1.0]}],
-    })
-    out = str(tmp_path / "kor.csv")
-    assert main(["korovkin", "--config", cfg, "--out", out]) == 0
-    lines = (tmp_path / "kor.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("n,")
-    assert lines[-1].startswith("config_digest,")
-
-
-def test_korovkin_bernstein_beyond_float_binomials(tmp_path, capsys):
-    """A float C(n, k) overflows from n = 1030 on."""
-    cfg = write(tmp_path, "kor.json", {"kind": "bernstein", "n_min": 1030, "n_max": 1030,
-                                       "G": [{"poly": [0.0, 1.0]}]})
-    assert main(["korovkin", "--config", cfg]) == 0
+    # n = 1030 is past the float range of the binomials C(n, k).
+    for n_min, n_max in ((1, 5), (1030, 1030)):
+        cfg = write(tmp_path, "kor.json", {
+            "kind": "bernstein", "n_min": n_min, "n_max": n_max,
+            "G": [{"poly": [0.0, 1.0]}], "probes": [{"poly": [0.0, 0.0, 1.0]}],
+        })
+        out = str(tmp_path / "kor.csv")
+        assert main(["korovkin", "--config", cfg, "--out", out]) == 0
+        lines = (tmp_path / "kor.csv").read_text().strip().splitlines()
+        assert lines[0].startswith("n,")
+        assert lines[-1].startswith("config_digest,")
 
 
 def test_missing_config_exits_2(capsys):
@@ -138,6 +133,8 @@ _SHIFT = {"let": "S", "expr": "shift()"}
                   "G": [diag3(0, 1, 2)]}, "'blocks'"),
     ("korovkin", {"kind": "pinching", "params": {"d": "3", "blocks": [[0], [1], [2]]},
                   "G": [diag3(0, 1, 2)]}, "'d'"),
+    ("korovkin", {"kind": "unitary_conjugation", "params": {"d": True},
+                  "G": [[[1]]]}, "'d'"),
     ("korovkin", {"kind": "unitary_conjugation", "params": {"d": 2},
                   "G": [diag3(0, 1, 2)]}, "shape (2, 2)"),
     ("toeplitz", [_SHIFT, {"eval": "mul(S)"}], "mul()"),

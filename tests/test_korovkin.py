@@ -80,8 +80,9 @@ def test_unitary_conjugation_family():
 
 
 def test_pinching_family_is_constant_in_n():
+    # numpy integers are indices too (JSON configs give plain ints)
     fam = korovkin.MapFamily(kind="pinching", n_min=1, n_max=5,
-                             params={"d": 3, "blocks": [[0], [1, 2]]})
+                             params={"d": np.int64(3), "blocks": [[0], list(np.arange(1, 3))]})
     D = np.diag([1.0, 2.0, 3.0]).astype(complex)
     off = np.zeros((3, 3), dtype=complex)
     off[0, 1] = 1.0

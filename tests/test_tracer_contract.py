@@ -5,6 +5,7 @@ put every original object back."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -62,3 +63,21 @@ def test_tracer_install_uninstall_restores():
     finally:
         t.uninstall()
     assert _snapshot() == before
+
+
+def test_tracer_counts_toeplitz_script_calls(tmp_path):
+    """The CLI calls Toeplitz functions through its name table; the tracer
+    must wrap the table's entries, or a script's products go uncounted."""
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([
+        {"let": "S", "expr": "shift()"},
+        {"eval": "mul(adj(S), S)"},
+        {"eval": "mul(S, mul(S, S))"},
+    ]))
+    t = _load_tracer().Tracer()
+    t.install()
+    try:
+        assert hyperlab.cli.main(["toeplitz", "--script", str(script)]) == 0
+    finally:
+        t.uninstall()
+    assert t.metrics(passes=1, overhead_s=0.0)["toeplitz.mul.calls"] == 3
