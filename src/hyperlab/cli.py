@@ -28,6 +28,16 @@ EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
 
 
+def _number(value, kind, name: str):
+    """kind(value) for the config field ``name``; InvalidInput naming the
+    field when value is of the wrong type (say, a JSON list)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise InvalidInput(f"config field {name!r} must be {what}, got {value!r}") from None
+
+
 # ----------------------------------------------------------------------------
 # uep-search
 # ----------------------------------------------------------------------------
@@ -37,7 +47,7 @@ def _cmd_uep_search(args) -> int:
     digest = config_digest(cfg)
     if not isinstance(cfg, dict) or "d" not in cfg or "generators" not in cfg:
         raise InvalidInput("uep-search config needs at least {d, generators}")
-    d = int(cfg["d"])
+    d = _number(cfg["d"], int, "d")
     gens = tuple(literal_to_matrix(g) for g in cfg["generators"])
     probes = None
     if cfg.get("probes") is not None:
@@ -46,7 +56,7 @@ def _cmd_uep_search(args) -> int:
         d=d,
         G=opsys.GeneratorSet(d=d, generators=gens),
         probes=probes,
-        tol=args.tol if args.tol is not None else float(cfg.get("tol", 1e-7)),
+        tol=args.tol if args.tol is not None else _number(cfg.get("tol", 1e-7), float, "tol"),
         max_iter=args.max_iter,
         seed=args.seed,
     )
@@ -156,7 +166,7 @@ def _cmd_stinespring(args) -> int:
     if not isinstance(cfg, dict) or "choi" not in cfg:
         raise InvalidInput("stinespring config needs {choi: {d, matrix}}")
     spec = cfg["choi"]
-    C = cpmaps.ChoiMatrix(d=int(spec["d"]), mat=literal_to_matrix(spec["matrix"]))
+    C = cpmaps.ChoiMatrix(d=_number(spec["d"], int, "d"), mat=literal_to_matrix(spec["matrix"]))
     D = cpmaps.stinespring(C)
     iso_defect = float(np.linalg.norm(D.V.conj().T @ D.V - np.eye(D.d)))
     out = {
@@ -184,10 +194,10 @@ def _korovkin_element(spec, domain):
             x = korovkin.grid()
             out = np.zeros_like(x)
             for k, c in enumerate(spec["poly"]):
-                out += float(c) * x ** k
+                out += _number(c, float, "poly") * x ** k
             return out
         if isinstance(spec, dict) and "abs" in spec:
-            return np.abs(korovkin.grid() - float(spec["abs"]))
+            return np.abs(korovkin.grid() - _number(spec["abs"], float, "abs"))
         raise InvalidInput("grid elements are {'poly': [c0, c1, ...]} or {'abs': c}")
     return literal_to_matrix(spec)
 
@@ -200,9 +210,11 @@ def _cmd_korovkin(args) -> int:
     params = dict(cfg.get("params", {}))
     if "choi" in params:
         spec = params["choi"]
-        params["choi"] = cpmaps.ChoiMatrix(d=int(spec["d"]), mat=literal_to_matrix(spec["matrix"]))
-    fam = korovkin.MapFamily(kind=str(cfg["kind"]), n_min=int(cfg.get("n_min", 1)),
-                             n_max=int(cfg.get("n_max", 10)), params=params)
+        params["choi"] = cpmaps.ChoiMatrix(d=_number(spec["d"], int, "d"),
+                                           mat=literal_to_matrix(spec["matrix"]))
+    fam = korovkin.MapFamily(kind=str(cfg["kind"]),
+                             n_min=_number(cfg.get("n_min", 1), int, "n_min"),
+                             n_max=_number(cfg.get("n_max", 10), int, "n_max"), params=params)
     G = [_korovkin_element(e, fam.domain) for e in cfg.get("G", [])]
     probes = [_korovkin_element(e, fam.domain) for e in cfg.get("probes", [])]
     rep = korovkin.run(fam, G, probes, tol=cfg.get("tol"),

@@ -21,14 +21,19 @@ W = Phi(a) - a from the previous round (a conditional-gradient-style
 refinement).  A witness whose objective cannot move on the constraint
 slice (its gradient is normal to the slice, as for every witness of a set
 with the unique extension property on its minimal face) has a fixed
-answer and is skipped.  Each remaining linear maximization runs projected
-gradient ascent with facial-rounding polish onto (PSD intersect affine);
-deviations are only ever reported at certified feasible points, so
-"Unique-evidence" cannot be an artifact of infeasibility drift.
+answer and is skipped.  The sampled face of _pinned_face can miss the
+minimal one, so once some first-round witness can move, solve takes
+facial-reduction steps: each exposing vector found by _exposing_face
+shrinks the face and the witnesses are filtered again, until none is
+left or no exposing vector turns up.  Each remaining linear maximization
+runs projected gradient ascent with facial-rounding polish onto (PSD
+intersect affine); deviations are only ever reported at certified
+feasible points, so "Unique-evidence" cannot be an artifact of
+infeasibility drift.
 
 Every solver point is an n x n Hermitian face matrix M (the Choi matrix is
 U M U* for the face isometry U); hermvec coordinates appear only in
-_pinv_mats and in the basis of build_constraints.
+_pinv_mats, _exposing_face and the basis of build_constraints.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,22 +107,29 @@ def _psd_clip(M: np.ndarray) -> np.ndarray:
     return (U * np.maximum(w, 0.0)[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
+def _flat(A: np.ndarray) -> np.ndarray:
+    """Real view of a stack of complex matrices, one row per matrix (no copy):
+    the dot product of two rows is tr(A B) for Hermitian A and B.  A real
+    array is taken to be such a view already, so a loop can hoist it."""
+    return A if A.dtype == float else A.view(float).reshape(A.shape[:-2] + (-1,))
+
+
 def _tr(F: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """tr(F_j Z) of Hermitian F_j and Z, the dot products of their real views:
     one stack F (m, n, n) for a batch Z (K, n, n), or one per point."""
-    Ff = F.view(float).reshape(F.shape[:-2] + (-1,))
-    zf = Z.view(float).reshape(Z.shape[:-2] + (-1,))
-    if F.ndim == Z.ndim:  # shared stack: one product
+    Ff, zf = _flat(F), Z.view(float).reshape(Z.shape[:-2] + (-1,))
+    if Ff.ndim == zf.ndim:  # shared stack: one product
         return zf @ Ff.T
     return (Ff @ zf[..., None])[..., 0]
 
 
 def _affine_project(F: np.ndarray, P: np.ndarray, b: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Z - sum_j (tr(F_j Z) - b_j) P_j (batched as in _tr): the projection
-    onto {tr(F_j Z) = b_j} when P holds the pseudo-inverse columns of F."""
+    onto {tr(F_j Z) = b_j} when P holds the pseudo-inverse columns of F.
+    F and P may be passed as their real views (_flat)."""
     s = _tr(F, Z) - b
-    Pf = P.view(float).reshape(P.shape[:-2] + (-1,))
-    step = s @ Pf if P.ndim == Z.ndim else (s[..., None, :] @ Pf)[..., 0, :]
+    Pf = _flat(P)
+    step = s @ Pf if Pf.ndim == Z.ndim - 1 else (s[..., None, :] @ Pf)[..., 0, :]
     return Z - step.view(complex).reshape(Z.shape)
 
 
@@ -195,6 +207,7 @@ class UepReport:
     residuals: dict
     constraint_rank: int
     rank_margin: int
+    face_dim: int  # n of the face the search ran on
     certificate: ViolationCertificate | None
     choi: cpmaps.ChoiMatrix
     seed: int
@@ -214,6 +227,7 @@ class UepReport:
             "residuals": self.residuals,
             "constraint_rank": self.constraint_rank,
             "rank_margin": self.rank_margin,
+            "face_dim": self.face_dim,
             "certificate": self.certificate.to_json() if self.certificate else None,
             "seed": self.seed,
             "tol": self.tol,
@@ -249,6 +263,13 @@ class ConstraintSystem:
     def rank_margin(self) -> int:
         """Real dimension d^4 of the Hermitian d^2 x d^2 matrices minus rank."""
         return self.d ** 4 - self.rank
+
+    def restrict(self, V: np.ndarray) -> "ConstraintSystem":
+        """The same equations on the sub-face ``face @ V`` (V an n x r isometry
+        whose range carries every feasible face matrix)."""
+        F = V.conj().T @ self.F @ V
+        return replace(self, n=V.shape[1], face=self.face @ V, F=F, P=_pinv_mats(F),
+                       x_identity=V.conj().T @ self.x_identity @ V)
 
     def to_choi_mat(self, M: np.ndarray) -> np.ndarray:
         """Ambient d^2 x d^2 Choi matrix of a face matrix."""
@@ -361,6 +382,61 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
 
 
 # ----------------------------------------------------------------------------
+# Facial reduction by exposing vectors
+# ----------------------------------------------------------------------------
+
+# Alternating projections for an exposing vector succeed once the gap is below
+# EXPOSE_TOL, and give up when it has not shrunk by 10% over EXPOSE_WINDOW
+# iterations or after EXPOSE_MAX_ITER.
+EXPOSE_TOL = 1e-12
+EXPOSE_WINDOW = 20
+EXPOSE_MAX_ITER = 500
+
+
+def _exposing_face(cs: ConstraintSystem):
+    """One facial-reduction step (Borwein-Wolkowicz): (V, y) or None.
+
+    Looks for Y = sum_j y_j F_j with Y PSD, tr Y = 1 and tr(Y x_identity) =
+    sum_j y_j b_j = 0.  Every feasible M then has tr(Y M) = 0, so its range
+    lies in ker Y, and V is an orthonormal basis of ker Y (the eigenvectors
+    below 1e-6 times the largest eigenvalue, as for range vectors in
+    _pinned_face).  Alternating projections between the PSD cone and that
+    affine slice, in coefficients on an orthonormal basis of span_R{F_j},
+    start from the slice point nearest I/n.  None means either that the
+    slice is empty, which proves that no exposing vector exists, or that
+    the projections stalled or ran out, which proves nothing.
+    """
+    n = cs.n
+    Uf, sv, Vh = np.linalg.svd(hermvec(cs.F), full_matrices=False)
+    keep = sv > 1e-12 * sv[0]
+    B = Vh[keep]  # orthonormal basis of span_R{F_j}, hermvec rows
+    A = B @ hermvec(np.array([np.eye(n), cs.x_identity])).T  # tr Y and tr(Y x_identity) per row
+    A_pinv, t = np.linalg.pinv(A.T, rcond=1e-10), np.array([1.0, 0.0])
+    if np.linalg.norm(A.T @ A_pinv @ t - t) > 1e-9:
+        return None  # the slice is empty: tr Y fixes tr(Y x_identity) on span_R{F_j}
+
+    def to_slice(Z):
+        c = B @ hermvec(Z)
+        c = c - A_pinv @ (A.T @ c - t)
+        return c, unhermvec(c @ B, n)
+
+    c, Y = to_slice(np.eye(n) / n)
+    gaps = []
+    for _ in range(EXPOSE_MAX_ITER):
+        Z = _psd_clip(Y)
+        gap = float(np.linalg.norm(Y - Z))
+        if gap <= EXPOSE_TOL:
+            w, U = np.linalg.eigh(Y)
+            y = (Uf[:, keep] / sv[keep]) @ c  # sum_j y_j F_j = Y
+            return U[:, w < 1e-6 * w[-1]], y
+        if len(gaps) >= EXPOSE_WINDOW and gap > 0.9 * gaps[-EXPOSE_WINDOW]:
+            return None
+        gaps.append(gap)
+        c, Y = to_slice(Z)
+    return None
+
+
+# ----------------------------------------------------------------------------
 # Facial rounding: exact feasibility restoration on a low-rank face
 # ----------------------------------------------------------------------------
 
@@ -382,6 +458,7 @@ def _face_dykstra(F: np.ndarray, P: np.ndarray, b: np.ndarray, M: np.ndarray) ->
     _affine_project(F[i], P[i], b, .); each item stops on its own gap test,
     so it runs the iterates of a solo run."""
     out, live = np.empty_like(M), np.arange(len(M))
+    F, P = _flat(F), _flat(P)  # real views, taken once and sliced with the batch
     x, p, q = M, np.zeros_like(M), np.zeros_like(M)
     for _ in range(DYKSTRA_MAX_ITER):
         t = x + p
@@ -518,7 +595,11 @@ def solve(P: UepProblem) -> UepReport:
     Choi matrices; the certificate deviation is re-measured in operator norm
     and revalidated by an independent code path.  Witness tasks whose
     objective no feasible point can move by more than tol/10 skip the
-    ascent; ``iterations`` is 0 when every task is skipped.
+    ascent; ``iterations`` is 0 when every task is skipped.  When some
+    first-round task is left, the face is first reduced by exposing
+    vectors (_exposing_face) and the tasks are filtered again after each
+    step; a task fixed on a face stays fixed on its sub-faces, so waiting
+    loses nothing.  ``face_dim`` reports the n of the face the search ran on.
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
@@ -562,22 +643,32 @@ def solve(P: UepProblem) -> UepReport:
             tasks.append((idx, -W))
 
     best_dev = np.zeros(len(probes))
-    best_x = {idx: cs.x_identity for idx in range(len(probes))}
+    best_x = {}  # probe index -> certified face matrix of its best deviation
     total_iters = 0
     exhausted = False
 
-    def run_tasks(task_list):
-        nonlocal total_iters, exhausted
-        # Face-matrix gradients of C |-> Re tr(W* Phi_C(a)), all at once.
-        idxs, Ws = zip(*task_list)
-        Fc = cs.face.conj().T @ cpmaps.choi_functional([probes[i] for i in idxs], Ws) @ cs.face
-        grads = (Fc + Fc.conj().swapaxes(-1, -2)) / 2.0
+    def movable(grads):
         # Feasible face matrices have trace d, so no feasible point moves a
         # unit witness's objective by more than 2d ||G_t||_F, G_t the part of
         # its gradient tangent to the slice: below tol/10 the answer is fixed.
         tangent = _affine_project(cs.F, cs.P, 0.0, grads)
-        live = np.flatnonzero(2 * d * np.linalg.norm(tangent.reshape(len(grads), -1), axis=1)
-                              > P.tol / 10.0)
+        return np.flatnonzero(2 * d * np.linalg.norm(tangent.reshape(len(grads), -1), axis=1)
+                               > P.tol / 10.0)
+
+    def run_tasks(task_list, reduce=False):
+        nonlocal cs, total_iters, exhausted
+        # Face-matrix gradients of C |-> Re tr(W* Phi_C(a)), all at once.
+        idxs, Ws = zip(*task_list)
+        Fc = cs.face.conj().T @ cpmaps.choi_functional([probes[i] for i in idxs], Ws) @ cs.face
+        grads = (Fc + Fc.conj().swapaxes(-1, -2)) / 2.0
+        live = movable(grads)
+        # Facial reduction waits until some task can move: a task that no
+        # feasible point on a face moves stays fixed on every sub-face.
+        while reduce and len(live) and (found := _exposing_face(cs)) is not None:
+            V = found[0]
+            cs = cs.restrict(V)
+            grads = V.conj().T @ grads @ V
+            live = movable(grads)
         if not len(live):
             return
         bx, bobj, iters, stalled = _linear_max_batch(cs, grads[live], P.max_iter)
@@ -592,7 +683,7 @@ def solve(P: UepProblem) -> UepReport:
                 best_dev[idx] = dev
                 best_x[idx] = bx[t]
 
-    run_tasks(tasks)
+    run_tasks(tasks, reduce=True)
 
     # Adaptive rounds: push the witness toward the actual deviation direction.
     for _ in range(3):
@@ -626,7 +717,7 @@ def solve(P: UepProblem) -> UepReport:
         worst_idx = on_alg[0].index if on_alg else 0
     else:
         worst_idx = max(on_alg, key=lambda p: p.deviation).index
-    x_final = best_x[worst_idx]
+    x_final = best_x.get(worst_idx, cs.x_identity)
     choi = cpmaps.ChoiMatrix(d=d, mat=cs.to_choi_mat(x_final))
     residuals = {
         "affine": float(cs.affine_residual(x_final)),
@@ -654,6 +745,7 @@ def solve(P: UepProblem) -> UepReport:
         residuals=residuals,
         constraint_rank=cs.rank,
         rank_margin=cs.rank_margin,
+        face_dim=cs.n,
         certificate=certificate,
         choi=choi,
         seed=P.seed,

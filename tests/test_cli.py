@@ -142,6 +142,10 @@ _SHIFT = {"let": "S", "expr": "shift()"}
     ("toeplitz", [_SHIFT, {"eval": "mul(1, S)"}], "mul()"),
     ("toeplitz", [{"eval": "adj(2)"}], "adj()"),
     ("toeplitz", [{"eval": "1"}], "not a Toeplitz element"),
+    ("uep-search", {"d": [3], "generators": [diag3(0, 1, 2)]}, "'d'"),
+    ("korovkin", {"kind": "pinching", "n_min": [1], "params": {"d": 3, "blocks": [[0], [1], [2]]},
+                  "G": [diag3(0, 1, 2)]}, "'n_min'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"poly": [[1]]}]}, "'poly'"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg, message):
     p = write(tmp_path, "bad.json", cfg)

@@ -491,6 +491,65 @@ def test_skipped_tasks_cannot_move():
     assert np.any(gain[~skip] > tol)
 
 
+def _key10_problem(**kw) -> uep.UepProblem:
+    """The d = 5 normal set whose sampled face (n = 9) is not minimal (5)."""
+    N = random_normal_matrix(make_rng(510), 5)
+    return uep.UepProblem(d=5, G=gen(5, N, N @ N.conj().T), **kw)
+
+
+def test_exposing_step_skips_the_ascent_on_a_non_minimal_face():
+    """One exposing vector reduces the key-10 face to the minimal one, where
+    every witness task is fixed: no ascent, deviations exactly zero."""
+    rep = uep.solve(_key10_problem(seed=71, n_witnesses=2))
+    assert rep.status == "Unique-evidence"
+    assert rep.iterations == 0
+    assert all(p.deviation == 0.0 for p in rep.deviations if p.in_algebra)
+    assert rep.face_dim == rep.to_json()["face_dim"] == 5
+
+
+def test_exposing_certificate_rechecks():
+    """The exposing vector re-checks from (V, y) and the system alone:
+    Y = sum_j y_j F_j is PSD, sum_j y_j b_j = tr(Y x_identity) = 0, V spans
+    ker Y, and x_identity lies on the reduced face; that face has no
+    exposing vector left."""
+    cs = uep.build_constraints(_key10_problem())
+    assert cs.n == 9
+    V, y = uep._exposing_face(cs)
+    Y = np.tensordot(y, cs.F, axes=1)
+    w = np.linalg.eigvalsh(Y)
+    assert abs(y @ cs.b) <= 1e-10
+    assert w[0] >= -1e-10 * w[-1]
+    assert V.shape == (9, 5)
+    assert np.allclose(V.conj().T @ V, np.eye(5), atol=1e-12)
+    assert np.linalg.norm(Y @ V) <= 1e-10 * w[-1]
+    VV = V @ V.conj().T
+    assert np.linalg.norm(VV @ cs.x_identity @ VV - cs.x_identity) <= 1e-10
+    reduced = cs.restrict(V)
+    assert np.linalg.norm(reduced.affine_residual(reduced.x_identity)) <= 1e-10
+    assert uep._exposing_face(reduced) is None
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(x_diag(), id="X"),
+    *[pytest.param(random_hermitian(make_rng(2000 + j), 3), id=f"hermitian-{2000 + j}")
+      for j in range(2)],
+])
+def test_exposing_face_none_on_minimal_faces(g):
+    """A single Hermitian generator with three eigenvalues is pinned on its
+    minimal face, which has no exposing vector."""
+    assert uep._exposing_face(uep.build_constraints(uep.UepProblem(d=3, G=gen(3, g)))) is None
+
+
+def test_exposing_step_keeps_the_x_search():
+    """On {X} the step finds nothing, so the search runs as before it
+    existed: same iterations and certificate deviation at solver seed 7."""
+    rep = uep.solve(uep.UepProblem(d=3, G=gen(3, x_diag()), seed=7))
+    assert rep.status == "ViolationFound"
+    assert rep.iterations == 925
+    assert rep.certificate.deviation == 1.2247448713380307
+    assert rep.face_dim == 5
+
+
 @pytest.mark.parametrize("field, value", [
     ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
     ("max_iter", 0), ("n_witnesses", 0), ("probes", []),
