@@ -2,9 +2,10 @@
 
 Everything downstream (operator systems, Choi calculus, the UCP search)
 funnels through the handful of primitives here: input coercion,
-hermitization, operator and Frobenius norms, and the partial trace.
-Matrices are plain complex numpy arrays; all dimensions are desk-scale
-(<= 64) so everything is dense.
+hermitization, operator and Frobenius norms, the partial trace and null
+spaces.  Matrices are plain complex numpy arrays; all dimensions are
+desk-scale (<= 64) so everything is dense.  Bases of matrix subspaces
+(opsys.AlgebraBasis) are stored as one array of shape (dim, d, d).
 """
 
 from __future__ import annotations
@@ -69,6 +70,19 @@ def frob_norm(A) -> float:
 def frob_inner(A, B) -> complex:
     """Frobenius inner product <A, B> = trace(A* B)."""
     return complex(np.vdot(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)))
+
+
+def null_space(A, rtol: float) -> np.ndarray:
+    """Orthonormal columns spanning the null space of A.
+
+    Singular values at or below rtol times the largest count as zero.  The
+    SVD is thin unless A has fewer rows than columns: a tall stack needs
+    only its Vh, and the full SVD would also build the unused rows x rows U.
+    """
+    A = np.asarray(A)
+    _, sv, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    rank = int(np.sum(sv > rtol * (sv[0] if len(sv) and sv[0] > 0 else 1.0)))
+    return Vh[rank:].conj().T
 
 
 def partial_trace_first(C, d: int) -> np.ndarray:

@@ -4,12 +4,14 @@ The unital *-algebra generated by a finite matrix set is computed by word
 closure: orthonormalize the span of all words in the generators and their
 adjoints, degree by degree, until the span stabilizes.  Irreducibility is
 decided through the commutant (trivial commutant <=> the generated algebra
-is all of M_d, by Burnside's theorem).
+is all of M_d, by Burnside's theorem).  Gram-Schmidt writes each basis into
+one preallocated (d^2, d^2) array, and AlgebraBasis keeps it as one array
+of shape (dim, d, d).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +44,11 @@ class GeneratorSet:
 
 @dataclass
 class AlgebraBasis:
-    """Frobenius-orthonormal basis of a subspace of M_d."""
+    """Frobenius-orthonormal basis of a subspace of M_d, one array of shape
+    (dim, d, d)."""
 
     d: int
-    basis: list = field(default_factory=list)
+    basis: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -54,37 +57,37 @@ class AlgebraBasis:
     def project(self, A: np.ndarray) -> np.ndarray:
         """Orthogonal projection of A onto the span of the basis."""
         A = np.asarray(A, dtype=complex)
-        B = np.reshape(self.basis, (self.dim, A.size))  # rows: the flattened basis
+        B = self.basis.reshape(self.dim, A.size)  # rows: the flattened basis
         return ((B.conj() @ A.ravel()) @ B).reshape(A.shape)
 
     def projection_residual(self, A: np.ndarray) -> float:
         return linalg.frob_norm(np.asarray(A, dtype=complex) - self.project(A))
 
 
-def _mgs_extend(basis: list, candidates: list) -> list:
-    """Extend an orthonormal basis by Gram-Schmidt.
+def _mgs_extend(B: np.ndarray, k: int, candidates) -> int:
+    """Extend the orthonormal rows B[:k] by Gram-Schmidt; returns the new
+    row count.
 
-    Each candidate is orthogonalized twice against the running basis (one
+    Each candidate is orthogonalized twice against the rows so far (one
     array projection per pass, the second a re-orthogonalization) and
-    accepted when its residual norm stays above RANK_RTOL relative to the
-    candidate's own norm.
+    written into the next row of B when its residual norm stays above
+    RANK_RTOL relative to the candidate's own norm.  Stops once B is full.
     """
-    added = []
     for cand in candidates:
+        if k == len(B):
+            break
         v = np.asarray(cand, dtype=complex)
         scale = linalg.frob_norm(v)
         if scale == 0.0:
             continue
-        B = np.reshape(basis, (len(basis), v.size))  # rows: the flattened basis
         x = v.ravel()
         for _ in range(2):
-            x = x - (B.conj() @ x) @ B
+            x = x - (B[:k].conj() @ x) @ B[:k]
         nrm = float(np.linalg.norm(x))
         if nrm > RANK_RTOL * scale:
-            v = (x / nrm).reshape(v.shape)
-            basis.append(v)
-            added.append(v)
-    return added
+            B[k] = x / nrm
+            k += 1
+    return k
 
 
 def generate_algebra(G: GeneratorSet) -> AlgebraBasis:
@@ -96,11 +99,13 @@ def generate_algebra(G: GeneratorSet) -> AlgebraBasis:
     """
     d = G.d
     gens = G.with_adjoints()
-    basis: list = []
-    new = _mgs_extend(basis, [linalg.eye(d)] + gens)
-    while new and len(basis) < d * d:
-        new = _mgs_extend(basis, [w @ g for w in new for g in gens])
-    return AlgebraBasis(d=d, basis=basis)
+    B = np.empty((d * d, d * d), dtype=complex)
+    k = _mgs_extend(B, 0, [linalg.eye(d)] + gens)
+    start = 0
+    while start < k < d * d:
+        new = B[start:k].reshape(-1, d, d)
+        start, k = k, _mgs_extend(B, k, [w @ g for w in new for g in gens])
+    return AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
 
 
 def commutant(G: GeneratorSet) -> AlgebraBasis:
@@ -114,18 +119,12 @@ def commutant(G: GeneratorSet) -> AlgebraBasis:
     """
     d = G.d
     I = np.eye(d)
-    blocks = []
-    for g in G.with_adjoints():
-        blocks.append(np.kron(I, g.T) - np.kron(g, I))
-    M = np.vstack(blocks)
-    sv, Vh = np.linalg.svd(M, full_matrices=True)[1:]
-    cutoff = RANK_RTOL * (sv[0] if len(sv) and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    basis = [Vh[k].conj().reshape(d, d) for k in range(rank, d * d)]
-    # Eigenvector columns are orthonormal already; a re-pass guards roundoff.
-    ortho: list = []
-    _mgs_extend(ortho, basis)
-    return AlgebraBasis(d=d, basis=ortho)
+    M = np.vstack([np.kron(I, g.T) - np.kron(g, I) for g in G.with_adjoints()])
+    kernel = linalg.null_space(M, RANK_RTOL).T
+    # The singular vectors are orthonormal already; a re-pass guards roundoff.
+    B = np.empty((d * d, d * d), dtype=complex)
+    k = _mgs_extend(B, 0, kernel.reshape(-1, d, d))
+    return AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
 
 
 def is_irreducible(G: GeneratorSet) -> bool:

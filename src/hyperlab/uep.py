@@ -335,10 +335,7 @@ def _pinned_face(P: UepProblem) -> np.ndarray:
         return np.eye(D, dtype=complex)
     # Null space of the conjugated stack = orthogonal complement of the
     # kernel vectors (<v, z> = 0 means conj(v) . z = 0).
-    Kmat = kernel.conj()
-    _, sv, Vh = np.linalg.svd(Kmat)
-    r = int(np.sum(sv > 1e-8 * (sv[0] if sv[0] > 0 else 1.0)))
-    return Vh[r:].conj().T  # D x (D - r) orthonormal complement
+    return linalg.null_space(kernel.conj(), 1e-8)  # D x (D - rank) orthonormal complement
 
 
 def build_constraints(P: UepProblem) -> ConstraintSystem:
@@ -505,13 +502,16 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
         P = _pinv_mats(F)
         mm = _affine_project(F, P, cs.b, UrH @ X[rows] @ Ur)
         wr = np.linalg.eigvalsh(mm)[:, 0]
-        # Rows too infeasible to rescue are not worth a Dykstra run.
+        aff = np.linalg.norm(_tr(F, mm) - cs.b, axis=-1)
+        # Rows too infeasible to rescue are not worth a Dykstra run, and
+        # neither are rows off the affine set: every affine projection keeps
+        # the least-squares residual of mm, so no Dykstra run repairs them.
         rescue = wr >= -0.05 * wmax[rows]
-        dyk = np.flatnonzero(rescue & (wr < -FEAS_TOL))
+        dyk = np.flatnonzero(rescue & (aff <= FEAS_TOL * b_scale) & (wr < -FEAS_TOL))
         if len(dyk):
             mm[dyk] = _face_dykstra(F[dyk], P[dyk], cs.b, mm[dyk])
             wr[dyk] = np.linalg.eigvalsh(mm[dyk])[:, 0]
-        aff = np.linalg.norm(_tr(F, mm) - cs.b, axis=-1)
+            aff[dyk] = np.linalg.norm(_tr(F[dyk], mm[dyk]) - cs.b, axis=-1)
         ok = rescue & (aff <= FEAS_TOL * b_scale) & (wr >= -FEAS_TOL)
         found += zip(rows[ok].tolist(), Ur[ok] @ mm[ok] @ UrH[ok])
     return sorted(found, key=lambda rz: rz[0])  # stable: ranks stay increasing

@@ -63,6 +63,17 @@ def test_psd_project_idempotent_and_guarded():
     assert np.linalg.eigvalsh(P)[0] >= -1e-12
 
 
+@pytest.mark.parametrize("rows, cols, rank", [(3, 7, 3), (20, 9, 4)])
+def test_null_space_short_and_tall(rows, cols, rank):
+    """Orthonormal columns, annihilated by A to roundoff, cols - rank of them."""
+    rng = make_rng(11)
+    A = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+    N = linalg.null_space(A, 1e-9)
+    assert N.shape == (cols, cols - rank)
+    assert np.allclose(N.conj().T @ N, np.eye(cols - rank), rtol=0, atol=1e-12)
+    assert np.linalg.norm(A @ N) <= 1e-12 * np.linalg.norm(A)
+
+
 def test_partial_trace_identities():
     rng = make_rng(9)
     B = random_complex(rng, 3, 3)

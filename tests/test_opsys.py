@@ -7,7 +7,7 @@ import pytest
 
 from hyperlab import linalg, opsys
 from hyperlab.errors import InvalidInput
-from hyperlab.rng import make_rng, random_complex
+from hyperlab.rng import make_rng, random_complex, random_normal_matrix, random_unitary
 
 
 def jordan_block(d: int) -> np.ndarray:
@@ -99,3 +99,78 @@ def test_basis_orthonormality():
     alg = opsys.generate_algebra(opsys.GeneratorSet(d=3, generators=(random_complex(rng, 3, 3),)))
     gram = np.array([[linalg.frob_inner(a, b) for b in alg.basis] for a in alg.basis])
     assert np.allclose(gram, np.eye(alg.dim), atol=1e-10)
+
+
+def _mgs_reference(basis: list, candidates: list) -> list:
+    """List-based Gram-Schmidt: re-stacks the basis list for every candidate."""
+    added = []
+    for cand in candidates:
+        v = np.asarray(cand, dtype=complex)
+        scale = linalg.frob_norm(v)
+        if scale == 0.0:
+            continue
+        B = np.reshape(basis, (len(basis), v.size))
+        x = v.ravel()
+        for _ in range(2):
+            x = x - (B.conj() @ x) @ B
+        nrm = float(np.linalg.norm(x))
+        if nrm > opsys.RANK_RTOL * scale:
+            v = (x / nrm).reshape(v.shape)
+            basis.append(v)
+            added.append(v)
+    return added
+
+
+def _generate_algebra_reference(G):
+    d, gens = G.d, G.with_adjoints()
+    basis: list = []
+    new = _mgs_reference(basis, [np.eye(d, dtype=complex)] + gens)
+    while new and len(basis) < d * d:
+        new = _mgs_reference(basis, [w @ g for w in new for g in gens])
+    return np.array(basis)
+
+
+def _commutant_reference(G):
+    """Full SVD of the commutation stack, one kernel row at a time."""
+    d = G.d
+    I = np.eye(d)
+    M = np.vstack([np.kron(I, g.T) - np.kron(g, I) for g in G.with_adjoints()])
+    sv, Vh = np.linalg.svd(M, full_matrices=True)[1:]
+    rank = int(np.sum(sv > opsys.RANK_RTOL * (sv[0] if sv[0] > 0 else 1.0)))
+    basis: list = []
+    _mgs_reference(basis, [Vh[k].conj().reshape(d, d) for k in range(rank, d * d)])
+    return np.array(basis)
+
+
+def _basis_cases(d):
+    rng = make_rng(700 + d)
+    T = random_complex(rng, d, d)
+    N = random_normal_matrix(rng, d)
+    D = np.diag(np.arange(d) // 2).astype(complex)  # repeated eigenvalues (0 at d = 2)
+    return {
+        "polar": (T, T.conj().T @ T, T @ T.conj().T),
+        "normal": (N, N @ N.conj().T),
+        "unitary": (random_unitary(rng, d),),
+        "repeated-diagonal": (D,),
+        "repeated-diagonal-pair": (D, np.diag(np.arange(d) % 2).astype(complex)),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_bases_match_list_reference(d):
+    """generate_algebra gives bit for bit the basis of the list-based,
+    per-candidate Gram-Schmidt, and commutant that of the full SVD.  At
+    d = 6 LAPACK's thin and full SVDs of some tall 36-column stacks differ
+    at roundoff, so there the commutant is checked as a subspace."""
+    for name, gens in _basis_cases(d).items():
+        G = opsys.GeneratorSet(d=d, generators=gens)
+        alg, com = opsys.generate_algebra(G), opsys.commutant(G)
+        assert alg.basis.shape == (alg.dim, d, d) and com.basis.shape == (com.dim, d, d), name
+        assert np.array_equal(alg.basis, _generate_algebra_reference(G)), name
+        ref = _commutant_reference(G)
+        if d <= 5:
+            assert np.array_equal(com.basis, ref), name
+        else:
+            B, R = com.basis.reshape(com.dim, -1), ref.reshape(len(ref), -1)
+            assert B.shape == R.shape, name
+            assert np.allclose(B.T @ B.conj(), R.T @ R.conj(), rtol=0, atol=1e-12), name
