@@ -28,14 +28,19 @@ EXIT_INVALID = 2
 EXIT_NONCONVERGED = 3
 
 
-def _number(value, kind, name: str):
-    """kind(value) for the config field ``name``; InvalidInput naming the
-    field when value is of the wrong type (say, a JSON list)."""
+_KINDS = {int: "an integer", float: "a number", list: "a list", dict: "an object", str: "a string"}
+
+
+def _field(value, kind, name: str):
+    """The config field ``name`` as a ``kind``: numbers are converted, and a
+    list, object or string must be one already; InvalidInput naming the
+    field otherwise (say, a JSON list where a number belongs)."""
     try:
-        return kind(value)
+        if kind in (int, float) or isinstance(value, kind):
+            return kind(value)
     except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise InvalidInput(f"config field {name!r} must be {what}, got {value!r}") from None
+        pass
+    raise InvalidInput(f"config field {name!r} must be {_KINDS[kind]}, got {value!r}")
 
 
 # ----------------------------------------------------------------------------
@@ -47,16 +52,16 @@ def _cmd_uep_search(args) -> int:
     digest = config_digest(cfg)
     if not isinstance(cfg, dict) or "d" not in cfg or "generators" not in cfg:
         raise InvalidInput("uep-search config needs at least {d, generators}")
-    d = _number(cfg["d"], int, "d")
-    gens = tuple(literal_to_matrix(g) for g in cfg["generators"])
+    d = _field(cfg["d"], int, "d")
+    gens = tuple(literal_to_matrix(g) for g in _field(cfg["generators"], list, "generators"))
     probes = None
     if cfg.get("probes") is not None:
-        probes = [literal_to_matrix(a) for a in cfg["probes"]]
+        probes = [literal_to_matrix(a) for a in _field(cfg["probes"], list, "probes")]
     P = uep.UepProblem(
         d=d,
         G=opsys.GeneratorSet(d=d, generators=gens),
         probes=probes,
-        tol=args.tol if args.tol is not None else _number(cfg.get("tol", 1e-7), float, "tol"),
+        tol=args.tol if args.tol is not None else _field(cfg.get("tol", 1e-7), float, "tol"),
         max_iter=args.max_iter,
         seed=args.seed,
     )
@@ -117,15 +122,16 @@ def _eval_toeplitz(node, env):
 
 def _parse_toeplitz_binding(entry, env):
     if "symbol" in entry:
-        return toeplitz.from_symbol({int(k): v for k, v in entry["symbol"].items()})
+        symbol = _field(entry["symbol"], dict, "symbol")
+        return toeplitz.from_symbol({int(k): v for k, v in symbol.items()})
     if "tail" in entry:
         tail = {}
-        for key, v in entry["tail"].items():
+        for key, v in _field(entry["tail"], dict, "tail").items():
             i, j = (int(p) for p in str(key).split(","))
             tail[(i, j)] = v
         return toeplitz.from_tail(tail)
     if "expr" in entry:
-        return _eval_toeplitz(ast.parse(entry["expr"], mode="eval"), env)
+        return _eval_toeplitz(ast.parse(_field(entry["expr"], str, "expr"), mode="eval"), env)
     raise InvalidInput("toeplitz binding needs one of: symbol, tail, expr")
 
 
@@ -165,8 +171,8 @@ def _cmd_stinespring(args) -> int:
     digest = config_digest(cfg)
     if not isinstance(cfg, dict) or "choi" not in cfg:
         raise InvalidInput("stinespring config needs {choi: {d, matrix}}")
-    spec = cfg["choi"]
-    C = cpmaps.ChoiMatrix(d=_number(spec["d"], int, "d"), mat=literal_to_matrix(spec["matrix"]))
+    spec = _field(cfg["choi"], dict, "choi")
+    C = cpmaps.ChoiMatrix(d=_field(spec["d"], int, "d"), mat=literal_to_matrix(spec["matrix"]))
     D = cpmaps.stinespring(C)
     iso_defect = float(np.linalg.norm(D.V.conj().T @ D.V - np.eye(D.d)))
     out = {
@@ -193,11 +199,11 @@ def _korovkin_element(spec, domain):
         if isinstance(spec, dict) and "poly" in spec:
             x = korovkin.grid()
             out = np.zeros_like(x)
-            for k, c in enumerate(spec["poly"]):
-                out += _number(c, float, "poly") * x ** k
+            for k, c in enumerate(_field(spec["poly"], list, "poly")):
+                out += _field(c, float, "poly") * x ** k
             return out
         if isinstance(spec, dict) and "abs" in spec:
-            return np.abs(korovkin.grid() - _number(spec["abs"], float, "abs"))
+            return np.abs(korovkin.grid() - _field(spec["abs"], float, "abs"))
         raise InvalidInput("grid elements are {'poly': [c0, c1, ...]} or {'abs': c}")
     return literal_to_matrix(spec)
 
@@ -207,18 +213,19 @@ def _cmd_korovkin(args) -> int:
     digest = config_digest(cfg)
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise InvalidInput("korovkin config needs a family 'kind'")
-    params = dict(cfg.get("params", {}))
+    params = _field(cfg.get("params", {}), dict, "params")
     if "choi" in params:
-        spec = params["choi"]
-        params["choi"] = cpmaps.ChoiMatrix(d=_number(spec["d"], int, "d"),
+        spec = _field(params["choi"], dict, "choi")
+        params["choi"] = cpmaps.ChoiMatrix(d=_field(spec["d"], int, "d"),
                                            mat=literal_to_matrix(spec["matrix"]))
     fam = korovkin.MapFamily(kind=str(cfg["kind"]),
-                             n_min=_number(cfg.get("n_min", 1), int, "n_min"),
-                             n_max=_number(cfg.get("n_max", 10), int, "n_max"), params=params)
-    G = [_korovkin_element(e, fam.domain) for e in cfg.get("G", [])]
-    probes = [_korovkin_element(e, fam.domain) for e in cfg.get("probes", [])]
-    rep = korovkin.run(fam, G, probes, tol=cfg.get("tol"),
-                       g_labels=cfg.get("g_labels"), probe_labels=cfg.get("probe_labels"))
+                             n_min=_field(cfg.get("n_min", 1), int, "n_min"),
+                             n_max=_field(cfg.get("n_max", 10), int, "n_max"), params=params)
+    G, probes = ([_korovkin_element(e, fam.domain) for e in _field(cfg.get(k, []), list, k)]
+                 for k in ("G", "probes"))
+    optional = {"tol": float, "g_labels": list, "probe_labels": list}  # null means absent
+    kw = {k: _field(cfg[k], kind, k) for k, kind in optional.items() if cfg.get(k) is not None}
+    rep = korovkin.run(fam, G, probes, **kw)
     rows = korovkin.csv_export(rep)
     rows.append(f"config_digest,{digest}")
     if args.out:
@@ -294,7 +301,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (InvalidInput, HyperlabError, OSError, ValueError, KeyError) as exc:
+    except (InvalidInput, HyperlabError, OSError, ValueError, KeyError, SyntaxError) as exc:
         msg = f"config is missing the key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_INVALID

@@ -186,6 +186,9 @@ def run(family: MapFamily, G: list, probes: list, tol: float | None = None,
     for value in G + probes:
         if np.shape(value) != shape:
             raise InvalidInput(f"{family.kind} elements need shape {shape}, got {np.shape(value)}")
+    for name, labels, items in (("g_labels", g_labels, G), ("probe_labels", probe_labels, probes)):
+        if labels and len(labels) != len(items):
+            raise InvalidInput(f"{name} has {len(labels)} labels for {len(items)} elements")
     ns = list(family.indices())
     g_dev = np.zeros((len(ns), len(G)))
     p_dev = np.zeros((len(ns), len(probes)))

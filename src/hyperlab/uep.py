@@ -33,7 +33,7 @@ infeasibility drift.
 
 Every solver point is an n x n Hermitian face matrix M (the Choi matrix is
 U M U* for the face isometry U); hermvec coordinates appear only in
-_pinv_mats, _exposing_face and the basis of build_constraints.
+_pinv_mats and the basis of build_constraints.
 """
 
 from __future__ import annotations
@@ -383,11 +383,9 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
 # ----------------------------------------------------------------------------
 
 # Alternating projections for an exposing vector succeed once the gap is below
-# EXPOSE_TOL, and give up when it has not shrunk by 10% over EXPOSE_WINDOW
-# iterations or after EXPOSE_MAX_ITER.
+# EXPOSE_TOL, and give up when it has not shrunk by 10% over EXPOSE_WINDOW passes.
 EXPOSE_TOL = 1e-12
 EXPOSE_WINDOW = 20
-EXPOSE_MAX_ITER = 500
 
 
 def _exposing_face(cs: ConstraintSystem):
@@ -398,39 +396,29 @@ def _exposing_face(cs: ConstraintSystem):
     lies in ker Y, and V is an orthonormal basis of ker Y (the eigenvectors
     below 1e-6 times the largest eigenvalue, as for range vectors in
     _pinned_face).  Alternating projections between the PSD cone and that
-    affine slice, in coefficients on an orthonormal basis of span_R{F_j},
-    start from the slice point nearest I/n.  None means either that the
-    slice is empty, which proves that no exposing vector exists, or that
-    the projections stalled or ran out, which proves nothing.
+    affine slice of span_R{F_j} start from the slice point nearest I/n.
+    None means either that the slice is empty, which proves that no
+    exposing vector exists, or that the projections stalled, which proves
+    nothing.
     """
     n = cs.n
-    Uf, sv, Vh = np.linalg.svd(hermvec(cs.F), full_matrices=False)
-    keep = sv > 1e-12 * sv[0]
-    B = Vh[keep]  # orthonormal basis of span_R{F_j}, hermvec rows
-    A = B @ hermvec(np.array([np.eye(n), cs.x_identity])).T  # tr Y and tr(Y x_identity) per row
-    A_pinv, t = np.linalg.pinv(A.T, rcond=1e-10), np.array([1.0, 0.0])
-    if np.linalg.norm(A.T @ A_pinv @ t - t) > 1e-9:
-        return None  # the slice is empty: tr Y fixes tr(Y x_identity) on span_R{F_j}
-
-    def to_slice(Z):
-        c = B @ hermvec(Z)
-        c = c - A_pinv @ (A.T @ c - t)
-        return c, unhermvec(c @ B, n)
-
-    c, Y = to_slice(np.eye(n) / n)
-    gaps = []
-    for _ in range(EXPOSE_MAX_ITER):
+    # tr Y and tr(Y x_identity) on span_R{F_j}, onto which Z - _affine_project(F, P, 0, Z) projects.
+    T = np.array([np.eye(n, dtype=complex), cs.x_identity])
+    T, t = T - _affine_project(cs.F, cs.P, 0.0, T), np.array([1.0, 0.0])
+    Q, Z, gaps = _pinv_mats(T), np.eye(n, dtype=complex) / n, []
+    # Gaps never grow, so the stall rule ends the loop: ~20 log(gap_0/EXPOSE_TOL)/log(1/0.9) passes.
+    while True:
+        Y = _affine_project(T, Q, t, Z - _affine_project(cs.F, cs.P, 0.0, Z))
+        if np.linalg.norm(_tr(T, Y) - t) > 1e-9:  # the same residual on every pass
+            return None  # the slice is empty: tr Y fixes tr(Y x_identity) on span_R{F_j}
         Z = _psd_clip(Y)
         gap = float(np.linalg.norm(Y - Z))
         if gap <= EXPOSE_TOL:
             w, U = np.linalg.eigh(Y)
-            y = (Uf[:, keep] / sv[keep]) @ c  # sum_j y_j F_j = Y
-            return U[:, w < 1e-6 * w[-1]], y
-        if len(gaps) >= EXPOSE_WINDOW and gap > 0.9 * gaps[-EXPOSE_WINDOW]:
+            return U[:, w < 1e-6 * w[-1]], _tr(cs.P, Y)  # sum_j y_j F_j = Y
+        if len(gaps) >= EXPOSE_WINDOW and not gap <= 0.9 * gaps[-EXPOSE_WINDOW]:  # NaN stops too
             return None
         gaps.append(gap)
-        c, Y = to_slice(Z)
-    return None
 
 
 # ----------------------------------------------------------------------------

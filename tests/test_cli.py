@@ -146,6 +146,20 @@ _SHIFT = {"let": "S", "expr": "shift()"}
     ("korovkin", {"kind": "pinching", "n_min": [1], "params": {"d": 3, "blocks": [[0], [1], [2]]},
                   "G": [diag3(0, 1, 2)]}, "'n_min'"),
     ("korovkin", {"kind": "bernstein", "G": [{"poly": [[1]]}]}, "'poly'"),
+    ("uep-search", {"d": 3, "generators": 5}, "'generators'"),
+    ("uep-search", {"d": 3, "generators": [diag3(0, 1, 2)], "probes": 5}, "'probes'"),
+    ("stinespring", {"choi": 5}, "'choi'"),
+    ("korovkin", {"kind": "bernstein", "params": 5, "G": [{"poly": [0, 1]}]}, "'params'"),
+    ("korovkin", {"kind": "bernstein", "G": 5}, "'G'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"poly": 5}]}, "'poly'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"poly": [0, 1]}], "g_labels": 5}, "'g_labels'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"poly": [0, 1]}], "tol": "x"}, "'tol'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"poly": [0, 1]}], "g_labels": ["a", "b"]},
+     "g_labels has 2 labels for 1 elements"),
+    ("toeplitz", [{"let": "A", "symbol": 5}], "'symbol'"),
+    ("toeplitz", [{"let": "A", "tail": 5}], "'tail'"),
+    ("toeplitz", [{"let": "A", "expr": 5}], "'expr'"),
+    ("toeplitz", [{"eval": "mul("}], "never closed"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg, message):
     p = write(tmp_path, "bad.json", cfg)

@@ -129,3 +129,18 @@ def test_invalid_inputs():
         korovkin.run(fam, G=[], probes=[x])
     with pytest.raises(InvalidInput):
         korovkin.run(fam, G=[np.eye(2)], probes=[])  # matrix fed to grid family
+
+
+@pytest.mark.parametrize("labels, name", [
+    ({"g_labels": ["a", "b"]}, "g_labels"),
+    ({"probe_labels": ["p", "q"]}, "probe_labels"),
+])
+def test_labels_must_match_their_elements(labels, name):
+    """A label list of the wrong length would give a CSV header wider or
+    narrower than its rows."""
+    x = xs()
+    fam = korovkin.MapFamily(kind="bernstein", n_min=1, n_max=3)
+    with pytest.raises(InvalidInput, match=name):
+        korovkin.run(fam, G=[x], probes=[x * x], **labels)
+    rep = korovkin.run(fam, G=[x], probes=[x * x], g_labels=["a"], probe_labels=["q"])
+    assert korovkin.csv_export(rep)[0] == "n,g:a,probe:q"

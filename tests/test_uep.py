@@ -500,20 +500,34 @@ def test_skipped_tasks_cannot_move():
     assert np.any(gain[~skip] > tol)
 
 
-def _key10_problem(**kw) -> uep.UepProblem:
-    """The d = 5 normal set whose sampled face (n = 9) is not minimal (5)."""
-    N = random_normal_matrix(make_rng(510), 5)
-    return uep.UepProblem(d=5, G=gen(5, N, N @ N.conj().T), **kw)
+def _normal_problem(key, d, **kw) -> uep.UepProblem:
+    """The normal set {N, NN*} of random_normal_matrix(make_rng(key), d)."""
+    N = random_normal_matrix(make_rng(key), d)
+    return uep.UepProblem(d=d, G=gen(d, N, N @ N.conj().T), **kw)
 
 
-def test_exposing_step_skips_the_ascent_on_a_non_minimal_face():
-    """One exposing vector reduces the key-10 face to the minimal one, where
+@pytest.mark.parametrize("key, d, face_dim", [
+    # Sampled face n and iterations of the first step: 9 and 160, 9 and
+    # 2,334, 11 and 2,033.
+    pytest.param(510, 5, 5, id="key10"),
+    pytest.param(7506, 5, 6, id="7506"),
+    pytest.param(7600, 6, 7, id="7600"),
+])
+def test_exposing_step_skips_the_ascent_on_a_non_minimal_face(key, d, face_dim):
+    """Exposing vectors reduce the sampled face of a normal set to one where
     every witness task is fixed: no ascent, deviations exactly zero."""
-    rep = uep.solve(_key10_problem(seed=71, n_witnesses=2))
+    rep = uep.solve(_normal_problem(key, d, seed=71, n_witnesses=2))
     assert rep.status == "Unique-evidence"
     assert rep.iterations == 0
     assert all(p.deviation == 0.0 for p in rep.deviations if p.in_algebra)
-    assert rep.face_dim == rep.to_json()["face_dim"] == 5
+    assert rep.face_dim == rep.to_json()["face_dim"] == face_dim
+
+
+@pytest.mark.xfail(strict=True, reason="alternating projections stall on this n = 11 face")
+def test_exposing_step_finds_the_vector_of_a_slow_face():
+    """The sampled face (n = 11) of this d = 6 normal set is not minimal,
+    but the stall rule stops the search for its exposing vector."""
+    assert uep._exposing_face(uep.build_constraints(_normal_problem(7613, 6))) is not None
 
 
 def test_exposing_certificate_rechecks():
@@ -521,7 +535,7 @@ def test_exposing_certificate_rechecks():
     Y = sum_j y_j F_j is PSD, sum_j y_j b_j = tr(Y x_identity) = 0, V spans
     ker Y, and x_identity lies on the reduced face; that face has no
     exposing vector left."""
-    cs = uep.build_constraints(_key10_problem())
+    cs = uep.build_constraints(_normal_problem(510, 5))
     assert cs.n == 9
     V, y = uep._exposing_face(cs)
     Y = np.tensordot(y, cs.F, axes=1)
