@@ -120,15 +120,27 @@ def _eval_toeplitz(node, env):
     raise InvalidInput("unsupported syntax in toeplitz expression")
 
 
+def _toeplitz_key(key: str, field: str, count: int, form: str) -> tuple:
+    """The ``count`` comma-separated integers of a ``symbol`` key (a degree)
+    or a ``tail`` key ("i,j"); InvalidInput naming the field and the key
+    format ``form`` otherwise."""
+    parts = key.split(",")
+    try:
+        if len(parts) == count:
+            return tuple(int(p) for p in parts)
+    except ValueError:
+        pass
+    raise InvalidInput(f"config field {field!r} keys must be {form}, got {key!r}")
+
+
 def _parse_toeplitz_binding(entry, env):
     if "symbol" in entry:
         symbol = _field(entry["symbol"], dict, "symbol")
-        return toeplitz.from_symbol({int(k): v for k, v in symbol.items()})
+        return toeplitz.from_symbol({_toeplitz_key(k, "symbol", 1, "an integer degree")[0]: v
+                                     for k, v in symbol.items()})
     if "tail" in entry:
-        tail = {}
-        for key, v in _field(entry["tail"], dict, "tail").items():
-            i, j = (int(p) for p in str(key).split(","))
-            tail[(i, j)] = v
+        tail = {_toeplitz_key(k, "tail", 2, '"i,j" with integers i and j'): v
+                for k, v in _field(entry["tail"], dict, "tail").items()}
         return toeplitz.from_tail(tail)
     if "expr" in entry:
         return _eval_toeplitz(ast.parse(_field(entry["expr"], str, "expr"), mode="eval"), env)

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
 from .linalg import hermitize
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox-based generator keyed by a 64-bit seed."""
+    """Philox-based generator keyed by a 64-bit seed in [0, 2**64)."""
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidInput(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cpmaps, korovkin, linalg, opsys, toeplitz, uep
+from .errors import InvalidInput
 from .rng import (make_rng, random_complex, random_normal_matrix, random_ucp_kraus,
                   random_unit_vector, random_unitary)
 
@@ -272,6 +273,10 @@ def run_suite(seed: int = 7, trials: int = 50, echo=None) -> dict:
     for identical seeds) is a property of this function and is exercised by
     running it twice.
     """
+    if trials < 1:
+        raise InvalidInput(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2 ** 64 - 3:  # the criteria key their streams by seed .. seed + 3
+        raise InvalidInput(f"seed must be in [0, 2**64 - 3), got {seed}")
     results = []
     for fn in CRITERIA:
         res = fn(seed, trials)

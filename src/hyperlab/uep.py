@@ -22,10 +22,9 @@ refinement).  A witness whose objective cannot move on the constraint
 slice (its gradient is normal to the slice, as for every witness of a set
 with the unique extension property on its minimal face) has a fixed
 answer and is skipped.  The sampled face of _pinned_face can miss the
-minimal one, so once some first-round witness can move, solve takes
-facial-reduction steps: each exposing vector found by _exposing_face
-shrinks the face and the witnesses are filtered again, until none is
-left or no exposing vector turns up.  Each remaining linear maximization
+minimal one, so build_constraints reduces it once, before any search:
+each exposing vector found by _exposing_face shrinks the face, until no
+exposing vector turns up.  Each remaining linear maximization
 runs projected gradient ascent with facial-rounding polish onto (PSD
 intersect affine); deviations are only ever reported at certified
 feasible points, so "Unique-evidence" cannot be an artifact of
@@ -207,7 +206,7 @@ class UepReport:
     residuals: dict
     constraint_rank: int
     rank_margin: int
-    face_dim: int  # n of the face the search ran on
+    face_dim: int  # n of the reduced face of build_constraints, where the search ran
     certificate: ViolationCertificate | None
     choi: cpmaps.ChoiMatrix
     seed: int
@@ -348,6 +347,8 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
     hermvec basis E, with target hermvec(H_a)_b; F holds its compression
     U* (H_a^T (x) E_b) U onto the face U.  The k d^2 ambient functionals
     are orthonormal, so the rank is their count, d^2 dim_C span{I, G, G*}.
+    The sampled face is then reduced by exposing vectors (_exposing_face)
+    until none turns up, so every caller gets the same, reduced, face.
     """
     d = P.d
     gens = [] if P.G is None else list(P.G.generators)
@@ -374,8 +375,11 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
     if np.linalg.norm(_tr(F, x_id) - bv) > 1e-7 * b_scale or face_resid > 1e-7:
         raise Infeasible("identity map violates the affine constraints as assembled")
 
-    return ConstraintSystem(d=d, n=face.shape[1], face=face, F=F, P=_pinv_mats(F),
-                            b=bv, rank=len(F), x_identity=x_id)
+    cs = ConstraintSystem(d=d, n=face.shape[1], face=face, F=F, P=_pinv_mats(F),
+                          b=bv, rank=len(F), x_identity=x_id)
+    while (found := _exposing_face(cs)) is not None:
+        cs = cs.restrict(found[0])
+    return cs
 
 
 # ----------------------------------------------------------------------------
@@ -395,13 +399,17 @@ def _exposing_face(cs: ConstraintSystem):
     sum_j y_j b_j = 0.  Every feasible M then has tr(Y M) = 0, so its range
     lies in ker Y, and V is an orthonormal basis of ker Y (the eigenvectors
     below 1e-6 times the largest eigenvalue, as for range vectors in
-    _pinned_face).  Alternating projections between the PSD cone and that
-    affine slice of span_R{F_j} start from the slice point nearest I/n.
-    None means either that the slice is empty, which proves that no
-    exposing vector exists, or that the projections stalled, which proves
-    nothing.
+    _pinned_face).  As tr(F_j x_identity) = b_j, that affine slice of
+    span_R{F_j} is empty exactly when (tr F_j)_j and b are parallel; one
+    2 x m SVD decides this first, and an empty slice proves that no
+    exposing vector exists.  Otherwise alternating projections between the
+    PSD cone and the slice start from the slice point nearest I/n.  None
+    means an empty slice, or a stall, which proves nothing.
     """
     n = cs.n
+    sv = np.linalg.svd([np.real(np.einsum("jii->j", cs.F)), cs.b], compute_uv=False)
+    if sv[1] <= 1e-9 * sv[0]:
+        return None
     # tr Y and tr(Y x_identity) on span_R{F_j}, onto which Z - _affine_project(F, P, 0, Z) projects.
     T = np.array([np.eye(n, dtype=complex), cs.x_identity])
     T, t = T - _affine_project(cs.F, cs.P, 0.0, T), np.array([1.0, 0.0])
@@ -409,8 +417,6 @@ def _exposing_face(cs: ConstraintSystem):
     # Gaps never grow, so the stall rule ends the loop: ~20 log(gap_0/EXPOSE_TOL)/log(1/0.9) passes.
     while True:
         Y = _affine_project(T, Q, t, Z - _affine_project(cs.F, cs.P, 0.0, Z))
-        if np.linalg.norm(_tr(T, Y) - t) > 1e-9:  # the same residual on every pass
-            return None  # the slice is empty: tr Y fixes tr(Y x_identity) on span_R{F_j}
         Z = _psd_clip(Y)
         gap = float(np.linalg.norm(Y - Z))
         if gap <= EXPOSE_TOL:
@@ -583,11 +589,9 @@ def solve(P: UepProblem) -> UepReport:
     Choi matrices; the certificate deviation is re-measured in operator norm
     and revalidated by an independent code path.  Witness tasks whose
     objective no feasible point can move by more than tol/10 skip the
-    ascent; ``iterations`` is 0 when every task is skipped.  When some
-    first-round task is left, the face is first reduced by exposing
-    vectors (_exposing_face) and the tasks are filtered again after each
-    step; a task fixed on a face stays fixed on its sub-faces, so waiting
-    loses nothing.  ``face_dim`` reports the n of the face the search ran on.
+    ascent; ``iterations`` is 0 when every task is skipped.  The search
+    runs on the reduced face of build_constraints, whose n ``face_dim``
+    reports.
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
@@ -635,28 +639,18 @@ def solve(P: UepProblem) -> UepReport:
     total_iters = 0
     exhausted = False
 
-    def movable(grads):
-        # Feasible face matrices have trace d, so no feasible point moves a
-        # unit witness's objective by more than 2d ||G_t||_F, G_t the part of
-        # its gradient tangent to the slice: below tol/10 the answer is fixed.
-        tangent = _affine_project(cs.F, cs.P, 0.0, grads)
-        return np.flatnonzero(2 * d * np.linalg.norm(tangent.reshape(len(grads), -1), axis=1)
-                               > P.tol / 10.0)
-
-    def run_tasks(task_list, reduce=False):
-        nonlocal cs, total_iters, exhausted
+    def run_tasks(task_list):
+        nonlocal total_iters, exhausted
         # Face-matrix gradients of C |-> Re tr(W* Phi_C(a)), all at once.
         idxs, Ws = zip(*task_list)
         Fc = cs.face.conj().T @ cpmaps.choi_functional([probes[i] for i in idxs], Ws) @ cs.face
         grads = (Fc + Fc.conj().swapaxes(-1, -2)) / 2.0
-        live = movable(grads)
-        # Facial reduction waits until some task can move: a task that no
-        # feasible point on a face moves stays fixed on every sub-face.
-        while reduce and len(live) and (found := _exposing_face(cs)) is not None:
-            V = found[0]
-            cs = cs.restrict(V)
-            grads = V.conj().T @ grads @ V
-            live = movable(grads)
+        # Feasible face matrices have trace d, so no feasible point moves a
+        # unit witness's objective by more than 2d ||G_t||_F, G_t the part of
+        # its gradient tangent to the slice: below tol/10 the answer is fixed.
+        tangent = _affine_project(cs.F, cs.P, 0.0, grads)
+        live = np.flatnonzero(2 * d * np.linalg.norm(tangent.reshape(len(grads), -1), axis=1)
+                              > P.tol / 10.0)
         if not len(live):
             return
         bx, bobj, iters, stalled = _linear_max_batch(cs, grads[live], P.max_iter)
@@ -671,7 +665,7 @@ def solve(P: UepProblem) -> UepReport:
                 best_dev[idx] = dev
                 best_x[idx] = bx[t]
 
-    run_tasks(tasks, reduce=True)
+    run_tasks(tasks)
 
     # Adaptive rounds: push the witness toward the actual deviation direction.
     for _ in range(3):

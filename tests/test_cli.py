@@ -160,6 +160,10 @@ _SHIFT = {"let": "S", "expr": "shift()"}
     ("toeplitz", [{"let": "A", "tail": 5}], "'tail'"),
     ("toeplitz", [{"let": "A", "expr": 5}], "'expr'"),
     ("toeplitz", [{"eval": "mul("}], "never closed"),
+    ("toeplitz", [{"let": "A", "tail": {"0": 1}}], "'tail' keys must be \"i,j\" with integers"),
+    ("toeplitz", [{"let": "A", "tail": {"1,2,3": 1}}], "'tail' keys must be \"i,j\""),
+    ("toeplitz", [{"let": "A", "tail": {"a,b": 1}}], "'tail' keys must be \"i,j\""),
+    ("toeplitz", [{"let": "A", "symbol": {"x": 1}}], "'symbol' keys must be an integer degree"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg, message):
     p = write(tmp_path, "bad.json", cfg)
@@ -174,6 +178,26 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_malformed_config_exits_2(tmp_path, capsys):
     p = write(tmp_path, "bad.json", {"generators": []})
     assert main(["uep-search", "--config", p]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["suite", "--trials", "0"], "trials must be >= 1"),
+    (["suite", "--trials", "-3"], "trials must be >= 1"),
+    (["suite", "--seed", "-1", "--trials", "1"], "seed must be in"),
+    (["suite", "--seed", str(2 ** 64 - 1), "--trials", "1"], "seed must be in"),
+])
+def test_suite_bad_input_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "criterion" not in captured.out  # rejected before any criterion runs
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_uep_search_out_of_range_seed_exits_2(tmp_path, capsys, seed):
+    cfg = write(tmp_path, "x.json", {"d": 3, "generators": [diag3(0, 1, 2)]})
+    assert main(["uep-search", "--config", cfg, "--seed", seed]) == 2
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
 
 
 def test_suite_small(tmp_path, capsys):

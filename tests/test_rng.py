@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hyperlab.errors import InvalidInput
 from hyperlab.rng import (make_rng, random_complex, random_hermitian, random_normal_matrix,
                           random_ucp_kraus, random_unit_vector, random_unitary)
 
@@ -24,6 +25,16 @@ def test_philox_reference_integers():
 def test_philox_reference_normals():
     got = make_rng(42).standard_normal(4)
     assert np.allclose(got, PHILOX_42_NORMALS, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_out_of_range_seed_is_invalid_input(seed):
+    with pytest.raises(InvalidInput, match="seed"):
+        make_rng(seed)
+
+
+def test_largest_seed_is_accepted():
+    assert make_rng(2 ** 64 - 1).integers(0, 2 ** 63, dtype=np.int64) >= 0
 
 
 def test_same_seed_same_stream():

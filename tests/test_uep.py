@@ -510,17 +510,19 @@ def _normal_problem(key, d, **kw) -> uep.UepProblem:
     # Sampled face n and iterations of the first step: 9 and 160, 9 and
     # 2,334, 11 and 2,033.
     pytest.param(510, 5, 5, id="key10"),
-    pytest.param(7506, 5, 6, id="7506"),
-    pytest.param(7600, 6, 7, id="7600"),
+    pytest.param(7506, 5, 5, id="7506"),
+    pytest.param(7600, 6, 6, id="7600"),
 ])
 def test_exposing_step_skips_the_ascent_on_a_non_minimal_face(key, d, face_dim):
-    """Exposing vectors reduce the sampled face of a normal set to one where
-    every witness task is fixed: no ascent, deviations exactly zero."""
-    rep = uep.solve(_normal_problem(key, d, seed=71, n_witnesses=2))
+    """Exposing vectors reduce the sampled face of a normal set to its
+    minimal face (n = d), where every witness task is fixed: no ascent,
+    deviations exactly zero.  build_constraints reports the same face."""
+    P = _normal_problem(key, d, seed=71, n_witnesses=2)
+    rep = uep.solve(P)
     assert rep.status == "Unique-evidence"
     assert rep.iterations == 0
     assert all(p.deviation == 0.0 for p in rep.deviations if p.in_algebra)
-    assert rep.face_dim == rep.to_json()["face_dim"] == face_dim
+    assert rep.face_dim == rep.to_json()["face_dim"] == uep.build_constraints(P).n == face_dim
 
 
 @pytest.mark.xfail(strict=True, reason="alternating projections stall on this n = 11 face")
@@ -530,14 +532,33 @@ def test_exposing_step_finds_the_vector_of_a_slow_face():
     assert uep._exposing_face(uep.build_constraints(_normal_problem(7613, 6))) is not None
 
 
-def test_exposing_certificate_rechecks():
-    """The exposing vector re-checks from (V, y) and the system alone:
-    Y = sum_j y_j F_j is PSD, sum_j y_j b_j = tr(Y x_identity) = 0, V spans
-    ker Y, and x_identity lies on the reduced face; that face has no
-    exposing vector left."""
-    cs = uep.build_constraints(_normal_problem(510, 5))
+def _spy_exposing_face(monkeypatch) -> list:
+    """Every system that build_constraints hands to _exposing_face, in order."""
+    seen, expose = [], uep._exposing_face
+    monkeypatch.setattr(uep, "_exposing_face", lambda cs: seen.append(cs) or expose(cs))
+    return seen
+
+
+def _slice_is_parallel(cs) -> bool:
+    """(tr F_j)_j and b are parallel: the smaller singular value of their
+    2 x m stack is at most 1e-9 times the larger."""
+    sv = np.linalg.svd([np.real(np.einsum("jii->j", cs.F)), cs.b], compute_uv=False)
+    return sv[1] <= 1e-9 * sv[0]
+
+
+def test_exposing_certificate_rechecks(monkeypatch):
+    """The exposing vector of the sampled key-10 face (n = 9, the first
+    system build_constraints hands to _exposing_face) re-checks from (V, y)
+    and the system alone: Y = sum_j y_j F_j is PSD, sum_j y_j b_j =
+    tr(Y x_identity) = 0, V spans ker Y, and x_identity lies on the reduced
+    face; that face has no exposing vector left, its b is parallel to
+    (tr F_j)_j, and it is the face build_constraints returns."""
+    expose = uep._exposing_face
+    seen = _spy_exposing_face(monkeypatch)
+    built = uep.build_constraints(_normal_problem(510, 5))
+    cs = seen[0]
     assert cs.n == 9
-    V, y = uep._exposing_face(cs)
+    V, y = expose(cs)
     Y = np.tensordot(y, cs.F, axes=1)
     w = np.linalg.eigvalsh(Y)
     assert abs(y @ cs.b) <= 1e-10
@@ -549,7 +570,53 @@ def test_exposing_certificate_rechecks():
     assert np.linalg.norm(VV @ cs.x_identity @ VV - cs.x_identity) <= 1e-10
     reduced = cs.restrict(V)
     assert np.linalg.norm(reduced.affine_residual(reduced.x_identity)) <= 1e-10
-    assert uep._exposing_face(reduced) is None
+    assert expose(reduced) is None
+    assert _slice_is_parallel(reduced)
+    assert built.n == reduced.n == 5
+    assert np.array_equal(built.face, reduced.face)
+
+
+def _projection_residual(cs) -> float:
+    """The empty-slice test the exposing step used before: the residual of
+    tr Y = 1, tr(Y x_identity) = 0 at the slice projection of I/n."""
+    n = cs.n
+    T = np.array([np.eye(n, dtype=complex), cs.x_identity])
+    T, t = T - uep._affine_project(cs.F, cs.P, 0.0, T), np.array([1.0, 0.0])
+    Z = np.eye(n, dtype=complex) / n
+    Y = uep._affine_project(T, uep._pinv_mats(T), t, Z - uep._affine_project(cs.F, cs.P, 0.0, Z))
+    return float(np.linalg.norm(uep._tr(T, Y) - t))
+
+
+class _Projected(Exception):
+    """Raised by the first PSD clip: the slice was not found empty."""
+
+
+def _no_projection(M):
+    raise _Projected
+
+
+def test_empty_slice_matches_projection_residual(monkeypatch):
+    """_exposing_face declares the slice empty (returns None before any PSD
+    clip) exactly when the projection residual exceeds 1e-9, on the sampled
+    and on every reduced face of the generator cases at d = 2..5; the
+    sampled faces of those are all minimal, so the normal sets of keys 510
+    and 7506 add reduced ones."""
+    problems = [uep.UepProblem(d=d, G=None if gens is None else gen(d, *gens))
+                for d in range(2, 6) for gens in _generator_cases(d).values()]
+    problems += [_normal_problem(510, 5), _normal_problem(7506, 5)]
+    seen = _spy_exposing_face(monkeypatch)
+    for P in problems:
+        uep.build_constraints(P)
+    monkeypatch.undo()
+    monkeypatch.setattr(uep, "_psd_clip", _no_projection)
+    empty = [_projection_residual(cs) > 1e-9 for cs in seen]
+    assert len(seen) > len(problems) and any(empty) and not all(empty)
+    for cs, ref in zip(seen, empty):
+        try:
+            got = uep._exposing_face(cs) is None
+        except _Projected:
+            got = False
+        assert got == ref == _slice_is_parallel(cs), cs.n
 
 
 @pytest.mark.parametrize("g", [
