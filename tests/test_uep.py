@@ -525,11 +525,14 @@ def test_exposing_step_skips_the_ascent_on_a_non_minimal_face(key, d, face_dim):
     assert rep.face_dim == rep.to_json()["face_dim"] == uep.build_constraints(P).n == face_dim
 
 
-@pytest.mark.xfail(strict=True, reason="alternating projections stall on this n = 11 face")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="alternating projections stall on this n = 11 face")
 def test_exposing_step_finds_the_vector_of_a_slow_face():
     """The sampled face (n = 11) of this d = 6 normal set is not minimal,
-    but the stall rule stops the search for its exposing vector."""
-    assert uep._exposing_face(uep.build_constraints(_normal_problem(7613, 6))) is not None
+    but the stall rule stops the search for its exposing vector, so
+    build_constraints returns the sampled face unreduced."""
+    P = _normal_problem(7613, 6)
+    assert uep.build_constraints(P).n < uep._pinned_face(P).shape[1] == 11
 
 
 def _spy_exposing_face(monkeypatch) -> list:
@@ -624,10 +627,15 @@ def test_empty_slice_matches_projection_residual(monkeypatch):
     *[pytest.param(random_hermitian(make_rng(2000 + j), 3), id=f"hermitian-{2000 + j}")
       for j in range(2)],
 ])
-def test_exposing_face_none_on_minimal_faces(g):
+def test_exposing_face_none_on_minimal_faces(g, monkeypatch):
     """A single Hermitian generator with three eigenvalues is pinned on its
-    minimal face, which has no exposing vector."""
-    assert uep._exposing_face(uep.build_constraints(uep.UepProblem(d=3, G=gen(3, g)))) is None
+    minimal face, which has no exposing vector: build_constraints asks
+    _exposing_face once and returns the sampled face as it is."""
+    P = uep.UepProblem(d=3, G=gen(3, g))
+    seen = _spy_exposing_face(monkeypatch)
+    built = uep.build_constraints(P)
+    assert len(seen) == 1 and seen[0] is built
+    assert built.n == uep._pinned_face(P).shape[1]
 
 
 def test_exposing_step_keeps_the_x_search():
