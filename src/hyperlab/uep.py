@@ -428,41 +428,41 @@ def _exposing_face(cs: ConstraintSystem):
 
 
 # ----------------------------------------------------------------------------
-# Facial rounding: exact feasibility restoration on a low-rank face
+# Facial rounding: exact feasibility restoration on the reduced face
 # ----------------------------------------------------------------------------
 
-# The feasible spectrahedron typically sits on a proper face of the PSD cone
-# (the pinned problems have no Slater point), which makes plain alternating
-# projections crawl sublinearly near the solution.  Rounding instead guesses
-# the face U M U* from the eigenvalues of the ascent iterate, restores the
-# affine constraints exactly inside the face (a small least-squares problem
-# in the r x r Hermitian coordinates M), and certifies PSD by the
-# eigenvalues of M.  Only certified points are ever accepted.
+# build_constraints has already reduced the face, so rounding needs no face
+# guess of its own: it restores the affine constraints of the system itself
+# and certifies PSD by the eigenvalues of the restored face matrix.  Rows that
+# the restore leaves slightly indefinite get a Dykstra projection onto
+# (PSD intersect affine).  Only certified points are ever accepted.
 
-FACE_TAU = 0.02
 DYKSTRA_MAX_ITER = 200
 
 
-def _face_dykstra(F: np.ndarray, P: np.ndarray, b: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Batched Dykstra on (PSD_r intersect affine) in r x r face matrices;
-    returns the affine-exact points.  Item i alternates the PSD clip with
-    _affine_project(F[i], P[i], b, .); each item stops on its own gap test,
-    so it runs the iterates of a solo run."""
+def _face_dykstra(cs: ConstraintSystem, M: np.ndarray) -> np.ndarray:
+    """Batched Dykstra on (PSD intersect affine) in n x n face matrices of
+    cs; returns the affine-exact points.  Every item alternates the PSD clip
+    with cs's affine projection and stops on its own gap test, so it runs
+    the iterates of a solo run."""
     out, live = np.empty_like(M), np.arange(len(M))
-    F, P = _flat(F), _flat(P)  # real views, taken once and sliced with the batch
+    F, P = _flat(cs.F), _flat(cs.P)  # real views, taken once
     x, p, q = M, np.zeros_like(M), np.zeros_like(M)
     for _ in range(DYKSTRA_MAX_ITER):
         t = x + p
         y = _psd_clip(t)
         p = t - y
         z = y + q
-        x = _affine_project(F, P, b, z)
+        # One product per item (stride-0 stacks): a shared product would round
+        # an item's terms differently with the batch size.
+        k = (len(live),)
+        x = _affine_project(np.broadcast_to(F, k + F.shape), np.broadcast_to(P, k + P.shape), cs.b, z)
         q = z - x
         done = np.linalg.norm((y - x).reshape(len(live), -1), axis=1) <= DYKSTRA_TOL
         if done.any():
             out[live[done]] = x[done]
             keep = ~done
-            live, x, p, q, F, P = live[keep], x[keep], p[keep], q[keep], F[keep], P[keep]
+            live, x, p, q = live[keep], x[keep], p[keep], q[keep]
             if not len(live):
                 return out
     out[live] = x
@@ -471,44 +471,29 @@ def _face_dykstra(F: np.ndarray, P: np.ndarray, b: np.ndarray, M: np.ndarray) ->
 
 def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
     """Certified feasible points near the face matrices X: (row, point)
-    pairs, in increasing rank per row.
+    pairs in row order.
 
-    Each row tries the sub-faces U_r of its top r eigenvectors for r in
-    {g, g + 1, n}: g eigenvalues exceed FACE_TAU times the largest, and n is
-    the face size.  Each rank restores U_r* F U_r exactly in one batched pass
-    with one _face_dykstra call; only points passing the affine and PSD
-    checks are kept."""
-    n = cs.n
-    w, U = np.linalg.eigh(X)
-    wmax = np.maximum(w[:, -1], 1e-30)
+    Each row is restored onto the affine constraints of cs.  A restored row
+    whose smallest eigenvalue lies in the rescue band [-0.05 lmax, -FEAS_TOL)
+    goes through one batched _face_dykstra call.  The band only saves time:
+    rows further from the PSD cone would cost a long Dykstra run each, so
+    they stay uncertified, and the ascent offers them again at its next
+    checkpoint.  Only points passing the affine and PSD checks are kept."""
     b_scale = 1.0 + float(np.linalg.norm(cs.b))
-    guess = np.sum(w > FACE_TAU * wmax[:, None], axis=-1)
-    found = []  # (row, point), rank by rank
-    # g + 1: profiles under-count some faces (dropping it changed 4 of 12 violation-search solves).
-    # n: the only certifying try in test_wide_face_search_finds_violation (a 9.66 violation).
-    for r in range(1, n + 1):
-        rows = np.flatnonzero((guess == r) | (guess + 1 == r) | (r == n))
-        if not len(rows):
-            continue
-        Ur = U[rows, :, n - r:]
-        UrH = Ur.conj().swapaxes(-1, -2)
-        F = UrH[:, None] @ cs.F @ Ur[:, None]
-        P = _pinv_mats(F)
-        mm = _affine_project(F, P, cs.b, UrH @ X[rows] @ Ur)
-        wr = np.linalg.eigvalsh(mm)[:, 0]
-        aff = np.linalg.norm(_tr(F, mm) - cs.b, axis=-1)
-        # Rows too infeasible to rescue are not worth a Dykstra run, and
-        # neither are rows off the affine set: every affine projection keeps
-        # the least-squares residual of mm, so no Dykstra run repairs them.
-        rescue = wr >= -0.05 * wmax[rows]
-        dyk = np.flatnonzero(rescue & (aff <= FEAS_TOL * b_scale) & (wr < -FEAS_TOL))
-        if len(dyk):
-            mm[dyk] = _face_dykstra(F[dyk], P[dyk], cs.b, mm[dyk])
-            wr[dyk] = np.linalg.eigvalsh(mm[dyk])[:, 0]
-            aff[dyk] = np.linalg.norm(_tr(F[dyk], mm[dyk]) - cs.b, axis=-1)
-        ok = rescue & (aff <= FEAS_TOL * b_scale) & (wr >= -FEAS_TOL)
-        found += zip(rows[ok].tolist(), Ur[ok] @ mm[ok] @ UrH[ok])
-    return sorted(found, key=lambda rz: rz[0])  # stable: ranks stay increasing
+    M = _affine_project(cs.F, cs.P, cs.b, X)
+    w = np.linalg.eigvalsh(M)
+    wmin = w[:, 0]
+    aff = np.linalg.norm(_tr(cs.F, M) - cs.b, axis=-1)
+    rescue = wmin >= -0.05 * np.maximum(w[:, -1], 1e-30)
+    # Rows off the affine set are not worth a Dykstra run: every affine
+    # projection keeps the least-squares residual of M, so no run repairs them.
+    dyk = np.flatnonzero(rescue & (aff <= FEAS_TOL * b_scale) & (wmin < -FEAS_TOL))
+    if len(dyk):
+        M[dyk] = _face_dykstra(cs, M[dyk])
+        wmin[dyk] = np.linalg.eigvalsh(M[dyk])[:, 0]
+        aff[dyk] = np.linalg.norm(_tr(cs.F, M[dyk]) - cs.b, axis=-1)
+    ok = np.flatnonzero(rescue & (aff <= FEAS_TOL * b_scale) & (wmin >= -FEAS_TOL))
+    return list(zip(ok.tolist(), M[ok]))
 
 
 # ----------------------------------------------------------------------------

@@ -224,45 +224,30 @@ def _face_dykstra_reference(RT, pin, b, m, r):
 
 
 def _face_polish_reference(cs, x, stats):
-    """One row's rounding in hermvec coordinates; returns [(rank, point)].
-
-    Unlike _face_polish (one threshold, 0.02, and a 1e-12 cutoff), it reads
-    face ranks at the thresholds 0.5, 0.1 and 0.02 and restores with a
-    1e-10 pseudo-inverse cutoff: the ranks read at 0.5 and 0.1 certify no
-    further point, and the two cutoffs give the same points."""
+    """One row's rounding in hermvec coordinates: the certified point, or
+    None.  It restores with a 1e-10 pseudo-inverse cutoff where the system's
+    P uses 1e-12; the two cutoffs give the same points."""
     n = cs.n
-    M = uep.unhermvec(x, n)
-    w, U = np.linalg.eigh(M)
-    wmax = max(float(w[-1]), 1e-30)
+    RT = uep.hermvec(cs.F)
+    pin = np.linalg.pinv(RT, rcond=1e-10)
     b_scale = 1.0 + float(np.linalg.norm(cs.b))
-    guesses = {int(np.sum(w > tau * wmax)) for tau in (0.5, 0.1, 0.02)}
-    guesses |= {r + 1 for r in guesses} | {n}
-    out = []
-    for r in sorted(guesses):
-        if r == 0 or r > n:
-            continue
-        Ur = U[:, n - r:]
-        RT = uep.hermvec(Ur.conj().T @ (cs.F @ Ur))
-        m0 = uep.hermvec(Ur.conj().T @ M @ Ur)
-        pin = np.linalg.pinv(RT, rcond=1e-10)
-        mm = m0 - pin @ (RT @ m0 - cs.b)
-        wr = np.linalg.eigvalsh(uep.unhermvec(mm, r))
-        if wr[0] < -0.05 * wmax:
-            continue
-        if wr[0] < -uep.FEAS_TOL:
-            mm = _face_dykstra_reference(RT, pin, cs.b, mm, r)
-            stats["dykstra"] += 1
-            wr = np.linalg.eigvalsh(uep.unhermvec(mm, r))
-        aff = float(np.linalg.norm(RT @ mm - cs.b))
-        if aff <= uep.FEAS_TOL * b_scale and wr[0] >= -uep.FEAS_TOL:
-            out.append((r, uep.hermvec(Ur @ uep.unhermvec(mm, r) @ Ur.conj().T)))
-    return out
+    mm = x - pin @ (RT @ x - cs.b)
+    w = np.linalg.eigvalsh(uep.unhermvec(mm, n))
+    if w[0] < -0.05 * max(float(w[-1]), 1e-30):
+        return None
+    if w[0] < -uep.FEAS_TOL:
+        mm = _face_dykstra_reference(RT, pin, cs.b, mm, n)
+        stats["dykstra"] += 1
+        w = np.linalg.eigvalsh(uep.unhermvec(mm, n))
+    aff = float(np.linalg.norm(RT @ mm - cs.b))
+    return mm if aff <= uep.FEAS_TOL * b_scale and w[0] >= -uep.FEAS_TOL else None
 
 
-def _ascent_iterates(d=3, tasks=4, checkpoints=4):
-    """Face matrices of a short projected-gradient ascent on {X}, one block
-    of tasks per rounding checkpoint, stepped as _linear_max_batch steps them."""
-    X = np.diag(np.arange(d, dtype=float)).astype(complex)
+def _ascent_iterates(X=x_diag(), tasks=4, checkpoints=4):
+    """Face matrices of a short projected-gradient ascent on {X} with probe
+    X^2, one block of tasks per rounding checkpoint, stepped as
+    _linear_max_batch steps them."""
+    d = len(X)
     cs = uep.build_constraints(uep.UepProblem(d=d, G=gen(d, X)))
     rng = make_rng(77)
     F = cs.face.conj().T @ cpmaps.choi_functional(
@@ -279,53 +264,61 @@ def _ascent_iterates(d=3, tasks=4, checkpoints=4):
 
 
 def test_face_polish_matches_per_row_reference():
-    """One batched call certifies the same (row, rank) candidates, in the
-    same order, as rounding each row alone in hermvec coordinates."""
+    """One batched call certifies the same rows, in the same order and with
+    the same points, as rounding each row alone in hermvec coordinates."""
     cs, X = _ascent_iterates()
     stats = {"dykstra": 0}
-    ref = [(k, r, z) for k in range(len(X))
-           for r, z in _face_polish_reference(cs, uep.hermvec(X[k]), stats)]
+    ref = [(k, z) for k in range(len(X))
+           if (z := _face_polish_reference(cs, uep.hermvec(X[k]), stats)) is not None]
     got = uep._face_polish(cs, X)
     assert stats["dykstra"] > 0 and ref  # the Dykstra and the direct path both ran
-    assert [k for k, _ in got] == [k for k, _, _ in ref]
-    for (_, z), (k, r, zr) in zip(got, ref):
-        assert np.allclose(z, uep.unhermvec(zr, cs.n), rtol=0, atol=1e-10), (k, r)
+    assert [k for k, _ in got] == [k for k, _ in ref]
+    for (_, z), (k, zr) in zip(got, ref):
+        assert np.allclose(z, uep.unhermvec(zr, cs.n), rtol=0, atol=1e-10), k
+
+
+def test_face_polish_keeps_feasible_rows(monkeypatch):
+    """Rows that are already feasible (the identity map's face matrix) come
+    back as they are, with no Dykstra run."""
+    cs = uep.build_constraints(uep.UepProblem(d=3, G=gen(3, x_diag())))
+    calls = []
+    dykstra = uep._face_dykstra
+    monkeypatch.setattr(uep, "_face_dykstra", lambda *a: calls.append(a) or dykstra(*a))
+    got = uep._face_polish(cs, np.array([cs.x_identity] * 3))
+    assert not calls
+    assert [k for k, _ in got] == [0, 1, 2]
+    for _, z in got:
+        assert np.allclose(z, cs.x_identity, rtol=0, atol=1e-12)
 
 
 def test_face_dykstra_batch_equals_solo(monkeypatch):
-    """A batch mixing an item that converges early with one that runs out
-    of iterations gives each item its solo result."""
-    r = 3
-    rng = make_rng(78)
-    extra = [random_hermitian(rng, r) for _ in range(2)]
-    target = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    b = uep.hermvec(np.array([np.eye(r)] + extra)) @ uep.hermvec(target)
-    # Item 0 pins tr(M) = 1 and meets the PSD cone inside; item 1 reads the
-    # same b through -I, i.e. tr(M) = -1, and misses the cone.
-    items = []
-    for sign in (1.0, -1.0):
-        RT = uep.hermvec(np.array([sign * np.eye(r)] + extra))
-        items.append((uep.unhermvec(RT, r), uep.unhermvec(np.linalg.pinv(RT, rcond=1e-10).T, r)))
-    start = target + np.diag([0.5, -0.2, -0.3]).astype(complex)  # not PSD
+    """On one shared system, a batch mixing an item that converges early
+    with one that runs out of iterations gives each item its solo result.
+    The iterates of this random Hermitian generator (a violation-search
+    shape) include both kinds."""
+    cs, X = _ascent_iterates(random_hermitian(make_rng(2000), 3))
+    M = cs.proj_affine(X)
+    w = np.linalg.eigvalsh(M)
+    # The rows that _face_polish hands to Dykstra.
+    rows = np.flatnonzero((w[:, 0] < -uep.FEAS_TOL) & (w[:, 0] >= -0.05 * w[:, -1]))
     sizes = []
     clip = uep._psd_clip
-    monkeypatch.setattr(uep, "_psd_clip", lambda M: sizes.append(len(M)) or clip(M))
+    monkeypatch.setattr(uep, "_psd_clip", lambda Z: sizes.append(len(Z)) or clip(Z))
 
     def run(idx):
         sizes.clear()
-        out = uep._face_dykstra(np.array([items[i][0] for i in idx]),
-                                np.array([items[i][1] for i in idx]),
-                                b, np.array([start] * len(idx)))
+        out = uep._face_dykstra(cs, M[idx])
         return out, list(sizes)
 
-    (early,), early_sizes = run([0])
-    (capped,), capped_sizes = run([1])
-    both, both_sizes = run([0, 1])
-    n_early = len(early_sizes)
-    assert n_early < uep.DYKSTRA_MAX_ITER == len(capped_sizes)
+    solo = {k: run([k]) for k in rows}
+    early = next(k for k in rows if len(solo[k][1]) < uep.DYKSTRA_MAX_ITER)
+    capped = next(k for k in rows if len(solo[k][1]) == uep.DYKSTRA_MAX_ITER)
+    both, both_sizes = run([early, capped])
+    n_early = len(solo[early][1])
     assert both_sizes == [2] * n_early + [1] * (uep.DYKSTRA_MAX_ITER - n_early)
-    assert np.array_equal(both[0], early) and np.array_equal(both[1], capped)
-    assert np.linalg.eigvalsh(early)[0] >= -uep.FEAS_TOL
+    assert np.array_equal(both[0], solo[early][0][0])
+    assert np.array_equal(both[1], solo[capped][0][0])
+    assert np.linalg.eigvalsh(both[0])[0] >= -uep.FEAS_TOL
 
 
 def test_solve_x_only_finds_violation():
@@ -423,8 +416,8 @@ def test_self_adjoint_three_eigenvalues_violates():
 
 def test_wide_face_search_finds_violation():
     """A single Hermitian generator at d = 6 has a pinned face of dimension
-    26; rounding also tries the full face, which certifies the violation
-    here, so it is found rather than reported as unique."""
+    26; rounding on that whole face certifies the violation, so it is found
+    rather than reported as unique."""
     H = random_hermitian(make_rng(106), 6)
     P = uep.UepProblem(d=6, G=gen(6, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=2000)
     assert uep.build_constraints(P).n > 12
@@ -643,8 +636,8 @@ def test_exposing_step_keeps_the_x_search():
     existed: same iterations and certificate deviation at solver seed 7."""
     rep = uep.solve(uep.UepProblem(d=3, G=gen(3, x_diag()), seed=7))
     assert rep.status == "ViolationFound"
-    assert rep.iterations == 925
-    assert rep.certificate.deviation == 1.2247448713380307
+    assert rep.iterations == 1075
+    assert rep.certificate.deviation == 1.2247448713918545
     assert rep.face_dim == 5
 
 
