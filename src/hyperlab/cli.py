@@ -34,9 +34,13 @@ _KINDS = {int: "an integer", float: "a number", list: "a list", dict: "an object
 def _field(value, kind, name: str):
     """The config field ``name`` as a ``kind``: numbers are converted, and a
     list, object or string must be one already; InvalidInput naming the
-    field otherwise (say, a JSON list where a number belongs)."""
+    field otherwise (say, a JSON list where a number belongs).  An integer
+    field takes no boolean and no number with a fractional part, which
+    int() would truncate."""
+    inexact = kind is int and (isinstance(value, bool)
+                               or isinstance(value, float) and not value.is_integer())
     try:
-        if kind in (int, float) or isinstance(value, kind):
+        if not inexact and (kind in (int, float) or isinstance(value, kind)):
             return kind(value)
     except (TypeError, ValueError):
         pass

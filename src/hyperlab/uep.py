@@ -25,10 +25,10 @@ answer and is skipped.  The sampled face of _pinned_face can miss the
 minimal one, so build_constraints reduces it once, before any search:
 each exposing vector found by _exposing_face shrinks the face, until no
 exposing vector turns up.  Each remaining linear maximization
-runs projected gradient ascent with facial-rounding polish onto (PSD
-intersect affine); deviations are only ever reported at certified
-feasible points, so "Unique-evidence" cannot be an artifact of
-infeasibility drift.
+runs projected gradient ascent until its raw objective stalls, and then
+rounds its final iterate once onto (PSD intersect affine); deviations are
+only ever reported at certified feasible points, so "Unique-evidence"
+cannot be an artifact of infeasibility drift.
 
 Every solver point is an n x n Hermitian face matrix M (the Choi matrix is
 U M U* for the face isometry U); hermvec coordinates appear only in
@@ -401,14 +401,15 @@ def _exposing_face(cs: ConstraintSystem):
     below 1e-6 times the largest eigenvalue, as for range vectors in
     _pinned_face).  As tr(F_j x_identity) = b_j, that affine slice of
     span_R{F_j} is empty exactly when (tr F_j)_j and b are parallel; one
-    2 x m SVD decides this first, and an empty slice proves that no
-    exposing vector exists.  Otherwise alternating projections between the
-    PSD cone and the slice start from the slice point nearest I/n.  None
-    means an empty slice, or a stall, which proves nothing.
+    2 x m SVD decides this first (a single functional, as at d = 1, is
+    parallel to b), and an empty slice proves that no exposing vector
+    exists.  Otherwise alternating projections between the PSD cone and the
+    slice start from the slice point nearest I/n.  None means an empty
+    slice, or a stall, which proves nothing.
     """
     n = cs.n
     sv = np.linalg.svd([np.real(np.einsum("jii->j", cs.F)), cs.b], compute_uv=False)
-    if sv[1] <= 1e-9 * sv[0]:
+    if len(sv) < 2 or sv[1] <= 1e-9 * sv[0]:
         return None
     # tr Y and tr(Y x_identity) on span_R{F_j}, onto which Z - _affine_project(F, P, 0, Z) projects.
     T = np.array([np.eye(n, dtype=complex), cs.x_identity])
@@ -434,8 +435,9 @@ def _exposing_face(cs: ConstraintSystem):
 # build_constraints has already reduced the face, so rounding needs no face
 # guess of its own: it restores the affine constraints of the system itself
 # and certifies PSD by the eigenvalues of the restored face matrix.  Rows that
-# the restore leaves slightly indefinite get a Dykstra projection onto
-# (PSD intersect affine).  Only certified points are ever accepted.
+# the restore leaves indefinite get a Dykstra projection onto (PSD intersect
+# affine).  Rounding runs once per ascent, on its final iterates, and only
+# certified points are ever accepted.
 
 DYKSTRA_MAX_ITER = 200
 
@@ -473,26 +475,22 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
     """Certified feasible points near the face matrices X: (row, point)
     pairs in row order.
 
-    Each row is restored onto the affine constraints of cs.  A restored row
-    whose smallest eigenvalue lies in the rescue band [-0.05 lmax, -FEAS_TOL)
-    goes through one batched _face_dykstra call.  The band only saves time:
-    rows further from the PSD cone would cost a long Dykstra run each, so
-    they stay uncertified, and the ascent offers them again at its next
-    checkpoint.  Only points passing the affine and PSD checks are kept."""
+    Each row is restored onto the affine constraints of cs.  Every restored
+    row that is affine-exact but has an eigenvalue below -FEAS_TOL goes
+    through one batched _face_dykstra call.  Only points passing the affine
+    and PSD checks are kept."""
     b_scale = 1.0 + float(np.linalg.norm(cs.b))
     M = _affine_project(cs.F, cs.P, cs.b, X)
-    w = np.linalg.eigvalsh(M)
-    wmin = w[:, 0]
-    aff = np.linalg.norm(_tr(cs.F, M) - cs.b, axis=-1)
-    rescue = wmin >= -0.05 * np.maximum(w[:, -1], 1e-30)
+    wmin = np.linalg.eigvalsh(M)[:, 0]
+    aff = cs.affine_residual(M)
     # Rows off the affine set are not worth a Dykstra run: every affine
     # projection keeps the least-squares residual of M, so no run repairs them.
-    dyk = np.flatnonzero(rescue & (aff <= FEAS_TOL * b_scale) & (wmin < -FEAS_TOL))
+    dyk = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin < -FEAS_TOL))
     if len(dyk):
         M[dyk] = _face_dykstra(cs, M[dyk])
         wmin[dyk] = np.linalg.eigvalsh(M[dyk])[:, 0]
-        aff[dyk] = np.linalg.norm(_tr(cs.F, M[dyk]) - cs.b, axis=-1)
-    ok = np.flatnonzero(rescue & (aff <= FEAS_TOL * b_scale) & (wmin >= -FEAS_TOL))
+        aff[dyk] = cs.affine_residual(M[dyk])
+    ok = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin >= -FEAS_TOL))
     return list(zip(ok.tolist(), M[ok]))
 
 
@@ -500,39 +498,38 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
 # Linear maximization over the spectrahedron (batched over witnesses)
 # ----------------------------------------------------------------------------
 
-# Ascent steps between facial-rounding checkpoints, and the number of
-# checkpoints in a row without progress after which a task has stalled.
-POLISH_EVERY = 25
+# Ascent steps between stall checks, and the number of checks in a row
+# without a raw gain after which a task has stalled.
+CHECK_EVERY = 25
 STALL_BREAK = 8
 
 
 def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
     """Maximize each linear functional tr(G_k M) over {affine, PSD}.
 
-    Projected gradient ascent (step, PSD clip, affine projection) with a
-    facial-rounding harvest at every checkpoint: the raw trajectory keeps
-    running, while one _face_polish call turns the current iterates of all
-    tasks whose raw objective beats their certified best into certified
-    feasible candidates, and "best" only ever moves to one of those.  Tasks
-    that stop improving get their step halved (refinement) and the batch
-    stops once every task has stalled STALL_BREAK checkpoints in a row.
-    Returns (best points, best objectives, iterations, stalled); stalled is
-    False when max_iter ran out first.
+    Projected gradient ascent (step, PSD clip, affine projection), then one
+    facial rounding of all K final iterates by a single _face_polish call.
+    Every CHECK_EVERY steps each task's raw objective is compared with its
+    best so far; a task that stops gaining gets its step halved
+    (refinement), and the ascent stops once every task has gone STALL_BREAK
+    checks in a row without a gain.  A task's best point is its certified
+    point when that beats tr(G_k x_identity) by 1e-10, and x_identity
+    otherwise.  Returns (best points, best objectives, iterations, stalled);
+    stalled is False when max_iter ran out first.
     """
     K = len(G)
     X = np.tile(cs.x_identity, (K, 1, 1))
     gnorm = np.linalg.norm(G.reshape(K, -1), axis=1)
     # Step ~ a modest fraction of the spectrahedron diameter per move.
     step = 0.1 * cs.d / np.maximum(gnorm, 1e-30)
-    # The floor binds 116 times per violation-search pass (--seed 1), so it shapes the ascent.
+    # The floor binds 61 times per violation-search pass (--seed 1), so it shapes the ascent.
     min_step = 1e-4 * cs.d / np.maximum(gnorm, 1e-30)
     best_obj = _tr(G, cs.x_identity)
-    best_X = X.copy()
     prev_raw = best_obj.copy()
     stall = np.zeros(K, dtype=int)
-    it = 0
-    while it < max_iter:
-        inner = min(POLISH_EVERY, max_iter - it)
+    it, stalled = 0, False
+    while it < max_iter and not stalled:
+        inner = min(CHECK_EVERY, max_iter - it)
         for _ in range(inner):
             X = X + step[:, None, None] * G
             X = cs.proj_psd(X)
@@ -541,24 +538,17 @@ def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
         raw_obj = _tr(G[:, None], X)[:, 0]
         raw_gain = raw_obj > prev_raw + 1e-8 * (1.0 + np.abs(prev_raw))
         prev_raw = np.maximum(prev_raw, raw_obj)
-        improved = np.zeros(K, dtype=bool)
-        # The raw objective bounds what rounding can certify here.
-        cand = np.flatnonzero(raw_obj > best_obj + 1e-10)
-        for j, z in (_face_polish(cs, X[cand]) if len(cand) else ()):
-            k = cand[j]
-            obj = float(_tr(G[k], z))
-            if obj > best_obj[k] + 1e-10:
-                best_obj[k] = obj
-                best_X[k] = z
-                improved[k] = True
-        # A task only stalls once neither the certified best nor the raw
-        # trajectory is moving; step halving is reserved for that phase.
-        stall = np.where(improved | raw_gain, 0, stall + 1)
+        stall = np.where(raw_gain, 0, stall + 1)
         shrink = stall >= 2
         step[shrink] = np.maximum(step[shrink] * 0.5, min_step[shrink])
-        if np.all(stall >= STALL_BREAK):
-            return best_X, best_obj, it, True
-    return best_X, best_obj, it, False
+        stalled = bool(np.all(stall >= STALL_BREAK))
+    best_X = np.tile(cs.x_identity, (K, 1, 1))
+    for k, z in _face_polish(cs, X):
+        obj = float(_tr(G[k], z))
+        if obj > best_obj[k] + 1e-10:
+            best_obj[k] = obj
+            best_X[k] = z
+    return best_X, best_obj, it, stalled
 
 
 # ----------------------------------------------------------------------------
@@ -604,6 +594,8 @@ def solve(P: UepProblem) -> UepReport:
         resid = alg.projection_residual(a)
         in_alg = resid <= MEMBERSHIP_RTOL * (1.0 + linalg.frob_norm(a))
         info.append((idx, resid, in_alg))
+    if not any(in_alg for _, _, in_alg in info):
+        raise InvalidInput("no probe lies in C*(G), so no UEP question is asked")
 
     rng = make_rng(P.seed)
     n_w = int(P.n_witnesses)
@@ -668,7 +660,7 @@ def solve(P: UepProblem) -> UepReport:
         if not adaptive:
             break
         run_tasks(adaptive)
-        gain = float(np.max(best_dev - prev)) if len(best_dev) else 0.0
+        gain = float(np.max(best_dev - prev))
         if gain <= max(P.tol, 0.02 * float(np.max(best_dev))):
             break
 
@@ -678,10 +670,10 @@ def solve(P: UepProblem) -> UepReport:
         for idx, resid, in_alg in info
     ]
     on_alg = [p for p in deviations if p.in_algebra]
-    max_dev = max((p.deviation for p in on_alg), default=0.0)
+    max_dev = max(p.deviation for p in on_alg)
 
     if max_dev <= P.tol:
-        worst_idx = on_alg[0].index if on_alg else 0
+        worst_idx = on_alg[0].index
     else:
         worst_idx = max(on_alg, key=lambda p: p.deviation).index
     x_final = best_x.get(worst_idx, cs.x_identity)

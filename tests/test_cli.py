@@ -106,6 +106,8 @@ def test_missing_config_exits_2(capsys):
     ({"probes": []}, [], "probe list is empty"),
     ({}, ["--max-iter", "0"], "max_iter"),
     ({}, ["--tol", "nan"], "tol"),
+    ({"probes": [[[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]]},
+     [], "no probe lies in C*(G)"),
 ])
 def test_uep_search_bad_input_exits_2(tmp_path, capsys, extra, argv, message):
     cfg = write(tmp_path, "x.json", {"d": 3, "generators": [diag3(0, 1, 2)], **extra})
@@ -164,6 +166,9 @@ _SHIFT = {"let": "S", "expr": "shift()"}
     ("toeplitz", [{"let": "A", "tail": {"1,2,3": 1}}], "'tail' keys must be \"i,j\""),
     ("toeplitz", [{"let": "A", "tail": {"a,b": 1}}], "'tail' keys must be \"i,j\""),
     ("toeplitz", [{"let": "A", "symbol": {"x": 1}}], "'symbol' keys must be an integer degree"),
+    ("uep-search", {"d": 3.7, "generators": [diag3(0, 1, 2)]}, "'d'"),
+    ("uep-search", {"d": True, "generators": [diag3(0, 1, 2)]}, "'d'"),
+    ("korovkin", {"kind": "bernstein", "n_max": 4.9, "G": [{"poly": [0, 1]}]}, "'n_max'"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg, message):
     p = write(tmp_path, "bad.json", cfg)
