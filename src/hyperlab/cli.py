@@ -32,18 +32,18 @@ _KINDS = {int: "an integer", float: "a number", list: "a list", dict: "an object
 
 
 def _field(value, kind, name: str):
-    """The config field ``name`` as a ``kind``: numbers are converted, and a
-    list, object or string must be one already; InvalidInput naming the
-    field otherwise (say, a JSON list where a number belongs).  An integer
-    field takes no boolean and no number with a fractional part, which
-    int() would truncate."""
-    inexact = kind is int and (isinstance(value, bool)
-                               or isinstance(value, float) and not value.is_integer())
-    try:
-        if not inexact and (kind in (int, float) or isinstance(value, kind)):
-            return kind(value)
-    except (TypeError, ValueError):
-        pass
+    """The config field ``name`` as a ``kind``; InvalidInput naming the field
+    otherwise (say, a JSON list or string where a number belongs).  A number
+    field takes JSON numbers only, never a string or a boolean, and an
+    integer field takes no number with a fractional part, which int() would
+    truncate."""
+    if kind in (int, float):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    else:
+        ok = isinstance(value, kind)
+    if ok:
+        return kind(value)
     raise InvalidInput(f"config field {name!r} must be {_KINDS[kind]}, got {value!r}")
 
 
@@ -137,15 +137,26 @@ def _toeplitz_key(key: str, field: str, count: int, form: str) -> tuple:
     raise InvalidInput(f"config field {field!r} keys must be {form}, got {key!r}")
 
 
+def _toeplitz_map(entry, field: str, count: int, form: str) -> dict:
+    """A binding's ``symbol`` or ``tail`` map (empty when absent) keyed by
+    ``_toeplitz_key``; InvalidInput naming the field when two keys name the
+    same entry (say, "1" and "01")."""
+    raw = _field(entry.get(field, {}), dict, field)
+    out = {_toeplitz_key(k, field, count, form): v for k, v in raw.items()}
+    if len(out) < len(raw):
+        raise InvalidInput(f"config field {field!r} has two keys for the same entry")
+    return out
+
+
 def _parse_toeplitz_binding(entry, env):
-    if "symbol" in entry:
-        symbol = _field(entry["symbol"], dict, "symbol")
-        return toeplitz.from_symbol({_toeplitz_key(k, "symbol", 1, "an integer degree")[0]: v
-                                     for k, v in symbol.items()})
-    if "tail" in entry:
-        tail = {_toeplitz_key(k, "tail", 2, '"i,j" with integers i and j'): v
-                for k, v in _field(entry["tail"], dict, "tail").items()}
-        return toeplitz.from_tail(tail)
+    """T(symbol) + tail from the ``symbol`` and ``tail`` maps (the shape
+    ``to_json`` writes; either may be absent), or the value of ``expr``."""
+    if "symbol" in entry or "tail" in entry:
+        if "expr" in entry:
+            raise InvalidInput("config field 'expr' cannot be given with 'symbol' or 'tail'")
+        symbol = _toeplitz_map(entry, "symbol", 1, "an integer degree")
+        tail = _toeplitz_map(entry, "tail", 2, '"i,j" with integers i and j')
+        return toeplitz.ToeplitzElement({k: v for (k,), v in symbol.items()}, tail)
     if "expr" in entry:
         return _eval_toeplitz(ast.parse(_field(entry["expr"], str, "expr"), mode="eval"), env)
     raise InvalidInput("toeplitz binding needs one of: symbol, tail, expr")

@@ -2,8 +2,10 @@
 
 An element is T(p) + t where p is a Laurent polynomial over Gaussian
 rationals (T(p)_{ij} = p_{i-j} for i, j >= 0) and t a finitely supported
-matrix.  The algebra is closed under products because the semicommutator
-of two Laurent-polynomial Toeplitz operators is finitely supported:
+matrix.  Both are stored the same way, as sparse maps to nonzero Gaussian
+rationals: the symbol maps a degree k to p_k, the tail maps (i, j) to t_ij.
+The algebra is closed under products because the semicommutator of two
+Laurent-polynomial Toeplitz operators is finitely supported:
 
     (T(p) T(q))_{ij} - T(p q)_{ij} = - sum_{k < 0} p_{i-k} q_{k-j},
 
@@ -25,7 +27,7 @@ from .errors import InvalidInput, NotIsometry
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -42,15 +44,8 @@ class GQ:
     re: Fraction
     im: Fraction
 
-    @staticmethod
-    def make(re=0, im=0) -> "GQ":
-        return GQ(_frac(re), _frac(im))
-
     def __add__(self, other: "GQ") -> "GQ":
         return GQ(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GQ") -> "GQ":
-        return GQ(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GQ":
         return GQ(-self.re, -self.im)
@@ -74,103 +69,59 @@ class GQ:
         return [str(self.re), str(self.im)]
 
 
-GQ_ZERO = GQ.make(0)
-GQ_ONE = GQ.make(1)
-
-
 def _coeff(x) -> GQ:
+    """A GQ, a rational (int, Fraction or "p/q") or an [re, im] pair of them."""
     if isinstance(x, GQ):
         return x
-    if isinstance(x, (int, Fraction, str)):
-        return GQ.make(x)
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return GQ.make(x[0], x[1])
+        return GQ(_frac(x[0]), _frac(x[1]))
+    if isinstance(x, (int, Fraction, str)):
+        return GQ(_frac(x), Fraction(0))
     raise InvalidInput(f"cannot interpret {x!r} as a Gaussian rational")
 
 
-class LaurentPoly:
-    """Finitely supported map degree -> Gaussian rational, zero-pruned."""
+GQ_ONE = _coeff(1)
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        pruned = {}
-        for k, c in (coeffs or {}).items():
-            c = _coeff(c)
-            if c:
-                pruned[int(k)] = c
-        self.coeffs = pruned
+def _sparse(pairs) -> dict:
+    """The map key -> sum of the coefficients given for that key, zeros dropped.
 
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: GQ_ONE})
-
-    @staticmethod
-    def monomial(degree: int, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({degree: _coeff(coeff)})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: GQ_ONE}
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, GQ_ZERO) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self.coeffs.items()})
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, GQ_ZERO) + c1 * c2
-        return LaurentPoly(out)
-
-    def scale(self, c) -> "LaurentPoly":
+    A key's first coefficient is stored as it is: adding it to zero would
+    cost two Fraction additions per entry.
+    """
+    out: dict = {}
+    for k, c in pairs:
         c = _coeff(c)
-        return LaurentPoly({k: c * v for k, v in self.coeffs.items()})
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
 
-    def adjoint(self) -> "LaurentPoly":
-        """(p*)_k = conj(p_{-k})."""
-        return LaurentPoly({-k: c.conj() for k, c in self.coeffs.items()})
 
-    def to_json(self) -> dict:
-        return {str(k): self.coeffs[k].as_strings() for k in sorted(self.coeffs)}
+def _conv(p: dict, q: dict) -> dict:
+    """The product of two Laurent polynomials: (pq)_k = sum_{i+j=k} p_i q_j."""
+    return _sparse((dp + dq, cp * cq) for dp, cp in p.items() for dq, cq in q.items())
+
+
+def _quarter(i, j) -> tuple:
+    i, j = int(i), int(j)
+    if i < 0 or j < 0:
+        raise InvalidInput(f"tail index ({i},{j}) outside the quarter plane")
+    return i, j
 
 
 class ToeplitzElement:
-    """T(symbol) + tail acting on l2(N); tail is a sparse exact matrix."""
+    """T(symbol) + tail acting on l2(N).
+
+    ``symbol`` maps degrees to coefficients and ``tail`` maps (i, j) with
+    i, j >= 0 to coefficients.  The constructor coerces the coefficients
+    (see ``_coeff``) and drops the zeros; ``N`` is the tail's corner size.
+    """
 
     __slots__ = ("symbol", "tail", "N")
 
-    def __init__(self, symbol: LaurentPoly | None = None, tail: dict | None = None):
-        self.symbol = symbol if symbol is not None else LaurentPoly.zero()
-        pruned = {}
-        for (i, j), c in (tail or {}).items():
-            i, j = int(i), int(j)
-            if i < 0 or j < 0:
-                raise InvalidInput(f"tail index ({i},{j}) outside the quarter plane")
-            c = _coeff(c)
-            if c:
-                pruned[(i, j)] = c
-        self.tail = pruned
-        self.N = 1 + max((max(i, j) for (i, j) in pruned), default=-1)
+    def __init__(self, symbol: dict | None = None, tail: dict | None = None):
+        self.symbol = _sparse((int(k), c) for k, c in (symbol or {}).items())
+        self.tail = _sparse((_quarter(i, j), c) for (i, j), c in (tail or {}).items())
+        self.N = 1 + max((max(i, j) for (i, j) in self.tail), default=-1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -180,11 +131,11 @@ class ToeplitzElement:
         )
 
     def is_zero(self) -> bool:
-        return self.symbol.is_zero() and not self.tail
+        return not self.symbol and not self.tail
 
     def to_json(self) -> dict:
         return {
-            "symbol": self.symbol.to_json(),
+            "symbol": {str(k): self.symbol[k].as_strings() for k in sorted(self.symbol)},
             "tail": {f"{i},{j}": c.as_strings() for (i, j), c in sorted(self.tail.items())},
         }
 
@@ -194,33 +145,31 @@ def zero() -> ToeplitzElement:
 
 
 def identity() -> ToeplitzElement:
-    return ToeplitzElement(LaurentPoly.one())
+    return ToeplitzElement({0: GQ_ONE})
 
 
 def shift() -> ToeplitzElement:
     """The unilateral shift: symbol z, empty tail."""
-    return ToeplitzElement(LaurentPoly.monomial(1))
+    return ToeplitzElement({1: GQ_ONE})
 
 
 def from_symbol(coeffs: dict) -> ToeplitzElement:
-    return ToeplitzElement(LaurentPoly(coeffs))
+    return ToeplitzElement(coeffs)
 
 
 def from_tail(entries: dict) -> ToeplitzElement:
-    return ToeplitzElement(LaurentPoly.zero(), entries)
+    return ToeplitzElement({}, entries)
 
 
 def add(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
-    tail = dict(A.tail)
-    for ij, c in B.tail.items():
-        tail[ij] = tail.get(ij, GQ_ZERO) + c
-    return ToeplitzElement(A.symbol + B.symbol, tail)
+    return ToeplitzElement(_sparse([*A.symbol.items(), *B.symbol.items()]),
+                           _sparse([*A.tail.items(), *B.tail.items()]))
 
 
 def scale(c, A: ToeplitzElement) -> ToeplitzElement:
     c = _coeff(c)
     return ToeplitzElement(
-        A.symbol.scale(c),
+        {k: c * v for k, v in A.symbol.items()},
         {ij: c * v for ij, v in A.tail.items()},
     )
 
@@ -230,8 +179,9 @@ def sub(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
 
 
 def adj(A: ToeplitzElement) -> ToeplitzElement:
+    """The adjoint: (p*)_k = conj(p_{-k}) and the conjugate transpose tail."""
     return ToeplitzElement(
-        A.symbol.adjoint(),
+        {-k: c.conj() for k, c in A.symbol.items()},
         {(j, i): c.conj() for (i, j), c in A.tail.items()},
     )
 
@@ -242,33 +192,21 @@ def mul(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
     semicommutator correction, T(p) tail_B, tail_A T(q), tail_A tail_B.
     """
     p, q = A.symbol, B.symbol
-    tail: dict = {}
-
-    def bump(i, j, c):
-        if i >= 0 and j >= 0 and c:
-            key = (i, j)
-            tail[key] = tail.get(key, GQ_ZERO) + c
-
+    tail: list = []
     # Semicommutator: -sum_{k<0} p_{i-k} q_{k-j} at (i, j) = (dp + k, k - dq).
-    for dp, cp in p.coeffs.items():
-        for dq, cq in q.coeffs.items():
-            lo = max(-dp, dq)
-            for k in range(lo, 0):
-                bump(dp + k, k - dq, -(cp * cq))
+    for dp, cp in p.items():
+        for dq, cq in q.items():
+            tail += [((dp + k, k - dq), -(cp * cq)) for k in range(max(-dp, dq), 0)]
     # T(p) tail_B: (T(p) t)_{i c} = sum_r p_{i-r} t_{r c}.
-    for (r, c), t in B.tail.items():
-        for dp, cp in p.coeffs.items():
-            bump(dp + r, c, cp * t)
+    tail += [((dp + r, c), cp * t) for (r, c), t in B.tail.items()
+             for dp, cp in p.items() if dp + r >= 0]
     # tail_A T(q): (t T(q))_{r j} = sum_c t_{r c} q_{c-j}.
-    for (r, c), t in A.tail.items():
-        for dq, cq in q.coeffs.items():
-            bump(r, c - dq, t * cq)
+    tail += [((r, c - dq), t * cq) for (r, c), t in A.tail.items()
+             for dq, cq in q.items() if c >= dq]
     # tail_A tail_B.
-    for (r, k1), t1 in A.tail.items():
-        for (k2, c), t2 in B.tail.items():
-            if k1 == k2:
-                bump(r, c, t1 * t2)
-    return ToeplitzElement(p * q, tail)
+    tail += [((r, c), t1 * t2) for (r, k1), t1 in A.tail.items()
+             for (k2, c), t2 in B.tail.items() if k1 == k2]
+    return ToeplitzElement(_conv(p, q), _sparse(tail))
 
 
 def is_essentially_unitary(A: ToeplitzElement) -> bool:
@@ -276,7 +214,7 @@ def is_essentially_unitary(A: ToeplitzElement) -> bool:
 
     Then both I - A*A and I - AA* are pure tails (compact), exactly.
     """
-    return (A.symbol * A.symbol.adjoint()).is_one()
+    return _conv(A.symbol, adj(A).symbol) == {0: GQ_ONE}
 
 
 def truncate(A: ToeplitzElement, n: int) -> np.ndarray:
@@ -284,7 +222,7 @@ def truncate(A: ToeplitzElement, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidInput("truncation size must be >= 1")
     M = np.zeros((n, n), dtype=complex)
-    for k, c in A.symbol.coeffs.items():
+    for k, c in A.symbol.items():
         z = c.to_complex()
         for j in range(max(0, -k), min(n, n - k)):
             M[j + k, j] += z
@@ -296,7 +234,7 @@ def truncate(A: ToeplitzElement, n: int) -> np.ndarray:
 
 def tail_operator_norm(A: ToeplitzElement) -> float:
     """Operator norm of a pure-tail (compact, finitely supported) element."""
-    if not A.symbol.is_zero():
+    if A.symbol:
         raise InvalidInput("operator norm is only offered for pure-tail elements")
     if not A.tail:
         return 0.0
@@ -332,7 +270,7 @@ def compression_counterexample(V: ToeplitzElement, probes: list) -> list:
     for idx, a in enumerate(probes):
         image = compress(a)
         diff = sub(image, a)
-        norm = tail_operator_norm(diff) if diff.symbol.is_zero() else None
+        norm = tail_operator_norm(diff) if not diff.symbol else None
         results.append(
             ProbeResult(
                 index=idx,

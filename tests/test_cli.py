@@ -67,6 +67,58 @@ def test_toeplitz_script(tmp_path, capsys):
     assert res[2]["result"]["symbol"] == {"2": ["3/5", "4/5"]}
 
 
+def test_toeplitz_symbol_and_tail_in_one_binding(tmp_path):
+    """A binding with both maps is T(symbol) + tail, the shape to_json writes."""
+    value = {"symbol": {"1": ["1", "0"]}, "tail": {"0,0": ["1", "0"]}}
+    p = write(tmp_path, "script.json", [{"let": "A", **value}, {"eval": "A"},
+                                        {"let": "B", "expr": "add(shift(), sub(identity(), "
+                                                             "mul(shift(), adj(shift()))))"},
+                                        {"eval": "B"}])
+    out = str(tmp_path / "toeplitz.json")
+    assert main(["toeplitz", "--script", p, "--out", out]) == 0
+    res = json.loads((tmp_path / "toeplitz.json").read_text())["results"]
+    assert res[0]["result"] == value == res[1]["result"]
+
+
+# Powers of a banded element with a tail, and both shift identities.
+_GOLDEN_SCRIPT = [
+    {"let": "P", "symbol": {"-1": ["1/2", "0"], "0": ["1", "-1/3"], "1": ["0", "2"]}},
+    {"let": "T", "tail": {"0,1": ["3/4", "0"], "2,0": ["-1", "1/5"]}},
+    {"let": "A", "expr": "add(P, T)"},
+    {"let": "S", "expr": "shift()"},
+    {"eval": "mul(A, A)"},
+    {"eval": "mul(mul(A, A), A)"},
+    {"eval": "mul(adj(S), S)"},
+    {"eval": "mul(S, adj(S))"},
+]
+_GOLDEN_RESULTS = [
+    {"expr": "mul(A, A)", "result": {
+        "symbol": {"-1": ["1", "-1/3"], "-2": ["1/4", "0"], "0": ["8/9", "4/3"],
+                   "1": ["4/3", "4"], "2": ["-4", "0"]},
+        "tail": {"0,0": ["0", "1/2"], "0,1": ["3/2", "-1/2"], "0,2": ["3/8", "0"],
+                 "1,0": ["-1/2", "1/10"], "1,1": ["0", "3/2"], "2,0": ["-28/15", "16/15"],
+                 "2,1": ["-5/4", "1/4"], "3,0": ["-2/5", "-2"]}}},
+    {"expr": "mul(mul(A, A), A)", "result": {
+        "symbol": {"-1": ["4/3", "1/2"], "-2": ["3/4", "-1/4"], "-3": ["1/8", "0"],
+                   "0": ["8/3", "136/27"], "1": ["-2", "16/3"], "2": ["-12", "4"],
+                   "3": ["0", "-8"]},
+        "tail": {"0,0": ["-1/8", "13/8"], "0,1": ["2", "11/8"], "0,2": ["9/8", "-3/8"],
+                 "0,3": ["3/16", "0"], "1,0": ["-12/5", "4/5"], "1,1": ["7/8", "37/8"],
+                 "1,2": ["0", "3/4"], "2,0": ["-19/6", "-59/30"], "2,1": ["-13/2", "2"],
+                 "2,2": ["-5/8", "1/8"], "3,0": ["-16/5", "-28/5"], "3,1": ["-1/2", "-5/2"],
+                 "4,0": ["4", "-4/5"]}}},
+    {"expr": "mul(adj(S), S)", "result": {"symbol": {"0": ["1", "0"]}, "tail": {}}},
+    {"expr": "mul(S, adj(S))", "result": {"symbol": {"0": ["1", "0"]}, "tail": {"0,0": ["-1", "0"]}}},
+]
+
+
+def test_toeplitz_golden_results(tmp_path):
+    p = write(tmp_path, "script.json", _GOLDEN_SCRIPT)
+    out = str(tmp_path / "toeplitz.json")
+    assert main(["toeplitz", "--script", p, "--out", out]) == 0
+    assert json.loads((tmp_path / "toeplitz.json").read_text())["results"] == _GOLDEN_RESULTS
+
+
 def test_toeplitz_rejects_unknown_function(tmp_path, capsys):
     p = write(tmp_path, "bad.json", [{"eval": "__import__('os')"}])
     assert main(["toeplitz", "--script", p]) == 2
@@ -169,6 +221,18 @@ _SHIFT = {"let": "S", "expr": "shift()"}
     ("uep-search", {"d": 3.7, "generators": [diag3(0, 1, 2)]}, "'d'"),
     ("uep-search", {"d": True, "generators": [diag3(0, 1, 2)]}, "'d'"),
     ("korovkin", {"kind": "bernstein", "n_max": 4.9, "G": [{"poly": [0, 1]}]}, "'n_max'"),
+    ("uep-search", {"d": "3", "generators": [diag3(0, 1, 2)]}, "'d'"),
+    ("uep-search", {"d": 3, "generators": [diag3(0, 1, 2)], "tol": "1e-7"}, "'tol'"),
+    ("korovkin", {"kind": "bernstein", "n_min": "2", "G": [{"poly": [0, 1]}]}, "'n_min'"),
+    ("korovkin", {"kind": "bernstein", "n_max": "4", "G": [{"poly": [0, 1]}]}, "'n_max'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"poly": ["1"]}]}, "'poly'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"abs": "0.5"}]}, "'abs'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"poly": [0, 1]}], "tol": True}, "'tol'"),
+    ("toeplitz", [{"let": "A", "symbol": {"0": True, "1": [False, "1/2"]}}], "got bool"),
+    ("toeplitz", [{"let": "A", "symbol": {"1": 1}, "expr": "shift()"}], "'expr'"),
+    ("toeplitz", [{"let": "A", "tail": {"0,0": 1}, "expr": "shift()"}], "'expr'"),
+    ("toeplitz", [{"let": "A", "symbol": {"1": 1, "01": 2}}], "'symbol' has two keys"),
+    ("toeplitz", [{"let": "A", "tail": {"0,0": 1, "00,0": 2}}], "'tail' has two keys"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg, message):
     p = write(tmp_path, "bad.json", cfg)

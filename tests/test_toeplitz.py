@@ -35,7 +35,7 @@ def test_shift_identities_exact():
 
 def test_adjoint_laws():
     S = toeplitz.shift()
-    assert toeplitz.adj(S).symbol.coeffs == {-1: toeplitz.GQ_ONE}
+    assert toeplitz.adj(S).symbol == {-1: toeplitz.GQ_ONE}
     assert toeplitz.adj(toeplitz.adj(S)) == S
     defect = toeplitz.sub(toeplitz.identity(), toeplitz.mul(S, toeplitz.adj(S)))
     assert toeplitz.adj(defect) == defect  # I - SS* = E_00 is self-adjoint
@@ -104,8 +104,8 @@ def test_semicommutator_support_vs_dense():
              for k in rng.integers(-3, 4, size=3)}
         A, B = toeplitz.from_symbol(p), toeplitz.from_symbol(q)
         prod = toeplitz.mul(A, B)
-        mp = max((k for k in A.symbol.coeffs), default=0)
-        mq = -min((k for k in B.symbol.coeffs), default=0)
+        mp = max((k for k in A.symbol), default=0)
+        mq = -min((k for k in B.symbol), default=0)
         for (i, j) in prod.tail:
             assert 0 <= i < max(mp, 1) and 0 <= j < max(mq, 1)
         n = 50
@@ -144,12 +144,24 @@ def test_compression_requires_isometry():
 
 def test_exact_coefficient_parsing():
     A = toeplitz.from_symbol({0: ["1/3", "-2/7"]})
-    c = A.symbol.coeffs[0]
+    c = A.symbol[0]
     assert c.re == Fraction(1, 3) and c.im == Fraction(-2, 7)
-    with pytest.raises(InvalidInput):
-        toeplitz.from_symbol({0: 0.5})  # floats are not exact
-    with pytest.raises(InvalidInput):
-        toeplitz.from_tail({(-1, 0): 1})
+    # Floats and booleans are not exact rationals.
+    for bad in (0.5, "1/0", "x", [0.5, 0], ["1", 0.5], True, [False, "1/2"]):
+        with pytest.raises(InvalidInput):
+            toeplitz.from_symbol({0: bad})
+    # The quarter-plane check runs before zero entries are dropped.
+    for entries in ({(-1, 0): 1}, {(-1, 0): 0}):
+        with pytest.raises(InvalidInput):
+            toeplitz.from_tail(entries)
+
+
+def test_difference_with_itself_is_empty():
+    A = toeplitz.add(toeplitz.from_symbol({-1: ["1/2", 1], 2: 3}),
+                     toeplitz.from_tail({(0, 1): ["1/3", 0], (2, 2): [0, -1]}))
+    Z = toeplitz.add(A, toeplitz.scale(-1, A))
+    assert Z == toeplitz.zero() and Z.is_zero() and Z.N == 0
+    assert Z.to_json() == {"symbol": {}, "tail": {}}
 
 
 def test_json_round_shapes():
