@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 
 import numpy as np
@@ -43,7 +44,10 @@ def _field(value, kind, name: str):
     else:
         ok = isinstance(value, kind)
     if ok:
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise InvalidInput(f"config field {name!r} is out of the float range") from None
     raise InvalidInput(f"config field {name!r} must be {_KINDS[kind]}, got {value!r}")
 
 
@@ -126,14 +130,12 @@ def _eval_toeplitz(node, env):
 
 def _toeplitz_key(key: str, field: str, count: int, form: str) -> tuple:
     """The ``count`` comma-separated integers of a ``symbol`` key (a degree)
-    or a ``tail`` key ("i,j"); InvalidInput naming the field and the key
-    format ``form`` otherwise."""
+    or a ``tail`` key ("i,j"), each ASCII digits with an optional minus sign
+    (int() would also take "1_0" and " 2 "); InvalidInput naming the field
+    and the key format ``form`` otherwise."""
     parts = key.split(",")
-    try:
-        if len(parts) == count:
-            return tuple(int(p) for p in parts)
-    except ValueError:
-        pass
+    if len(parts) == count and all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+        return tuple(int(p) for p in parts)
     raise InvalidInput(f"config field {field!r} keys must be {form}, got {key!r}")
 
 

@@ -22,13 +22,13 @@ refinement).  A witness whose objective cannot move on the constraint
 slice (its gradient is normal to the slice, as for every witness of a set
 with the unique extension property on its minimal face) has a fixed
 answer and is skipped.  The sampled face of _pinned_face can miss the
-minimal one, so build_constraints reduces it once, before any search:
-each exposing vector found by _exposing_face shrinks the face, until no
-exposing vector turns up.  Each remaining linear maximization
-runs projected gradient ascent until its raw objective stalls, and then
-rounds its final iterate once onto (PSD intersect affine); deviations are
-only ever reported at certified feasible points, so "Unique-evidence"
-cannot be an artifact of infeasibility drift.
+minimal one, so build_constraints reduces it by exposing vectors before
+any search.  Each remaining linear maximization runs projected gradient
+ascent until its raw objective stalls, then rounds its final iterate onto
+(PSD intersect affine).  One Dykstra routine, _face_dykstra, serves the
+exposing search and the rounding.  Deviations are only ever reported at
+certified feasible points, so "Unique-evidence" cannot be an artifact of
+infeasibility drift.
 
 Every solver point is an n x n Hermitian face matrix M (the Choi matrix is
 U M U* for the face isometry U); hermvec coordinates appear only in
@@ -51,9 +51,8 @@ from .serialize import matrix_to_literal
 
 SQRT2 = np.sqrt(2.0)
 
-# Feasibility targets for polished points.
+# Feasibility target for polished points.
 FEAS_TOL = 1e-9
-DYKSTRA_TOL = 1e-12
 
 # A probe counts as inside the generated algebra when its projection
 # residual is below this (relative) threshold.
@@ -137,6 +136,43 @@ def _pinv_mats(F: np.ndarray) -> np.ndarray:
     matrices; the SVD runs on hermvec coordinates, half the real width."""
     pinv = np.linalg.pinv(hermvec(F), rcond=1e-12)
     return unhermvec(pinv.swapaxes(-1, -2), F.shape[-1])
+
+
+# An item succeeds once its gap is at most DYKSTRA_TOL and stalls once the gap
+# has not shrunk by 10% over DYKSTRA_WINDOW passes, so even an uncapped run
+# ends; rounding also caps its items at DYKSTRA_MAX_ITER passes.
+DYKSTRA_TOL = 1e-12
+DYKSTRA_WINDOW = 20
+DYKSTRA_MAX_ITER = 200
+
+
+def _face_dykstra(project, M: np.ndarray, max_iter: int | None = None):
+    """Batched Dykstra between the PSD cone and the affine set onto which
+    ``project`` maps a stack: (points, ok).  Only the PSD step carries a
+    correction (an orthogonal projection onto an affine set needs none).
+    Each item stops on its own, ok once its gap ||clip - point|| reaches
+    DYKSTRA_TOL, not ok on a stall (NaN too) or after max_iter passes, and
+    keeps its last affine point; so when ``project`` treats items alone,
+    each runs the iterates of a solo run."""
+    out, ok = np.empty_like(M), np.zeros(len(M), dtype=bool)
+    live, x, p = np.arange(len(M)), M, np.zeros_like(M)
+    gaps = np.empty((len(M), DYKSTRA_WINDOW))  # slot i % DYKSTRA_WINDOW: the gap of pass i
+    for i in range(max_iter) if max_iter is not None else itertools.count():
+        t = x + p
+        y = _psd_clip(t)
+        p = t - y
+        x = project(y)
+        gap = np.linalg.norm((y - x).reshape(len(live), -1), axis=1)
+        won, slot = gap <= DYKSTRA_TOL, i % DYKSTRA_WINDOW
+        done = won | ((i >= DYKSTRA_WINDOW) & ~(gap <= 0.9 * gaps[:, slot]))
+        gaps[:, slot] = gap
+        if done.any():
+            out[live[done]], ok[live[won]] = x[done], True
+            live, x, p, gaps = live[~done], x[~done], p[~done], gaps[~done]
+            if not len(live):
+                return out, ok
+    out[live] = x
+    return out, ok
 
 
 # ----------------------------------------------------------------------------
@@ -255,8 +291,11 @@ class ConstraintSystem:
     F: np.ndarray = field(repr=False, default=None)
     P: np.ndarray = field(repr=False, default=None)
     b: np.ndarray = field(repr=False, default=None)
-    rank: int = 0
     x_identity: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def rank(self) -> int:
+        return len(self.F)  # orthonormal functionals (build_constraints); restrict keeps the rows
 
     @property
     def rank_margin(self) -> int:
@@ -311,6 +350,9 @@ def _pinned_face(P: UepProblem) -> np.ndarray:
         for H in ((g + g.conj().T) / 2.0, (g - g.conj().T) / 2.0j):
             if linalg.maxabs(H) > 1e-14:
                 basis.append(H)
+    # Mix traceless parts: an identity part would add its size to eigh's rounding.
+    shift = np.real(np.trace(basis, axis1=1, axis2=2)) / d
+    basis = np.array(basis) - shift[:, None, None] * np.eye(d)
     rng = make_rng(0x0FACE)
     coef = rng.standard_normal((4 * len(basis) + 8, len(basis)))
     mix = 0  # summed term by term, in basis order
@@ -319,8 +361,9 @@ def _pinned_face(P: UepProblem) -> np.ndarray:
     w, V = np.linalg.eigh(np.concatenate([basis, mix]))
 
     scale = w[:, -1] - w[:, 0]
-    # Skip multiples of I up to rounding: their noise eigenvectors are no boundary.
-    live = scale > 1e-12 * np.maximum(abs(w[:, 0]), abs(w[:, -1]))
+    # Skip multiples of I up to (unshifted) rounding: their noise eigenvectors are no boundary.
+    shift = np.concatenate([shift, coef @ shift])[:, None]
+    live = scale > 1e-12 * np.max(abs(w[:, [0, -1]] + shift), axis=1)
     mu = np.stack([w - w[:, :1], w[:, -1:] - w], axis=1)  # both shifts, per sample
     ker = (mu <= 1e-12 * scale[:, None, None]) & live[:, None, None]
     rng_vecs = mu >= 1e-6 * scale[:, None, None]
@@ -375,8 +418,7 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
     if np.linalg.norm(_tr(F, x_id) - bv) > 1e-7 * b_scale or face_resid > 1e-7:
         raise Infeasible("identity map violates the affine constraints as assembled")
 
-    cs = ConstraintSystem(d=d, n=face.shape[1], face=face, F=F, P=_pinv_mats(F),
-                          b=bv, rank=len(F), x_identity=x_id)
+    cs = ConstraintSystem(d=d, n=face.shape[1], face=face, F=F, P=_pinv_mats(F), b=bv, x_identity=x_id)
     while (found := _exposing_face(cs)) is not None:
         cs = cs.restrict(found[0])
     return cs
@@ -385,12 +427,6 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
 # ----------------------------------------------------------------------------
 # Facial reduction by exposing vectors
 # ----------------------------------------------------------------------------
-
-# Alternating projections for an exposing vector succeed once the gap is below
-# EXPOSE_TOL, and give up when it has not shrunk by 10% over EXPOSE_WINDOW passes.
-EXPOSE_TOL = 1e-12
-EXPOSE_WINDOW = 20
-
 
 def _exposing_face(cs: ConstraintSystem):
     """One facial-reduction step (Borwein-Wolkowicz): (V, y) or None.
@@ -403,9 +439,9 @@ def _exposing_face(cs: ConstraintSystem):
     span_R{F_j} is empty exactly when (tr F_j)_j and b are parallel; one
     2 x m SVD decides this first (a single functional, as at d = 1, is
     parallel to b), and an empty slice proves that no exposing vector
-    exists.  Otherwise alternating projections between the PSD cone and the
-    slice start from the slice point nearest I/n.  None means an empty
-    slice, or a stall, which proves nothing.
+    exists.  Otherwise _face_dykstra, with no pass budget, searches the
+    slice from its point nearest I/n.  None means an empty slice, or a
+    stall, which proves nothing.
     """
     n = cs.n
     sv = np.linalg.svd([np.real(np.einsum("jii->j", cs.F)), cs.b], compute_uv=False)
@@ -414,66 +450,23 @@ def _exposing_face(cs: ConstraintSystem):
     # tr Y and tr(Y x_identity) on span_R{F_j}, onto which Z - _affine_project(F, P, 0, Z) projects.
     T = np.array([np.eye(n, dtype=complex), cs.x_identity])
     T, t = T - _affine_project(cs.F, cs.P, 0.0, T), np.array([1.0, 0.0])
-    Q, Z, gaps = _pinv_mats(T), np.eye(n, dtype=complex) / n, []
-    # Gaps never grow, so the stall rule ends the loop: ~20 log(gap_0/EXPOSE_TOL)/log(1/0.9) passes.
-    while True:
-        Y = _affine_project(T, Q, t, Z - _affine_project(cs.F, cs.P, 0.0, Z))
-        Z = _psd_clip(Y)
-        gap = float(np.linalg.norm(Y - Z))
-        if gap <= EXPOSE_TOL:
-            w, U = np.linalg.eigh(Y)
-            return U[:, w < 1e-6 * w[-1]], _tr(cs.P, Y)  # sum_j y_j F_j = Y
-        if len(gaps) >= EXPOSE_WINDOW and not gap <= 0.9 * gaps[-EXPOSE_WINDOW]:  # NaN stops too
-            return None
-        gaps.append(gap)
+    Q = _pinv_mats(T)
+    project = lambda Z: _affine_project(T, Q, t, Z - _affine_project(cs.F, cs.P, 0.0, Z))  # onto the slice
+    (Y,), (ok,) = _face_dykstra(project, project(np.eye(n, dtype=complex)[None] / n))
+    if not ok:
+        return None
+    w, U = np.linalg.eigh(Y)
+    return U[:, w < 1e-6 * w[-1]], _tr(cs.P, Y)  # sum_j y_j F_j = Y
 
 
 # ----------------------------------------------------------------------------
 # Facial rounding: exact feasibility restoration on the reduced face
 # ----------------------------------------------------------------------------
 
-# build_constraints has already reduced the face, so rounding needs no face
-# guess of its own: it restores the affine constraints of the system itself
-# and certifies PSD by the eigenvalues of the restored face matrix.  Rows that
-# the restore leaves indefinite get a Dykstra projection onto (PSD intersect
-# affine).  Rounding runs once per ascent, on its final iterates, and only
-# certified points are ever accepted.
-
-DYKSTRA_MAX_ITER = 200
-
-
-def _face_dykstra(cs: ConstraintSystem, M: np.ndarray) -> np.ndarray:
-    """Batched Dykstra on (PSD intersect affine) in n x n face matrices of
-    cs; returns the affine-exact points.  Every item alternates the PSD clip
-    with cs's affine projection and stops on its own gap test, so it runs
-    the iterates of a solo run."""
-    out, live = np.empty_like(M), np.arange(len(M))
-    F, P = _flat(cs.F), _flat(cs.P)  # real views, taken once
-    x, p, q = M, np.zeros_like(M), np.zeros_like(M)
-    for _ in range(DYKSTRA_MAX_ITER):
-        t = x + p
-        y = _psd_clip(t)
-        p = t - y
-        z = y + q
-        # One product per item (stride-0 stacks): a shared product would round
-        # an item's terms differently with the batch size.
-        k = (len(live),)
-        x = _affine_project(np.broadcast_to(F, k + F.shape), np.broadcast_to(P, k + P.shape), cs.b, z)
-        q = z - x
-        done = np.linalg.norm((y - x).reshape(len(live), -1), axis=1) <= DYKSTRA_TOL
-        if done.any():
-            out[live[done]] = x[done]
-            keep = ~done
-            live, x, p, q = live[keep], x[keep], p[keep], q[keep]
-            if not len(live):
-                return out
-    out[live] = x
-    return out
-
-
 def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
     """Certified feasible points near the face matrices X: (row, point)
-    pairs in row order.
+    pairs in row order.  build_constraints has already reduced the face, so
+    rounding needs no face guess of its own.
 
     Each row is restored onto the affine constraints of cs.  Every restored
     row that is affine-exact but has an eigenvalue below -FEAS_TOL goes
@@ -487,7 +480,12 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
     # projection keeps the least-squares residual of M, so no run repairs them.
     dyk = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin < -FEAS_TOL))
     if len(dyk):
-        M[dyk] = _face_dykstra(cs, M[dyk])
+        # One product per item (stride-0 stacks of the real views, taken once):
+        # a shared product would round an item's terms differently with the batch size.
+        F, P = _flat(cs.F), _flat(cs.P)
+        project = lambda Z: _affine_project(np.broadcast_to(F, Z.shape[:1] + F.shape),
+                                            np.broadcast_to(P, Z.shape[:1] + P.shape), cs.b, Z)
+        M[dyk] = _face_dykstra(project, M[dyk], DYKSTRA_MAX_ITER)[0]
         wmin[dyk] = np.linalg.eigvalsh(M[dyk])[:, 0]
         aff[dyk] = cs.affine_residual(M[dyk])
     ok = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin >= -FEAS_TOL))

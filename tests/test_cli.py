@@ -233,6 +233,11 @@ _SHIFT = {"let": "S", "expr": "shift()"}
     ("toeplitz", [{"let": "A", "tail": {"0,0": 1}, "expr": "shift()"}], "'expr'"),
     ("toeplitz", [{"let": "A", "symbol": {"1": 1, "01": 2}}], "'symbol' has two keys"),
     ("toeplitz", [{"let": "A", "tail": {"0,0": 1, "00,0": 2}}], "'tail' has two keys"),
+    ("uep-search", {"d": 3, "generators": [diag3(0, 1, 2)], "tol": 10 ** 400}, "'tol'"),
+    ("korovkin", {"kind": "bernstein", "G": [{"abs": -10 ** 400}]}, "'abs'"),
+    ("toeplitz", [{"let": "A", "symbol": {"1_0": 1}}], "'symbol' keys must be an integer degree"),
+    ("toeplitz", [{"let": "A", "symbol": {" 2 ": 1}}], "'symbol' keys must be an integer degree"),
+    ("toeplitz", [{"let": "A", "tail": {"0,+1": 1}}], "'tail' keys must be \"i,j\""),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg, message):
     p = write(tmp_path, "bad.json", cfg)

@@ -89,7 +89,9 @@ def test_build_constraints_matches_loop_reference(d):
 
 
 def _pinned_face_reference(P):
-    """Per-sample loop reference for uep._pinned_face, with a full SVD."""
+    """Per-sample loop reference for uep._pinned_face, with a full SVD: the
+    samples mix the traceless parts of the basis, and a sample counts as a
+    multiple of I when its spread is below 1e-12 times its unshifted size."""
     d = P.d
     basis = [np.eye(d, dtype=complex)]
     for g in P.pinned_elements():
@@ -97,16 +99,18 @@ def _pinned_face_reference(P):
         for H in ((g + g.conj().T) / 2.0, (g - g.conj().T) / 2.0j):
             if linalg.maxabs(H) > 1e-14:
                 basis.append(H)
+    shifts = [float(np.trace(B).real) / d for B in basis]  # traceless parts are mixed
+    basis = [B - t * np.eye(d) for B, t in zip(basis, shifts)]
     rng = make_rng(0x0FACE)
-    samples = list(basis)
+    samples = list(zip(basis, shifts))
     for _ in range(4 * len(basis) + 8):
         c = rng.standard_normal(len(basis))
-        samples.append(sum(ck * Bk for ck, Bk in zip(c, basis)))
+        samples.append((sum(ck * Bk for ck, Bk in zip(c, basis)), float(c @ shifts)))
     kernel = []
-    for H in samples:
+    for H, t in samples:
         w, V = np.linalg.eigh(H)
         scale = float(w[-1] - w[0])
-        if scale <= 1e-12 * max(abs(w[0]), abs(w[-1])):
+        if scale <= 1e-12 * max(abs(w[0] + t), abs(w[-1] + t)):
             continue
         for mu in (w - w[0], w[-1] - w):
             ker = [V[:, k] for k in range(d) if mu[k] <= 1e-12 * scale]
@@ -137,6 +141,32 @@ def test_pinned_face_matches_reference(d):
         else:
             assert got.shape == ref.shape, name
             assert np.allclose(got @ got.conj().T, ref @ ref.conj().T, rtol=0, atol=1e-12), name
+
+
+def test_near_scalar_generator_keeps_its_face():
+    """A generator within 1e-9 of I gets the face of its scaled-up copy
+    (n = 10), and that face carries a certified violation: pinching in U's
+    basis, then mixing the diagonal by stochastic rows, fixes g and moves
+    U diag(0, 1, 1, 4) U* by 1."""
+    U = random_unitary(make_rng(5), 4)
+
+    def on_u(v):
+        return U @ np.diag(v) @ U.conj().T
+
+    spread = np.array([0.0, 1.0, 1.0, 2.0])
+    P = uep.UepProblem(d=4, G=gen(4, on_u(1.0 + 1e-9 * spread)))
+    S = np.array([[1.0, 0, 0, 0], [0.5, 0, 0, 0.5], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    kraus = tuple(np.sqrt(S[i, j]) * np.outer(U[:, i], U[:, j].conj()) for i, j in zip(*np.nonzero(S)))
+    choi = cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=4, d_out=4, operators=kraus))
+    probe = on_u([0.0, 1.0, 1.0, 4.0])
+    dev = linalg.op_norm(cpmaps.apply_choi(choi, probe) - probe)
+    assert dev == pytest.approx(1.0, abs=1e-12)
+    assert uep.validate_certificate(
+        uep.ViolationCertificate(choi=choi, probe=probe, deviation=dev, residuals={}), P)
+    cs = uep.build_constraints(P)
+    assert cs.n == uep.build_constraints(uep.UepProblem(d=4, G=gen(4, on_u(spread)))).n == 10
+    Pf = cs.face @ cs.face.conj().T
+    assert np.linalg.norm(choi.mat - Pf @ choi.mat @ Pf) <= 1e-6 * np.linalg.norm(choi.mat)
 
 
 def _unique_family(family, d, rng):
@@ -212,19 +242,21 @@ def _hermvec_clip(x, n):
 
 
 def _face_dykstra_reference(RT, pin, b, m, r):
-    """One row's Dykstra in hermvec coordinates."""
+    """One row's Dykstra in hermvec coordinates, with the stall rule and
+    the pass budget of rounding."""
     p = np.zeros_like(m)
-    q = np.zeros_like(m)
     x = m
+    gaps = []
     for _ in range(uep.DYKSTRA_MAX_ITER):
         y = _hermvec_clip(x + p, r)
         p = x + p - y
-        xn = (y + q) - pin @ (RT @ (y + q) - b)
-        q = y + q - xn
-        gap = np.linalg.norm(y - xn)
-        x = xn
+        x = y - pin @ (RT @ y - b)
+        gap = np.linalg.norm(y - x)
         if gap <= uep.DYKSTRA_TOL:
             break
+        if len(gaps) >= uep.DYKSTRA_WINDOW and not gap <= 0.9 * gaps[-uep.DYKSTRA_WINDOW]:
+            break
+        gaps.append(gap)
     return x
 
 
@@ -295,33 +327,44 @@ def test_face_polish_keeps_feasible_rows(monkeypatch):
 
 
 def test_face_dykstra_batch_equals_solo(monkeypatch):
-    """On one shared system, a batch mixing an item that converges early
-    with one that runs out of iterations gives each item its solo result.
-    The iterates of this random Hermitian generator (a violation-search
-    shape) include both kinds."""
-    cs, X = _ascent_iterates(random_hermitian(make_rng(2000), 3))
-    M = cs.proj_affine(X)
-    w = np.linalg.eigvalsh(M)
-    # The rows that _face_polish hands to Dykstra.
-    rows = np.flatnonzero(w[:, 0] < -uep.FEAS_TOL)
+    """On one shared system, with the projector that _face_polish passes, a
+    batch gives each item its solo point, its solo ok flag and its solo
+    pass count.  The items are the rows that rounding hands to Dykstra for
+    a random Hermitian generator (a violation-search shape), from the first
+    ascent of a solve and from a short ascent; they stop in all three ways:
+    success, stall and the pass budget."""
+    g = random_hermitian(make_rng(2000), 3)
+    calls = []
+    dykstra = uep._face_dykstra
+    monkeypatch.setattr(uep, "_face_dykstra", lambda project, M, max_iter=None:
+                        calls.append((project, M.copy(), max_iter)) or dykstra(project, M, max_iter))
+    uep.solve(uep.UepProblem(d=3, G=gen(3, g), seed=1, n_witnesses=2))
+    cs, X = _ascent_iterates(g)
+    uep._face_polish(cs, X)
+    rounding = [c for c in calls if c[2] == uep.DYKSTRA_MAX_ITER]
+    project = rounding[-1][0]
+    M = np.concatenate([rounding[0][1], rounding[-1][1]])
     sizes = []
     clip = uep._psd_clip
     monkeypatch.setattr(uep, "_psd_clip", lambda Z: sizes.append(len(Z)) or clip(Z))
 
-    def run(idx):
+    def run(items):
         sizes.clear()
-        out = uep._face_dykstra(cs, M[idx])
-        return out, list(sizes)
+        points, ok = dykstra(project, items, uep.DYKSTRA_MAX_ITER)
+        return points, ok, len(sizes)
 
-    solo = {k: run([k]) for k in rows}
-    early = next(k for k in rows if len(solo[k][1]) < uep.DYKSTRA_MAX_ITER)
-    capped = next(k for k in rows if len(solo[k][1]) == uep.DYKSTRA_MAX_ITER)
-    both, both_sizes = run([early, capped])
-    n_early = len(solo[early][1])
-    assert both_sizes == [2] * n_early + [1] * (uep.DYKSTRA_MAX_ITER - n_early)
-    assert np.array_equal(both[0], solo[early][0][0])
-    assert np.array_equal(both[1], solo[capped][0][0])
-    assert np.linalg.eigvalsh(both[0])[0] >= -uep.FEAS_TOL
+    solo = [run(M[[k]]) for k in range(len(M))]
+    passes = [n for _, _, n in solo]
+    kinds = {"success" if ok[0] else "budget" if n == uep.DYKSTRA_MAX_ITER else "stall"
+             for _, ok, n in solo}
+    assert kinds == {"success", "stall", "budget"}
+    points, ok, _ = run(M)
+    assert sizes == [sum(n > i for n in passes) for i in range(max(passes))]
+    for k, (pk, okk, _) in enumerate(solo):
+        assert np.array_equal(points[k], pk[0]), k
+        assert ok[k] == okk[0], k
+        if ok[k]:
+            assert np.linalg.eigvalsh(points[k])[0] >= -uep.FEAS_TOL, k
 
 
 def test_solve_x_only_finds_violation():
@@ -503,8 +546,8 @@ def _normal_problem(key, d, **kw) -> uep.UepProblem:
 
 
 @pytest.mark.parametrize("key, d, face_dim", [
-    # Sampled face n and iterations of the first step: 9 and 160, 9 and
-    # 2,334, 11 and 2,033.
+    # Sampled face n and passes of the first step's _face_dykstra run: 9
+    # and 160, 9 and 2,334, 11 and 2,034.
     pytest.param(510, 5, 5, id="key10"),
     pytest.param(7506, 5, 5, id="7506"),
     pytest.param(7600, 6, 6, id="7600"),
@@ -522,13 +565,26 @@ def test_exposing_step_skips_the_ascent_on_a_non_minimal_face(key, d, face_dim):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="alternating projections stall on this n = 11 face")
+                   reason="the exposing search stalls on this n = 11 face")
 def test_exposing_step_finds_the_vector_of_a_slow_face():
     """The sampled face (n = 11) of this d = 6 normal set is not minimal,
     but the stall rule stops the search for its exposing vector, so
     build_constraints returns the sampled face unreduced."""
     P = _normal_problem(7613, 6)
     assert uep.build_constraints(P).n < uep._pinned_face(P).shape[1] == 11
+
+
+def test_exposing_search_is_one_face_dykstra_item(monkeypatch):
+    """The exposing search is a _face_dykstra run on one item with no pass
+    budget: on key 10 build_constraints makes exactly one such run, which
+    finds the exposing vector of the sampled face (n = 9), and the reduced
+    face n = 5 has an empty slice, so it needs no run."""
+    calls = []
+    dykstra = uep._face_dykstra
+    monkeypatch.setattr(uep, "_face_dykstra", lambda project, M, max_iter=None:
+                        calls.append((len(M), max_iter)) or dykstra(project, M, max_iter))
+    assert uep.build_constraints(_normal_problem(510, 5)).n == 5
+    assert calls == [(1, None)]
 
 
 def _spy_exposing_face(monkeypatch) -> list:
@@ -641,7 +697,7 @@ def test_exposing_step_keeps_the_x_search():
     rep = uep.solve(uep.UepProblem(d=3, G=gen(3, x_diag()), seed=7))
     assert rep.status == "ViolationFound"
     assert rep.iterations == 875
-    assert rep.certificate.deviation == 1.2247448713922613
+    assert rep.certificate.deviation == 1.2247448713922617
     assert rep.face_dim == 5
 
 
