@@ -35,6 +35,38 @@ def grid() -> np.ndarray:
     return np.linspace(0.0, 1.0, GRID_POINTS)
 
 
+# The basis of the last Bernstein index applied, keyed by n: korovkin.run
+# applies one n to every element in turn.  At most one basis is held.
+_basis_slot: dict = {}
+# Rows of the basis per block of its build (a 0.5 MB temporary).
+_BUILD_ROWS = 64
+
+
+def _bernstein_basis(n: int) -> np.ndarray:
+    """C(n,k) x^k (1-x)^(n-k) at the interior grid points, (n+1) x 999, read-only.
+
+    Built in log space, as a float C(n,k) overflows from n = 1030 on.
+    The old basis is released before the new one is built, and the new one
+    is filled one block of rows at a time, so a build holds one basis-sized
+    array and no basis-sized temporaries.
+    """
+    B = _basis_slot.get(n)
+    if B is None:
+        _basis_slot.clear()
+        x = grid()[1:-1]
+        log_x, log1m_x = np.log(x), np.log1p(-x)
+        k = np.arange(n + 1)[:, None]
+        log_c = np.array([[lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)] for j in range(n + 1)])
+        B = np.empty((n + 1, x.size))
+        for r in range(0, n + 1, _BUILD_ROWS):
+            kr = k[r:r + _BUILD_ROWS]
+            B[r:r + _BUILD_ROWS] = log_c[r:r + _BUILD_ROWS] + kr * log_x + (n - kr) * log1m_x
+        np.exp(B, out=B)
+        B.setflags(write=False)
+        _basis_slot[n] = B
+    return B
+
+
 def bernstein_apply(n: int, f) -> np.ndarray:
     """Bernstein operator B_n applied to a grid function.
 
@@ -42,21 +74,18 @@ def bernstein_apply(n: int, f) -> np.ndarray:
     are linearly interpolated from the grid.  B_n is positive and fixes
     constants up to the rounding of its log-space basis (1.5e-13 at
     n = 400, 3e-12 at n = 4000); at the endpoints B_n f = f exactly.
+    The basis is held for the last n only (3.2 MB at n = 400), so a table
+    that applies each n to several elements builds it once per n.
     """
-    if n < 1:
-        raise InvalidInput("Bernstein index must be >= 1")
+    if not _is_index(n) or n < 1:
+        raise InvalidInput(f"Bernstein index must be an integer >= 1, got {n!r}")
     f = np.asarray(f, dtype=float)
     if f.shape != (GRID_POINTS,):
         raise InvalidInput(f"grid functions have {GRID_POINTS} points, got shape {f.shape}")
-    x = grid()
-    fn = np.interp(np.arange(n + 1) / n, x, f)
-    # C(n,k) x^k (1-x)^(n-k) in log space, as a float C(n,k) overflows from
-    # n = 1030 on.
-    k = np.arange(n + 1)[:, None]
-    log_c = np.array([[lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)] for j in range(n + 1)])
+    fn = np.interp(np.arange(n + 1) / n, grid(), f)
     out = np.empty(GRID_POINTS)
     out[0], out[-1] = fn[0], fn[-1]
-    out[1:-1] = fn @ np.exp(log_c + k * np.log(x[1:-1]) + (n - k) * np.log1p(-x[1:-1]))
+    out[1:-1] = fn @ _bernstein_basis(n)
     return out
 
 
@@ -82,6 +111,8 @@ class MapFamily:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise InvalidInput(f"unknown family kind {self.kind!r}")
+        if not (_is_index(self.n_min) and _is_index(self.n_max)):
+            raise InvalidInput(f"n_min and n_max must be integers, got {self.n_min!r}, {self.n_max!r}")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise InvalidInput("need 1 <= n_min <= n_max")
         if self.kind == "constant_certificate" and "choi" not in self.params:

@@ -44,9 +44,10 @@ def config_digest(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    """Indented JSON with sorted keys, encoded whole and written at once."""
+    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_json(path):

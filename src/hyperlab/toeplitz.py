@@ -39,22 +39,34 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class GQ:
-    """Gaussian rational re + im*i with exact Fraction components."""
+    """Gaussian rational re + im*i with exact Fraction components.
+
+    Sums and products work on the integer numerators and denominators and
+    normalize once per component, in ``Fraction(num, den)``, so each
+    component stays reduced with a positive denominator.
+    """
 
     re: Fraction
     im: Fraction
 
     def __add__(self, other: "GQ") -> "GQ":
-        return GQ(self.re + other.re, self.im + other.im)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
+        return GQ(Fraction(a.numerator * dc + c.numerator * da, da * dc),
+                  Fraction(b.numerator * dd + d.numerator * db, db * dd))
 
     def __neg__(self) -> "GQ":
         return GQ(-self.re, -self.im)
 
     def __mul__(self, other: "GQ") -> "GQ":
-        return GQ(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        # (a + bi)(c + di) = (ac - bd) + (ad + bc)i; each part is put over
+        # the product of its two terms' denominators.
+        a, b, c, d = self.re, self.im, other.re, other.im
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
+        dac, dbd, dad, dbc = da * dc, db * dd, da * dd, db * dc
+        return GQ(Fraction(na * nc * dbd - nb * nd * dac, dac * dbd),
+                  Fraction(na * nd * dbc + nb * nc * dad, dad * dbc))
 
     def conj(self) -> "GQ":
         return GQ(self.re, -self.im)
@@ -87,7 +99,7 @@ def _sparse(pairs) -> dict:
     """The map key -> sum of the coefficients given for that key, zeros dropped.
 
     A key's first coefficient is stored as it is: adding it to zero would
-    cost two Fraction additions per entry.
+    cost a GQ addition, two Fraction normalizations, per entry.
     """
     out: dict = {}
     for k, c in pairs:

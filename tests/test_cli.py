@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,19 @@ def test_toeplitz_golden_results(tmp_path):
     out = str(tmp_path / "toeplitz.json")
     assert main(["toeplitz", "--script", p, "--out", out]) == 0
     assert json.loads((tmp_path / "toeplitz.json").read_text())["results"] == _GOLDEN_RESULTS
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_toeplitz_golden_file(tmp_path):
+    """Powers up to 7 of a band -2..2 symbol plus tail, of its adjoint and of
+    S.  Exact arithmetic has one canonical answer, so the report file is
+    pinned byte for byte: values, key order and layout."""
+    out = tmp_path / "toeplitz.json"
+    assert main(["toeplitz", "--script", str(GOLDEN / "toeplitz_powers.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "toeplitz_powers.out.json").read_bytes()
 
 
 def test_toeplitz_rejects_unknown_function(tmp_path, capsys):

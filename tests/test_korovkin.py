@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from math import lgamma
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,56 @@ def test_bernstein_deviation_values():
     assert dev1 == pytest.approx(0.25, abs=1e-10)
     dev100 = float(np.max(np.abs(korovkin.bernstein_apply(100, x * x) - x * x)))
     assert dev100 == pytest.approx(1.0 / 400.0, abs=1e-6)
+
+
+def _log_space_bernstein(n: int, f) -> np.ndarray:
+    """B_n f with the basis rebuilt from the log-space expression each call."""
+    x = xs()
+    fn = np.interp(np.arange(n + 1) / n, x, f)
+    k = np.arange(n + 1)[:, None]
+    log_c = np.array([[lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)] for j in range(n + 1)])
+    out = np.empty(korovkin.GRID_POINTS)
+    out[0], out[-1] = fn[0], fn[-1]
+    out[1:-1] = fn @ np.exp(log_c + k * np.log(x[1:-1]) + (n - k) * np.log1p(-x[1:-1]))
+    return out
+
+
+def test_bernstein_held_basis_is_bit_identical():
+    """Switching n back and forth rebuilds the held basis; every result
+    equals the unheld log-space expression bit for bit."""
+    x = xs()
+    for n in (5, 7, 5, 400, 7):
+        for f in (np.ones_like(x), x, x * x, np.abs(x - 0.5)):
+            assert np.array_equal(korovkin.bernstein_apply(n, f), _log_space_bernstein(n, f))
+
+
+def test_bernstein_results_do_not_share_the_basis():
+    x = xs()
+    first = korovkin.bernstein_apply(9, x * x)
+    expected = first.copy()
+    first[:] = -1.0
+    assert np.array_equal(korovkin.bernstein_apply(9, x * x), expected)
+    with pytest.raises(ValueError):  # the held basis is read-only
+        korovkin._bernstein_basis(9)[0, 0] = 0.0
+
+
+def test_bernstein_table_holds_one_basis():
+    """A 397..400 table over {1, x, x^2} peaks at one build: one basis plus
+    a few row-block temporaries.  The old basis is gone before the new one
+    is built, and no basis-sized temporary is made; either would add about
+    another basis (3.2 MB at n = 400)."""
+    x = xs()
+    G = [np.ones_like(x), x, x * x]
+    fam = korovkin.MapFamily(kind="bernstein", n_min=397, n_max=400)
+    korovkin.bernstein_apply(396, x)  # the table starts with a basis held
+    row_bytes = (korovkin.GRID_POINTS - 2) * 8
+    tracemalloc.start()
+    try:
+        korovkin.run(fam, G=G, probes=[])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (400 + 1) * row_bytes + 4 * korovkin._BUILD_ROWS * row_bytes
 
 
 def test_bernstein_family_report():
@@ -124,6 +177,16 @@ def test_invalid_inputs():
         korovkin.MapFamily(kind="bernstein", n_min=0)
     with pytest.raises(InvalidInput):
         korovkin.MapFamily(kind="pinching", params={"d": 3})
+    # True == 1 and 1.5 is no index: both are refused, not read as B_1 or
+    # left to fail in range().
+    for bad in (True, 1.5):
+        with pytest.raises(InvalidInput):
+            korovkin.MapFamily(kind="bernstein", n_min=bad)
+        with pytest.raises(InvalidInput):
+            korovkin.MapFamily(kind="bernstein", n_min=1, n_max=bad)
+    for bad in (True, 2.5):
+        with pytest.raises(InvalidInput):
+            korovkin.bernstein_apply(bad, x)
     fam = korovkin.MapFamily(kind="bernstein")
     with pytest.raises(InvalidInput):
         korovkin.run(fam, G=[], probes=[x])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,10 @@ def test_canonical_dumps_is_compact_and_sorted():
 
 
 def test_json_roundtrip_is_byte_stable(tmp_path):
-    obj = {"z": [1, 2, 3], "a": {"nested": True}}
+    obj = {"z": [1, 2, 3], "a": {"nested": True, "x": [1.5, -2.25e-17, 0.1], "s": "\u00e9 p/q"},
+           "m": [], "b": "text"}
     p1, p2 = tmp_path / "x.json", tmp_path / "y.json"
     write_json(p1, obj)
     write_json(p2, read_json(p1))
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_bytes() == (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import toeplitz
 from hyperlab.errors import InvalidInput, NotIsometry
@@ -169,3 +172,29 @@ def test_json_round_shapes():
     js = A.to_json()
     assert js["symbol"] == {"-1": ["1/2", "0"]}
     assert js["tail"] == {"1,2": ["0", "3/4"]}
+
+
+def _canonical(q: Fraction) -> bool:
+    return type(q) is Fraction and q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=st.fractions(), b=st.fractions(), c=st.fractions(), d=st.fractions())
+def test_gq_arithmetic_matches_fraction_formulas(a, b, c, d):
+    """GQ's integer arithmetic against the componentwise Fraction formulas.
+    Each component must come out reduced with a positive denominator, so
+    that ==, hashing and as_strings agree with a GQ built from the
+    reference Fractions."""
+    x, y = toeplitz.GQ(a, b), toeplitz.GQ(c, d)
+    cases = [
+        (x * y, (a * c - b * d, a * d + b * c)),
+        (x + y, (a + c, b + d)),
+        (-x, (-a, -b)),
+        (x.conj(), (a, -b)),
+    ]
+    for got, (re, im) in cases:
+        want = toeplitz.GQ(re, im)
+        assert (got.re, got.im) == (re, im)
+        assert _canonical(got.re) and _canonical(got.im)
+        assert got == want and hash(got) == hash(want)
+        assert got.as_strings() == [str(re), str(im)]
