@@ -8,6 +8,10 @@ seeded commands (uep-search, suite) also embed their seed.  Identical
 draw no random numbers.  HYPERLAB_THREADS caps BLAS threads (applied when
 the package is imported; see ``hyperlab/__init__.py``).
 
+``main`` parses with one argparse parser per process, built on its first
+call (not at import) and reused: parse_args keeps no state in the parser,
+so each call sees only its own flags and the defaults.
+
 Exit codes: 0 completed, 2 invalid input, 3 solver non-convergence.
 """
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import re
 import sys
 
@@ -283,7 +288,9 @@ def _cmd_suite(args) -> int:
 # entry point
 # ----------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call."""
     parser = argparse.ArgumentParser(prog="hyperlab",
                                      description="Desk-scale hyperrigidity experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -322,9 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; keep its code.
         return int(exc.code or 0)

@@ -56,7 +56,8 @@ def _bernstein_basis(n: int) -> np.ndarray:
         x = grid()[1:-1]
         log_x, log1m_x = np.log(x), np.log1p(-x)
         k = np.arange(n + 1)[:, None]
-        log_c = np.array([[lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)] for j in range(n + 1)])
+        lg = np.array([lgamma(i + 1) for i in range(n + 1)])  # log i!
+        log_c = (lg[n] - lg - lg[::-1])[:, None]
         B = np.empty((n + 1, x.size))
         for r in range(0, n + 1, _BUILD_ROWS):
             kr = k[r:r + _BUILD_ROWS]

@@ -11,12 +11,15 @@ Laurent-polynomial Toeplitz operators is finitely supported:
 
 nonzero only for 0 <= i < maxdeg(p), 0 <= j < -mindeg(q).  All coefficients
 are exact, so identities like S*S = I and S S* = I - E_00 hold bit-exactly.
+A coefficient (``GQ``) is two integer numerators over one integer
+denominator, reduced by one gcd per sum or product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -37,48 +40,88 @@ def _frac(x) -> Fraction:
     raise InvalidInput(f"exact coefficients must be int, Fraction or 'p/q' string, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class GQ:
-    """Gaussian rational re + im*i with exact Fraction components.
+class GQ(tuple):
+    """Gaussian rational (re_num + im_num*i) / den, stored as the triple
+    ``(re_num, im_num, den)`` of integers with den > 0 and
+    gcd(re_num, im_num, den) = 1, so that equal values have equal triples.
 
-    Sums and products work on the integer numerators and denominators and
-    normalize once per component, in ``Fraction(num, den)``, so each
-    component stays reduced with a positive denominator.
+    The triple is a tuple, so a GQ is immutable and hashes and compares as
+    its triple.  A sum or product puts both components over one
+    denominator and divides out one three-argument gcd; negation and
+    ``conj`` keep the triple reduced and need none.  ``GQ(re, im)`` takes
+    two rationals (int or Fraction); ``re`` and ``im`` read them back as
+    Fractions.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ()
+
+    def __new__(cls, re, im) -> "GQ":
+        den = lcm(re.denominator, im.denominator)
+        return _reduced(re.numerator * (den // re.denominator),
+                        im.numerator * (den // im.denominator), den)
+
+    def __getnewargs__(self) -> tuple:
+        return self.re, self.im
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self[0], self[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self[1], self[2])
+
+    def __repr__(self) -> str:
+        return f"GQ({self.re!r}, {self.im!r})"
 
     def __add__(self, other: "GQ") -> "GQ":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
-        return GQ(Fraction(a.numerator * dc + c.numerator * da, da * dc),
-                  Fraction(b.numerator * dd + d.numerator * db, db * dd))
+        a, b, m = self
+        c, d, n = other
+        if m == n:
+            return _reduced(a + c, b + d, m)
+        return _reduced(a * n + c * m, b * n + d * m, m * n)
 
     def __neg__(self) -> "GQ":
-        return GQ(-self.re, -self.im)
+        a, b, m = self
+        return _new(GQ, (-a, -b, m))
 
     def __mul__(self, other: "GQ") -> "GQ":
-        # (a + bi)(c + di) = (ac - bd) + (ad + bc)i; each part is put over
-        # the product of its two terms' denominators.
-        a, b, c, d = self.re, self.im, other.re, other.im
-        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
-        nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
-        dac, dbd, dad, dbc = da * dc, db * dd, da * dd, db * dc
-        return GQ(Fraction(na * nc * dbd - nb * nd * dac, dac * dbd),
-                  Fraction(na * nd * dbc + nb * nc * dad, dad * dbc))
+        # (a + bi)/m * (c + di)/n = ((ac - bd) + (ad + bc)i) / (mn).
+        a, b, m = self
+        c, d, n = other
+        return _reduced(a * c - b * d, a * d + b * c, m * n)
 
     def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
+        a, b, m = self
+        return _new(GQ, (a, -b, m))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self[0] != 0 or self[1] != 0
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        a, b, m = self
+        return complex(a / m, b / m)
 
     def as_strings(self) -> list:
-        return [str(self.re), str(self.im)]
+        """The two components as ``str(Fraction)`` writes them: "n" or "n/d"."""
+        a, b, m = self
+        return [_fraction_text(a, m), _fraction_text(b, m)]
+
+
+_new = tuple.__new__
+
+
+def _reduced(a: int, b: int, m: int) -> GQ:
+    """The GQ (a + bi)/m for m > 0, with the common factor divided out."""
+    g = gcd(a, b, m)
+    if g != 1:
+        a, b, m = a // g, b // g, m // g
+    return _new(GQ, (a, b, m))
+
+
+def _fraction_text(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _coeff(x) -> GQ:
@@ -88,7 +131,7 @@ def _coeff(x) -> GQ:
     if isinstance(x, (list, tuple)) and len(x) == 2:
         return GQ(_frac(x[0]), _frac(x[1]))
     if isinstance(x, (int, Fraction, str)):
-        return GQ(_frac(x), Fraction(0))
+        return GQ(_frac(x), 0)
     raise InvalidInput(f"cannot interpret {x!r} as a Gaussian rational")
 
 
@@ -99,7 +142,7 @@ def _sparse(pairs) -> dict:
     """The map key -> sum of the coefficients given for that key, zeros dropped.
 
     A key's first coefficient is stored as it is: adding it to zero would
-    cost a GQ addition, two Fraction normalizations, per entry.
+    cost a GQ addition, with its gcd, per entry.
     """
     out: dict = {}
     for k, c in pairs:

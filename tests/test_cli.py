@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperlab import cli
 from hyperlab.cli import main
 
 
@@ -127,6 +128,26 @@ def test_toeplitz_golden_file(tmp_path):
     """Powers up to 7 of a band -2..2 symbol plus tail, of its adjoint and of
     S.  Exact arithmetic has one canonical answer, so the report file is
     pinned byte for byte: values, key order and layout."""
+    out = tmp_path / "toeplitz.json"
+    assert main(["toeplitz", "--script", str(GOLDEN / "toeplitz_powers.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "toeplitz_powers.out.json").read_bytes()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """main reuses one parser per process; a flag, a bad flag or --help in
+    one call must not show in the next."""
+    assert cli._build_parser() is cli._build_parser()
+    cfg = write(tmp_path, "x.json", {"d": 3, "generators": [diag3(0, 1, 2)], "tol": 1e-6})
+    reports = []
+    for i, argv in enumerate((["--tol", "1e-3"], [])):
+        out = tmp_path / f"report{i}.json"
+        assert main(["uep-search", "--config", cfg, "--seed", "7", "--out", str(out)] + argv) == 0
+        reports.append(json.loads(out.read_text()))
+    assert [r["tol"] for r in reports] == [1e-3, 1e-6]
+    assert main(["toeplitz", "--script", "s.json", "--no-such-flag"]) == 2
+    assert main(["toeplitz", "--help"]) == 0
+    assert "--script" in capsys.readouterr().out
     out = tmp_path / "toeplitz.json"
     assert main(["toeplitz", "--script", str(GOLDEN / "toeplitz_powers.json"),
                  "--out", str(out)]) == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -174,15 +176,17 @@ def test_json_round_shapes():
     assert js["tail"] == {"1,2": ["0", "3/4"]}
 
 
-def _canonical(q: Fraction) -> bool:
-    return type(q) is Fraction and q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+def _canonical(got: toeplitz.GQ, re: Fraction, im: Fraction) -> bool:
+    """The stored triple is (re, im) over their least common denominator."""
+    a, b, m = got
+    return m > 0 and gcd(a, b, m) == 1 and (Fraction(a, m), Fraction(b, m)) == (re, im)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(a=st.fractions(), b=st.fractions(), c=st.fractions(), d=st.fractions())
 def test_gq_arithmetic_matches_fraction_formulas(a, b, c, d):
     """GQ's integer arithmetic against the componentwise Fraction formulas.
-    Each component must come out reduced with a positive denominator, so
+    The stored triple must come out reduced with a positive denominator, so
     that ==, hashing and as_strings agree with a GQ built from the
     reference Fractions."""
     x, y = toeplitz.GQ(a, b), toeplitz.GQ(c, d)
@@ -194,7 +198,35 @@ def test_gq_arithmetic_matches_fraction_formulas(a, b, c, d):
     ]
     for got, (re, im) in cases:
         want = toeplitz.GQ(re, im)
+        assert _canonical(got, re, im)
         assert (got.re, got.im) == (re, im)
-        assert _canonical(got.re) and _canonical(got.im)
         assert got == want and hash(got) == hash(want)
         assert got.as_strings() == [str(re), str(im)]
+        assert got.to_complex() == complex(re) + 1j * complex(im)
+
+
+def test_gq_is_immutable():
+    x = toeplitz.GQ(Fraction(1, 2), -3)
+    for name in ("re", "im", "den"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Fraction(1))
+    with pytest.raises(TypeError):
+        x[0] = 7
+    assert x == toeplitz.GQ(Fraction(1, 2), -3)
+    assert copy.copy(x) == x and pickle.loads(pickle.dumps(x)) == x
+
+
+def test_gq_equal_values_are_equal_and_hash_equal():
+    half = toeplitz.GQ(Fraction(1, 2), 0)
+    for same in (toeplitz.GQ(Fraction(2, 4), 0),
+                 toeplitz.GQ(Fraction(1, 4), 0) + toeplitz.GQ(Fraction(1, 4), 0),
+                 toeplitz.GQ(Fraction(3, 2), 1) * toeplitz.GQ(Fraction(3, 13), Fraction(-2, 13))):
+        assert same == half and hash(same) == hash(half)
+    assert toeplitz.GQ(Fraction(1, 2), Fraction(1, 3)) != toeplitz.GQ(Fraction(1, 2), 0)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(-1), Fraction(-12), Fraction(5),
+                               Fraction(-1, 2), Fraction(-22, 7), Fraction(3, 10)])
+def test_gq_as_strings_matches_str_fraction(q):
+    assert toeplitz.GQ(q, -q).as_strings() == [str(q), str(-q)]
+    assert toeplitz.GQ(q, Fraction(1, 6)).as_strings() == [str(q), "1/6"]
