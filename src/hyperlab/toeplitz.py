@@ -45,12 +45,14 @@ class GQ(tuple):
     ``(re_num, im_num, den)`` of integers with den > 0 and
     gcd(re_num, im_num, den) = 1, so that equal values have equal triples.
 
-    The triple is a tuple, so a GQ is immutable and hashes and compares as
-    its triple.  A sum or product puts both components over one
-    denominator and divides out one three-argument gcd; negation and
-    ``conj`` keep the triple reduced and need none.  ``GQ(re, im)`` takes
-    two rationals (int or Fraction); ``re`` and ``im`` read them back as
-    Fractions.
+    A GQ is a tuple, so it is immutable and hashes as its triple.  It
+    equals only another GQ, and ordering and ``int * GQ`` repetition raise
+    TypeError; the rest of the tuple protocol (indexing, unpacking, json
+    writing it as a list) stays.  A sum or product puts both components
+    over one denominator and divides out one three-argument gcd; negation
+    and ``conj`` keep the triple reduced and need none.  ``GQ(re, im)``
+    takes two rationals (int or Fraction); ``re`` and ``im`` read them back
+    as Fractions.
     """
 
     __slots__ = ()
@@ -74,11 +76,24 @@ class GQ(tuple):
     def __repr__(self) -> str:
         return f"GQ({self.re!r}, {self.im!r})"
 
+    # False, not NotImplemented, for other tuples: a plain tuple's own
+    # comparison would otherwise match it against the triple.
+    def __eq__(self, other) -> bool:
+        return type(other) is GQ and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not GQ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __rmul__(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = __rmul__
+
     def __add__(self, other: "GQ") -> "GQ":
         a, b, m = self
         c, d, n = other
-        if m == n:
-            return _reduced(a + c, b + d, m)
         return _reduced(a * n + c * m, b * n + d * m, m * n)
 
     def __neg__(self) -> "GQ":
@@ -103,9 +118,7 @@ class GQ(tuple):
         return complex(a / m, b / m)
 
     def as_strings(self) -> list:
-        """The two components as ``str(Fraction)`` writes them: "n" or "n/d"."""
-        a, b, m = self
-        return [_fraction_text(a, m), _fraction_text(b, m)]
+        return [str(self.re), str(self.im)]
 
 
 _new = tuple.__new__
@@ -117,11 +130,6 @@ def _reduced(a: int, b: int, m: int) -> GQ:
     if g != 1:
         a, b, m = a // g, b // g, m // g
     return _new(GQ, (a, b, m))
-
-
-def _fraction_text(n: int, d: int) -> str:
-    g = gcd(n, d)
-    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _coeff(x) -> GQ:
