@@ -83,7 +83,7 @@ def _cmd_uep_search(args) -> int:
     out["config_digest"] = digest
     if args.out:
         write_json(args.out, out)
-    print(f"uep-search: status={report.status} max_deviation={report.max_deviation:.3e} "
+    print(f"uep-search: status={report.status} basis={report.basis} max_deviation={report.max_deviation:.3e} "
           f"seed={args.seed} digest={digest[:12]}")
     return EXIT_NONCONVERGED if report.status == "NonConverged" else EXIT_OK
 

@@ -1,8 +1,15 @@
-"""Search for UCP maps violating the unique extension property.
+"""Decide the unique extension property, by theorem or by search.
 
 The question "is the identity representation the only UCP map pinned to
-agree with it on a generator set G?" is decided at desk scale by searching
-the spectrahedron
+agree with it on a generator set G?" is first put to the multiplicative
+domain theorem the paper proves hyperrigidity with (Choi 1974; Arveson
+2011; _theorem_step tests the traceless, unit-norm part of g): when g*g
+and gg* lie in span{I, G, G*}, every feasible Phi has
+Phi(g*g) = Phi(g)*Phi(g) and Phi(gg*) = Phi(g)Phi(g)*, so g lies in the
+multiplicative domain of Phi, where Phi is a *-homomorphism fixing g.
+When such generators generate C*(G), Phi = id on C*(G) and solve reports
+Unique-evidence with basis "theorem", having built no face.  Every other
+problem is decided at desk scale by searching the spectrahedron
 
     { Choi matrices C : C PSD, Phi_C(h) = h for h in H }
 
@@ -55,7 +62,8 @@ SQRT2 = np.sqrt(2.0)
 FEAS_TOL = 1e-9
 
 # A probe counts as inside the generated algebra when its projection
-# residual is below this (relative) threshold.
+# residual is below this (relative) threshold; _theorem_step cuts the
+# residuals of g0*g0 and g0 g0* off span{I, G, G*} (unit-norm g0) there too.
 MEMBERSHIP_RTOL = 1e-8
 
 # Longest word in {T, T*} checked by schwarz_pinning_check.
@@ -237,16 +245,18 @@ class ProbeDeviation:
 @dataclass
 class UepReport:
     status: str  # "Unique-evidence" | "ViolationFound" | "NonConverged"
+    basis: str  # "theorem" (_theorem_step) | "search" (_search)
     deviations: list
     iterations: int
     residuals: dict
     constraint_rank: int
     rank_margin: int
-    face_dim: int  # n of the reduced face of build_constraints, where the search ran
+    face_dim: int | None  # n of the reduced face the search ran on; None: no face was built
     certificate: ViolationCertificate | None
     choi: cpmaps.ChoiMatrix
     seed: int
     tol: float
+    membership: dict | None = None  # theorem only: largest membership residual and its cutoff
 
     @property
     def max_deviation(self) -> float:
@@ -254,8 +264,9 @@ class UepReport:
         return max(devs) if devs else 0.0
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "status": self.status,
+            "basis": self.basis,
             "deviations": [p.to_json() for p in self.deviations],
             "max_deviation": self.max_deviation,
             "iterations": self.iterations,
@@ -267,6 +278,9 @@ class UepReport:
             "seed": self.seed,
             "tol": self.tol,
         }
+        if self.membership is not None:
+            out["membership"] = self.membership
+        return out
 
 
 # ----------------------------------------------------------------------------
@@ -554,17 +568,26 @@ def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
 # ----------------------------------------------------------------------------
 
 def solve(P: UepProblem) -> UepReport:
-    """Run the UEP search and report deviations, a certificate, or evidence
-    of uniqueness.
+    """Decide the UEP question: check the input, then try the theorem
+    step, and search only when it declines.
 
-    Deviations are support-function lower bounds max_W <W, Phi(a) - a>/||W||
-    (Frobenius-normalized witnesses), evaluated only at polished feasible
-    Choi matrices; the certificate deviation is re-measured in operator norm
-    and revalidated by an independent code path.  Witness tasks whose
-    objective no feasible point can move by more than tol/10 skip the
-    ascent; ``iterations`` is 0 when every task is skipped.  The search
-    runs on the reduced face of build_constraints, whose n ``face_dim``
-    reports.
+    A theorem report (basis "theorem") has exact zero deviations, no face
+    (``face_dim`` None) and the identity Choi matrix.  A search report
+    (basis "search") carries deviations, a certificate, or evidence of
+    uniqueness, as described at _search.
+    """
+    alg, probes, info = _validate(P)
+    report = _theorem_step(P, alg, info)
+    return report if report is not None else _search(P, probes, info)
+
+
+def _validate(P: UepProblem) -> tuple:
+    """Input checks that both decisions rely on: (alg, probes, info).
+
+    alg is C*(G) (opsys.generate_algebra); probes are P.probes, or the
+    basis of alg when None; info holds (index, projection residual,
+    in-algebra) of each probe.  Raises InvalidInput on a bad field, a shape
+    other than (d, d), or when no probe lies in C*(G).
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
@@ -577,7 +600,8 @@ def solve(P: UepProblem) -> UepReport:
     if P.probes is not None and len(P.probes) == 0:
         raise InvalidInput("probe list is empty")
     d = P.d
-    cs = build_constraints(P)
+    if P.G.d != d:  # GeneratorSet makes every generator G.d x G.d
+        raise InvalidInput(f"pinned element shape ({P.G.d}, {P.G.d}) != ({d}, {d})")
     alg = opsys.generate_algebra(P.G)
 
     if P.probes is None:
@@ -594,6 +618,87 @@ def solve(P: UepProblem) -> UepReport:
         info.append((idx, resid, in_alg))
     if not any(in_alg for _, _, in_alg in info):
         raise InvalidInput("no probe lies in C*(G), so no UEP question is asked")
+    return alg, probes, info
+
+
+def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepReport | None:
+    """Unique-evidence by the multiplicative domain theorem, or None.
+
+    For each generator g let g0 be its traceless part scaled to unit
+    Frobenius norm (0 when that part is exactly 0).  g passes when g0*g0 and
+    g0 g0* both lie in span_C{I, G, G*}: their residuals off the
+    orthonormal basis of one SVD of that span (rank cut at 1e-12 of the
+    largest singular value, as in build_constraints) are at most
+    MEMBERSHIP_RTOL.  Every feasible Phi fixes that span, so
+    Phi(g0*g0) = Phi(g0)*Phi(g0) and Phi(g0 g0*) = Phi(g0)Phi(g0)*: g lies
+    in the multiplicative domain of Phi (Choi), where Phi is a
+    *-homomorphism, and Phi = id on the C*-algebra of the passing
+    generators.  When that algebra is C*(G) (generate_algebra decides it
+    unless every generator passes) and every probe lies in C*(G), the
+    answer is proved.  Testing g0 rather than g makes the decision
+    invariant under g -> a g + b I: g = I + s D has g*g within s^2 of
+    span{I, g}, so for small s a raw test would pass it whatever D is.
+    """
+    if not all(in_alg for _, _, in_alg in info):
+        return None
+    d = P.d
+    gens = np.array(P.G.generators)
+    S = np.concatenate([np.eye(d)[None], gens, gens.conj().swapaxes(-1, -2)]).reshape(-1, d * d)
+    _, sv, Vh = np.linalg.svd(S, full_matrices=False)
+    Q = Vh[sv > 1e-12 * sv[0]]  # orthonormal rows spanning span_C{I, G, G*}
+    g0 = gens - (np.trace(gens, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+    size = np.linalg.norm(g0, axis=(1, 2))
+    g0 = g0 / np.where(size > 0.0, size, 1.0)[:, None, None]
+    g0h = g0.conj().swapaxes(-1, -2)
+    A = np.concatenate([g0h @ g0, g0 @ g0h]).reshape(-1, d * d)
+    resid = np.linalg.norm(A - (A @ Q.conj().T) @ Q, axis=1).reshape(2, -1).max(axis=0)
+    held = resid <= MEMBERSHIP_RTOL
+    if not held.any():
+        return None
+    if not held.all():
+        held_set = opsys.GeneratorSet(d=d, generators=tuple(gens[held]))
+        if opsys.generate_algebra(held_set).dim < alg.dim:
+            return None
+    choi = cpmaps.identity_choi(d)
+    H = Q.reshape(-1, d, d)
+    # Frobenius norm of (Phi(h) - h) over an orthonormal basis of the span,
+    # the quantity a search report's residuals.affine measures.
+    moved = np.einsum("imjn,aij->amn", choi.mat.reshape(d, d, d, d), H) - H
+    rank = d * d * len(Q)  # build_constraints' count, d^2 dim span{I, G, G*}
+    return UepReport(
+        status="Unique-evidence",
+        basis="theorem",
+        deviations=[ProbeDeviation(index=idx, deviation=0.0, in_algebra=True,
+                                   projection_residual=float(r)) for idx, r, _ in info],
+        iterations=0,
+        residuals={"affine": float(np.linalg.norm(moved)),
+                   "psd": float(max(0.0, -np.linalg.eigvalsh(choi.mat)[0]))},
+        constraint_rank=rank,
+        rank_margin=d ** 4 - rank,
+        face_dim=None,
+        certificate=None,
+        choi=choi,
+        seed=P.seed,
+        tol=P.tol,
+        membership={"residual": float(np.max(resid[held])), "cutoff": MEMBERSHIP_RTOL},
+    )
+
+
+def _search(P: UepProblem, probes: list, info: list) -> UepReport:
+    """Run the UEP search and report deviations, a certificate, or evidence
+    of uniqueness (basis "search").
+
+    Deviations are support-function lower bounds max_W <W, Phi(a) - a>/||W||
+    (Frobenius-normalized witnesses), evaluated only at polished feasible
+    Choi matrices; the certificate deviation is re-measured in operator norm
+    and revalidated by an independent code path.  Witness tasks whose
+    objective no feasible point can move by more than tol/10 skip the
+    ascent; ``iterations`` is 0 when every task is skipped.  The search
+    runs on the reduced face of build_constraints, whose n ``face_dim``
+    reports.
+    """
+    d = P.d
+    cs = build_constraints(P)
 
     rng = make_rng(P.seed)
     n_w = int(P.n_witnesses)
@@ -697,6 +802,7 @@ def solve(P: UepProblem) -> UepReport:
 
     return UepReport(
         status=status,
+        basis="search",
         deviations=deviations,
         iterations=total_iters,
         residuals=residuals,

@@ -31,7 +31,7 @@ def test_uep_search_x_only(tmp_path, capsys):
     assert report["status"] == "ViolationFound"
     assert report["certificate"] is not None
     assert "config_digest" in report
-    assert "status=ViolationFound" in capsys.readouterr().out
+    assert "status=ViolationFound basis=search" in capsys.readouterr().out
 
 
 def test_uep_search_unique(tmp_path, capsys):
@@ -39,7 +39,7 @@ def test_uep_search_unique(tmp_path, capsys):
                 {"d": 3, "generators": [diag3(0, 1, 2), diag3(0, 1, 4)]})
     code = main(["uep-search", "--config", cfg, "--seed", "7"])
     assert code == 0
-    assert "status=Unique-evidence" in capsys.readouterr().out
+    assert "status=Unique-evidence basis=theorem" in capsys.readouterr().out
 
 
 def test_uep_search_reruns_byte_identical(tmp_path):
@@ -200,6 +200,16 @@ def test_uep_search_bad_input_exits_2(tmp_path, capsys, extra, argv, message):
     cfg = write(tmp_path, "x.json", {"d": 3, "generators": [diag3(0, 1, 2)], **extra})
     assert main(["uep-search", "--config", cfg] + argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_uep_search_probe_outside_a_theorem_set_exits_2(tmp_path, capsys):
+    """{X, X^2} is decided by theorem, but a probe list with no probe in
+    C*(X, X^2) is still rejected first."""
+    swap = [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+    cfg = write(tmp_path, "xx2.json", {"d": 3, "generators": [diag3(0, 1, 2), diag3(0, 1, 4)],
+                                       "probes": [swap]})
+    assert main(["uep-search", "--config", cfg]) == 2
+    assert "no probe lies in C*(G)" in capsys.readouterr().err
 
 
 def test_stinespring_missing_choi_key_exits_2(tmp_path, capsys):

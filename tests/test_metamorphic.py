@@ -4,7 +4,9 @@ The unique extension property of G depends only on the operator system
 span{I, G, G*} up to unitary equivalence, so the status and the pinned face
 dimension must not change under simultaneous conjugation G -> V G V*, an
 affine change g -> a g + b I, a reordering of G, or appending an element
-already in span{I, G}.
+already in span{I, G}.  The theorem step's decision (decided or not, and
+the constraint rank it reports) must not change under conjugation,
+reordering or an affine change either.
 """
 
 from __future__ import annotations
@@ -74,3 +76,34 @@ def test_status_and_face_are_invariant(transform, kind, d, key):
     rng = make_rng(key)
     gens, probe = _case(kind, d, rng)
     assert _outcome(*transform(gens, probe, rng)) == _outcome(gens, probe)
+
+
+def _decision(gens) -> tuple:
+    """(decided by theorem, constraint rank) of the default-probe problem."""
+    d = gens[0].shape[0]
+    G = opsys.GeneratorSet(d=d, generators=tuple(np.asarray(g, dtype=complex) for g in gens))
+    P = uep.UepProblem(d=d, G=G)
+    alg, _, info = uep._validate(P)
+    rep = uep._theorem_step(P, alg, info)
+    return (False, None) if rep is None else (True, rep.constraint_rank)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["polar", "normal", "unitary", "self-adjoint"])
+def test_theorem_decision_is_invariant(kind, d):
+    """The step tests the traceless, unit-norm part of each generator, so
+    its decision survives G -> VGV*, reordering, and g -> a g + b I for a
+    in {1e-9, 0.5, 2, 1e9}.  The self-adjoint sets are decided at d = 2
+    only, the others at every d.  The shift is b = a beta with beta in
+    [-2, 2]: a shift of order 1 on a generator of order 1e-9 rounds away
+    all but about seven digits of it, fewer than the 1e-8 membership
+    cutoff resolves."""
+    rng = make_rng(9200 + 10 * d)
+    gens, probe = _case(kind, d, rng)
+    base = _decision(gens)
+    assert base[0] == (kind != "self-adjoint" or d == 2)
+    assert _decision(_conjugate(gens, probe, rng)[0]) == base
+    assert _decision(_reorder(gens, probe, rng)[0]) == base
+    for a in (1e-9, 0.5, 2.0, 1e9):
+        b = a * rng.uniform(-2.0, 2.0)
+        assert _decision([a * g + b * np.eye(d) for g in gens]) == base, a

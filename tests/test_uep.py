@@ -25,6 +25,18 @@ def gen(d, *mats) -> opsys.GeneratorSet:
     return opsys.GeneratorSet(d=d, generators=tuple(np.asarray(m, dtype=complex) for m in mats))
 
 
+def search(P: uep.UepProblem) -> uep.UepReport:
+    """The search alone, after solve's input checks, without the theorem step."""
+    _, probes, info = uep._validate(P)
+    return uep._search(P, probes, info)
+
+
+def theorem(P: uep.UepProblem) -> uep.UepReport | None:
+    """The theorem step alone, after solve's input checks."""
+    alg, _, info = uep._validate(P)
+    return uep._theorem_step(P, alg, info)
+
+
 def test_hermvec_isometry():
     rng = make_rng(40)
     A = random_hermitian(rng, 5)
@@ -501,11 +513,12 @@ def test_exhausted_budget_is_not_converged():
 def test_constant_tasks_skip_the_ascent():
     """On the minimal face of a unique family every witness objective is
     constant on the constraint slice, so no task enters the ascent and
-    every in-algebra deviation is exactly zero."""
+    every in-algebra deviation is exactly zero (the search alone: the
+    theorem step decides these families)."""
     for family in ("polar", "normal", "unitary", "X-and-square"):
         for d in range(2, 6):
             gens, _ = _unique_family(family, d, make_rng(8000 + 10 * d))
-            rep = uep.solve(uep.UepProblem(d=d, G=gen(d, *gens), seed=d, n_witnesses=2))
+            rep = search(uep.UepProblem(d=d, G=gen(d, *gens), seed=d, n_witnesses=2))
             assert rep.status == "Unique-evidence", (family, d)
             assert rep.iterations == 0, (family, d)
             assert all(p.deviation == 0.0 for p in rep.deviations if p.in_algebra), (family, d)
@@ -555,9 +568,10 @@ def _normal_problem(key, d, **kw) -> uep.UepProblem:
 def test_exposing_step_skips_the_ascent_on_a_non_minimal_face(key, d, face_dim):
     """Exposing vectors reduce the sampled face of a normal set to its
     minimal face (n = d), where every witness task is fixed: no ascent,
-    deviations exactly zero.  build_constraints reports the same face."""
+    deviations exactly zero.  build_constraints reports the same face.  The
+    theorem step decides these sets, so the search runs alone."""
     P = _normal_problem(key, d, seed=71, n_witnesses=2)
-    rep = uep.solve(P)
+    rep = search(P)
     assert rep.status == "Unique-evidence"
     assert rep.iterations == 0
     assert all(p.deviation == 0.0 for p in rep.deviations if p.in_algebra)
@@ -729,8 +743,9 @@ def test_random_hermitian_d4_finds_violation():
 
 def test_scalar_problem_is_unique():
     """At d = 1 the exposing slice has one functional, so it is empty: the
-    face is the single point x_identity and nothing ascends."""
-    rep = uep.solve(uep.UepProblem(d=1, G=gen(1, np.array([[2.0]]))))
+    face is the single point x_identity and nothing ascends (the search
+    alone: the theorem step decides a scalar generator)."""
+    rep = search(uep.UepProblem(d=1, G=gen(1, np.array([[2.0]]))))
     assert rep.status == "Unique-evidence"
     assert rep.face_dim == 1
     assert rep.iterations == 0
@@ -755,3 +770,141 @@ def test_schwarz_pinning_check():
     for dd in res["generator_defects"]:
         assert dd["left_norm"] <= 1e-10 and dd["right_norm"] <= 1e-10
     assert res["max_word_deviation"] <= 1e-10
+
+
+# ----------------------------------------------------------------------------
+# The theorem step
+# ----------------------------------------------------------------------------
+
+def test_theorem_report_fields():
+    """A polar set is decided by theorem: no face, no ascent, the identity
+    Choi matrix with its residuals, exact zero deviations, the largest
+    membership residual below its cutoff, and build_constraints' rank."""
+    T = random_complex(make_rng(43), 3, 3)
+    P = uep.UepProblem(d=3, G=gen(3, T, T.conj().T @ T, T @ T.conj().T), seed=1)
+    rep = uep.solve(P)
+    js = rep.to_json()
+    assert (rep.status, rep.basis, rep.iterations, rep.face_dim) == ("Unique-evidence", "theorem", 0, None)
+    assert (js["basis"], js["face_dim"], js["certificate"]) == ("theorem", None, None)
+    assert len(rep.deviations) == opsys.generate_algebra(P.G).dim == 9
+    assert all(p.in_algebra and p.deviation == 0.0 for p in rep.deviations)
+    assert np.array_equal(rep.choi.mat, cpmaps.identity_choi(3).mat)
+    assert rep.residuals["affine"] <= 1e-12 and rep.residuals["psd"] <= 1e-12
+    assert js["membership"]["cutoff"] == uep.MEMBERSHIP_RTOL
+    assert js["membership"]["residual"] <= 1e-12
+    cs = uep.build_constraints(P)
+    assert (rep.constraint_rank, rep.rank_margin) == (cs.rank, cs.rank_margin) == (45, 36)
+    X = x_diag()
+    searched = uep.solve(uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2))
+    assert searched.basis == searched.to_json()["basis"] == "search"
+    assert "membership" not in searched.to_json()
+
+
+def _grid_families(d, rng) -> dict:
+    """The cross-check families, drawn from rng in this order."""
+    T = random_complex(rng, d, d)
+    N = random_normal_matrix(rng, d)
+    U = random_unitary(rng, d)
+    H = random_hermitian(rng, d)
+    return {"polar": (T, T.conj().T @ T, T @ T.conj().T), "normal": (N, N @ N.conj().T),
+            "unitary": (U,), "H,H^2": (H, H @ H), "H": (H,), "T": (T,),
+            "N,N^2": (N, N @ N), "H,H^3": (H, H @ H @ H)}
+
+
+def test_theorem_agrees_with_the_search():
+    """On 96 sets (eight families, d = 2..4, four draws each) the theorem
+    decides exactly the sets where span{I, G, G*} holds g*g and gg* of
+    generators that generate C*(G): every set of the polar, normal,
+    unitary, {H, H^2} and {N, N^2} families, {H} at d = 2 and {H, H^3} at
+    d <= 3; never a single non-normal T.  The search alone agrees on every
+    decided set, with the same constraint rank."""
+    decided = []
+    for d in (2, 3, 4):
+        for k in range(4):
+            for family, gens in _grid_families(d, make_rng(9100 + 10 * d + k)).items():
+                P = uep.UepProblem(d=d, G=gen(d, *gens), seed=k, n_witnesses=2)
+                rep = theorem(P)
+                if rep is None:
+                    continue
+                decided.append((family, d, k))
+                alone = search(P)
+                assert alone.status == "Unique-evidence", (family, d, k)
+                assert alone.max_deviation <= 1e-6, (family, d, k)
+                assert alone.constraint_rank == rep.constraint_rank, (family, d, k)
+    expected = [(f, d, k) for d in (2, 3, 4) for k in range(4)
+                for f in ("polar", "normal", "unitary", "H,H^2", "H", "T", "N,N^2", "H,H^3")
+                if f in ("polar", "normal", "unitary", "H,H^2", "N,N^2")
+                or (f == "H" and d == 2) or (f == "H,H^3" and d <= 3)]
+    assert decided == expected
+    assert len(decided) == 72
+
+
+def _near_scalar(c, s):
+    """U (c I + s diag(0, 1, 1, 2)) U*, U = random_unitary(make_rng(5), 4)."""
+    U = random_unitary(make_rng(5), 4)
+    return U @ (c * np.eye(4) + s * np.diag([0.0, 1.0, 1.0, 2.0])) @ U.conj().T
+
+
+def _decline_cases():
+    X = x_diag()
+    V = random_unitary(make_rng(1000), 3)
+    yield pytest.param(3, X, id="X")
+    yield pytest.param(3, 0.7 * X - 1.3 * np.eye(3), id="aX+bI")
+    yield pytest.param(3, V @ X @ V.conj().T, id="UXU*")
+    for d in (3, 4):
+        yield pytest.param(d, random_hermitian(make_rng(100 + d), d), id=f"hermitian-{100 + d}")
+    yield pytest.param(3, random_complex(make_rng(44), 3, 3), id="T")
+    for c in (0.0, 1.0):
+        for s in (1.0, 1e-6, 1e-9):
+            yield pytest.param(4, _near_scalar(c, s), id=f"near-scalar-c{c:g}-s{s:g}")
+
+
+@pytest.mark.parametrize("d, g", _decline_cases())
+def test_theorem_step_declines(d, g):
+    """A single generator with three or more eigenvalues, or a non-normal
+    one, has g*g or gg* outside span{I, g, g*}: the step declines and the
+    search decides."""
+    assert theorem(uep.UepProblem(d=d, G=gen(d, g))) is None
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-9])
+def test_near_scalar_generator_passes_only_the_raw_test(s):
+    """g = U(I + s diag(0, 1, 1, 2))U* has three eigenvalues, so C*(g) is
+    not pinned, yet g*g lies within rounding of span{I, g}: the raw
+    membership test passes it.  The traceless, unit-norm g0 of the step
+    keeps the spread, and g0*g0 lies far from the span."""
+    g = _near_scalar(1.0, s)
+    S = np.array([np.eye(4), g]).reshape(2, -1)
+    _, sv, Vh = np.linalg.svd(S, full_matrices=False)
+    Q = Vh[sv > 1e-12 * sv[0]]
+    gg = (g.conj().T @ g).ravel()
+    assert np.linalg.norm(gg - (gg @ Q.conj().T) @ Q) <= uep.MEMBERSHIP_RTOL * np.linalg.norm(gg)
+    assert theorem(uep.UepProblem(d=4, G=gen(4, g))) is None
+
+
+def test_input_checks_run_before_the_theorem_step():
+    """Sets the theorem would decide still get every input check, and a
+    probe outside C*(G) sends the solve to the search."""
+    U = random_unitary(make_rng(45), 4)
+    with pytest.raises(InvalidInput, match="pinned element shape"):
+        uep.solve(uep.UepProblem(d=3, G=gen(4, U)))
+    with pytest.raises(InvalidInput, match="probe shape"):
+        uep.solve(uep.UepProblem(d=4, G=gen(4, U), probes=[np.eye(3)]))
+    X = x_diag()
+    with pytest.raises(InvalidInput, match="no probe lies in C"):
+        uep.solve(uep.UepProblem(d=3, G=gen(3, X, X @ X), probes=[swap01()]))
+    rep = uep.solve(uep.UepProblem(d=3, G=gen(3, X, X @ X), probes=[X @ X, swap01()],
+                                   seed=4, n_witnesses=2))
+    assert (rep.status, rep.basis) == ("Unique-evidence", "search")
+    assert uep.solve(uep.UepProblem(d=3, G=gen(3, X, X @ X), probes=[X @ X])).basis == "theorem"
+
+
+def test_theorem_step_needs_the_passing_generators_to_generate_c_star():
+    """In {X, 2I} only the scalar passes, and C*(2I) = C I is smaller than
+    C*(X): the step declines, and the search certifies X's violation."""
+    X = x_diag()
+    P = uep.UepProblem(d=3, G=gen(3, X, 2.0 * np.eye(3)), probes=[X @ X], seed=1, n_witnesses=2)
+    assert theorem(P) is None
+    rep = uep.solve(P)
+    assert (rep.status, rep.basis) == ("ViolationFound", "search")
+    assert uep.validate_certificate(rep.certificate, P)
