@@ -494,11 +494,18 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
     # projection keeps the least-squares residual of M, so no run repairs them.
     dyk = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin < -FEAS_TOL))
     if len(dyk):
-        # One product per item (stride-0 stacks of the real views, taken once):
-        # a shared product would round an item's terms differently with the batch size.
+        # One product per item (stride-0 stacks of the real views, built once
+        # per batch size): a shared product would round an item's terms
+        # differently with the batch size.
         F, P = _flat(cs.F), _flat(cs.P)
-        project = lambda Z: _affine_project(np.broadcast_to(F, Z.shape[:1] + F.shape),
-                                            np.broadcast_to(P, Z.shape[:1] + P.shape), cs.b, Z)
+        stacks = {}
+
+        def project(Z):
+            if len(Z) not in stacks:
+                stacks[len(Z)] = (np.broadcast_to(F, Z.shape[:1] + F.shape),
+                                  np.broadcast_to(P, Z.shape[:1] + P.shape))
+            return _affine_project(*stacks[len(Z)], cs.b, Z)
+
         M[dyk] = _face_dykstra(project, M[dyk], DYKSTRA_MAX_ITER)[0]
         wmin[dyk] = np.linalg.eigvalsh(M[dyk])[:, 0]
         aff[dyk] = cs.affine_residual(M[dyk])
@@ -542,8 +549,9 @@ def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
     it, stalled = 0, False
     while it < max_iter and not stalled:
         inner = min(CHECK_EVERY, max_iter - it)
+        move = step[:, None, None] * G  # step changes only at checks
         for _ in range(inner):
-            X = X + step[:, None, None] * G
+            X = X + move
             X = cs.proj_psd(X)
             X = cs.proj_affine(X)
         it += inner
