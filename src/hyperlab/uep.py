@@ -25,10 +25,11 @@ The maximum of the convex function ||Phi(a) - a|| over the feasible set is
 lower-bounded by maximizing linear witness functionals <W, Phi(a)>:
 a handful of random Hermitian directions W plus the adaptive choice
 W = Phi(a) - a from the previous round (a conditional-gradient-style
-refinement).  A witness whose objective cannot move on the constraint
-slice (its gradient is normal to the slice, as for every witness of a set
-with the unique extension property on its minimal face) has a fixed
-answer and is skipped.  The sampled face of _pinned_face can miss the
+refinement), left out when it would repeat the task that found Phi.  A
+witness whose objective cannot move on the constraint slice (its
+gradient is normal to the slice, as for every witness of a set with the
+unique extension property on its minimal face) has a fixed answer and is
+skipped.  The sampled face of _pinned_face can miss the
 minimal one, so build_constraints reduces it by exposing vectors before
 any search.  Each remaining linear maximization runs projected gradient
 ascent until its raw objective stalls, then rounds its final iterate onto
@@ -88,11 +89,10 @@ def hermvec(X: np.ndarray) -> np.ndarray:
     sqrt(2) * upper-triangle imaginary parts; the Frobenius inner product
     becomes the Euclidean dot product.
     """
-    iu, ar = _triu(X.shape[-1])
-    diag = np.real(X[..., ar, ar])
-    re = SQRT2 * np.real(X[..., iu[0], iu[1]])
-    im = SQRT2 * np.imag(X[..., iu[0], iu[1]])
-    return np.concatenate([diag, re, im], axis=-1)
+    iu, _ = _triu(X.shape[-1])
+    up = X[..., iu[0], iu[1]]
+    diag = np.real(np.diagonal(X, axis1=-2, axis2=-1))
+    return np.concatenate([diag, SQRT2 * np.real(up), SQRT2 * np.imag(up)], axis=-1)
 
 
 def unhermvec(x: np.ndarray, n: int) -> np.ndarray:
@@ -541,7 +541,7 @@ def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
     gnorm = np.linalg.norm(G.reshape(K, -1), axis=1)
     # Step ~ a modest fraction of the spectrahedron diameter per move.
     step = 0.1 * cs.d / np.maximum(gnorm, 1e-30)
-    # The floor binds 61 times per violation-search pass (--seed 1), so it shapes the ascent.
+    # The floor cuts 61 halvings short per violation-search pass (--seed 1 or 2), so it shapes the ascent.
     min_step = 1e-4 * cs.d / np.maximum(gnorm, 1e-30)
     best_obj = _tr(G, cs.x_identity)
     prev_raw = best_obj.copy()
@@ -699,11 +699,18 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
     Deviations are support-function lower bounds max_W <W, Phi(a) - a>/||W||
     (Frobenius-normalized witnesses), evaluated only at polished feasible
     Choi matrices; the certificate deviation is re-measured in operator norm
-    and revalidated by an independent code path.  Witness tasks whose
-    objective no feasible point can move by more than tol/10 skip the
-    ascent; ``iterations`` is 0 when every task is skipped.  The search
-    runs on the reduced face of build_constraints, whose n ``face_dim``
-    reports.
+    and revalidated by an independent code path.  Round 0 draws n_witnesses
+    random unit witnesses per probe, each with both signs; then at most 3
+    adaptive rounds take, per probe with a deviation above tol/10, the unit
+    witness W = (Phi(a) - a)/||Phi(a) - a||_F at its best point, and stop
+    once a round gains at most max(tol, 2% of the largest deviation).  A
+    probe sits a round out when ||W - W'||_F 2 sqrt(d) ||a|| <= tol, W' the
+    witness that found its best point: the round would repeat that task,
+    and the bound caps its gain.  The rounds stop when no probe is left.
+    Witness tasks whose objective no feasible point can move by more than
+    tol/10 skip the ascent; ``iterations`` is 0 when every task is skipped.
+    The search runs on the reduced face of build_constraints, whose n
+    ``face_dim`` reports.
     """
     d = P.d
     cs = build_constraints(P)
@@ -724,6 +731,7 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
 
     best_dev = np.zeros(len(probes))
     best_x = {}  # probe index -> certified face matrix of its best deviation
+    best_w = {}  # probe index -> the unit witness whose task found best_x
     total_iters = 0
     exhausted = False
 
@@ -752,6 +760,7 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
             if dev > best_dev[idx]:
                 best_dev[idx] = dev
                 best_x[idx] = bx[t]
+                best_w[idx] = W
 
     run_tasks(tasks)
 
@@ -767,7 +776,13 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
             wn = linalg.frob_norm(W)
             if wn <= P.tol / 10.0:
                 continue
-            adaptive.append((idx, W / wn))
+            W = W / wn
+            # |<W - W', Phi(a) - a>| <= ||W - W'||_F ||Phi(a) - a||_F and, Phi being
+            # contractive, ||Phi(a) - a||_F <= 2 sqrt(d) ||a||: a witness this close
+            # to the one that found best_x would re-solve that task, gaining <= tol.
+            if linalg.frob_norm(W - best_w[idx]) * 2 * math.sqrt(d) * linalg.op_norm(a) <= P.tol:
+                continue
+            adaptive.append((idx, W))
         if not adaptive:
             break
         run_tasks(adaptive)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import cpmaps, linalg, opsys, uep
 from hyperlab.errors import InvalidInput
 from hyperlab.rng import (make_rng, random_complex, random_hermitian, random_normal_matrix,
-                          random_unitary)
+                          random_ucp_kraus, random_unitary)
 from hyperlab.suite import hand_certificate
 
 
@@ -44,6 +46,18 @@ def test_hermvec_isometry():
     assert v.shape == (25,)
     assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(A))
     assert np.allclose(uep.unhermvec(v, 5), A, atol=1e-12)
+
+
+def test_hermvec_one_gather_matches_two():
+    """hermvec gathers the upper triangle once and reads the diagonal by
+    np.diagonal; the output equals the formula that gathers the triangle
+    twice and the diagonal by fancy indexing, bit for bit, on a stack."""
+    rng = make_rng(41)
+    X = np.array([random_hermitian(rng, 25) for _ in range(7)])
+    iu, ar = np.triu_indices(25, 1), np.arange(25)
+    ref = np.concatenate([np.real(X[..., ar, ar]), uep.SQRT2 * np.real(X[..., iu[0], iu[1]]),
+                          uep.SQRT2 * np.imag(X[..., iu[0], iu[1]])], axis=-1)
+    assert np.array_equal(uep.hermvec(X), ref)
 
 
 def _ambient_system(d, G):
@@ -710,7 +724,7 @@ def test_exposing_step_keeps_the_x_search():
     seed 7."""
     rep = uep.solve(uep.UepProblem(d=3, G=gen(3, x_diag()), seed=7))
     assert rep.status == "ViolationFound"
-    assert rep.iterations == 875
+    assert rep.iterations == 600
     assert rep.certificate.deviation == 1.2247448713922617
     assert rep.face_dim == 5
 
@@ -730,15 +744,59 @@ def test_ascent_rounds_once_on_all_rows(monkeypatch):
     assert polished == batches
 
 
-def test_random_hermitian_d4_finds_violation():
+def _spy_linear_max(monkeypatch) -> list:
+    """The batch size of every _linear_max_batch call, in call order."""
+    batches = []
+    linear_max = uep._linear_max_batch
+    monkeypatch.setattr(uep, "_linear_max_batch",
+                        lambda cs, G, max_iter: batches.append(len(G)) or linear_max(cs, G, max_iter))
+    return batches
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(x_diag(), id="X"),
+    *[pytest.param(random_hermitian(make_rng(2000 + j), 3), id=f"hermitian-{2000 + j}")
+      for j in range(2)],
+])
+def test_adaptive_round_skips_a_repeat(g, monkeypatch):
+    """On a single d = 3 Hermitian generator the first adaptive round's
+    point gives back its own witness, so the second adaptive round would
+    repeat it and is skipped: round 0 and one adaptive round."""
+    batches = _spy_linear_max(monkeypatch)
+    rep = uep.solve(uep.UepProblem(d=3, G=gen(3, g), seed=7))
+    assert rep.status == "ViolationFound"
+    assert len(batches) == 2
+
+
+def test_random_hermitian_d4_finds_violation(monkeypatch):
     """A single random Hermitian generator at d = 4 (face n = 10) has a
-    violation, certified after a plain ascent and one rounding."""
+    violation, certified after a plain ascent and one rounding.  Its
+    witness still moves after the first adaptive round, so a second one
+    runs."""
+    batches = _spy_linear_max(monkeypatch)
     H = random_hermitian(make_rng(104), 4)
     P = uep.UepProblem(d=4, G=gen(4, H), seed=7)
     rep = uep.solve(P)
     assert rep.status == "ViolationFound"
     assert uep.validate_certificate(rep.certificate, P)
     assert rep.max_deviation >= 1.4773
+    assert len(batches) == 3
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), r=st.integers(1, 3), key=st.integers(0, 2 ** 16))
+def test_adaptive_skip_gain_bound(d, r, key):
+    """The bound behind the adaptive round's skip: for a UCP map Phi and
+    unit witnesses W, W', the deviations Re<W, Phi(a) - a> and
+    Re<W', Phi(a) - a> differ by at most ||W - W'||_F 2 sqrt(d) ||a||."""
+    rng = make_rng(key)
+    C = cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=d, d_out=d,
+                                               operators=tuple(random_ucp_kraus(rng, d, r))))
+    a = random_complex(rng, d, d)
+    W, W2 = (w / np.linalg.norm(w) for w in (random_complex(rng, d, d), random_complex(rng, d, d)))
+    moved = cpmaps.apply_choi(C, a) - a
+    gain = abs(np.real(np.vdot(W, moved)) - np.real(np.vdot(W2, moved)))
+    assert gain <= np.linalg.norm(W - W2) * 2 * np.sqrt(d) * linalg.op_norm(a) * (1 + 1e-12)
 
 
 def test_scalar_problem_is_unique():
