@@ -729,21 +729,6 @@ def test_exposing_step_keeps_the_x_search():
     assert rep.face_dim == 5
 
 
-def test_ascent_rounds_once_on_all_rows(monkeypatch):
-    """Every _linear_max_batch call of a violation search rounds exactly
-    once, with all K of its final iterates."""
-    batches, polished = [], []
-    linear_max, polish = uep._linear_max_batch, uep._face_polish
-    monkeypatch.setattr(uep, "_linear_max_batch",
-                        lambda cs, G, max_iter: batches.append(len(G)) or linear_max(cs, G, max_iter))
-    monkeypatch.setattr(uep, "_face_polish", lambda cs, X: polished.append(len(X)) or polish(cs, X))
-    X = x_diag()
-    rep = uep.solve(uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2))
-    assert rep.status == "ViolationFound"
-    assert len(batches) >= 2  # round 0 and an adaptive round
-    assert polished == batches
-
-
 def _spy_linear_max(monkeypatch) -> list:
     """The batch size of every _linear_max_batch call, in call order."""
     batches = []
@@ -751,6 +736,19 @@ def _spy_linear_max(monkeypatch) -> list:
     monkeypatch.setattr(uep, "_linear_max_batch",
                         lambda cs, G, max_iter: batches.append(len(G)) or linear_max(cs, G, max_iter))
     return batches
+
+
+def test_ascent_rounds_once_on_all_rows(monkeypatch):
+    """Every _linear_max_batch call of a violation search rounds exactly
+    once, with all K of its final iterates."""
+    batches, polished = _spy_linear_max(monkeypatch), []
+    polish = uep._face_polish
+    monkeypatch.setattr(uep, "_face_polish", lambda cs, X: polished.append(len(X)) or polish(cs, X))
+    X = x_diag()
+    rep = uep.solve(uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2))
+    assert rep.status == "ViolationFound"
+    assert len(batches) >= 2  # round 0 and an adaptive round
+    assert polished == batches
 
 
 @pytest.mark.parametrize("g", [
