@@ -115,27 +115,24 @@ def _psd_clip(M: np.ndarray) -> np.ndarray:
 
 def _flat(A: np.ndarray) -> np.ndarray:
     """Real view of a stack of complex matrices, one row per matrix (no copy):
-    the dot product of two rows is tr(A B) for Hermitian A and B.  A real
-    array is taken to be such a view already, so a loop can hoist it."""
-    return A if A.dtype == float else A.view(float).reshape(A.shape[:-2] + (-1,))
+    the dot product of two rows is tr(A B) for Hermitian A and B."""
+    return A.view(float).reshape(A.shape[:-2] + (-1,))
 
 
 def _tr(F: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """tr(F_j Z) of Hermitian F_j and Z, the dot products of their real views:
     one stack F (m, n, n) for a batch Z (K, n, n), or one per point."""
-    Ff, zf = _flat(F), Z.view(float).reshape(Z.shape[:-2] + (-1,))
+    Ff, zf = _flat(F), _flat(Z)
     if Ff.ndim == zf.ndim:  # shared stack: one product
         return zf @ Ff.T
     return (Ff @ zf[..., None])[..., 0]
 
 
 def _affine_project(F: np.ndarray, P: np.ndarray, b: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Z - sum_j (tr(F_j Z) - b_j) P_j (batched as in _tr): the projection
-    onto {tr(F_j Z) = b_j} when P holds the pseudo-inverse columns of F.
-    F and P may be passed as their real views (_flat)."""
-    s = _tr(F, Z) - b
-    Pf = _flat(P)
-    step = s @ Pf if Pf.ndim == Z.ndim - 1 else (s[..., None, :] @ Pf)[..., 0, :]
+    """Z - sum_j (tr(F_j Z) - b_j) P_j for one stack F, P (m, n, n) and one
+    point or a batch Z: the projection onto {tr(F_j Z) = b_j} when P holds
+    the pseudo-inverse columns of F."""
+    step = (_tr(F, Z) - b) @ _flat(P)
     return Z - step.view(complex).reshape(Z.shape)
 
 
@@ -147,25 +144,22 @@ def _pinv_mats(F: np.ndarray) -> np.ndarray:
 
 
 # An item succeeds once its gap is at most DYKSTRA_TOL and stalls once the gap
-# has not shrunk by 10% over DYKSTRA_WINDOW passes, so even an uncapped run
-# ends; rounding also caps its items at DYKSTRA_MAX_ITER passes.
+# has not shrunk by 10% over DYKSTRA_WINDOW passes, so every run ends.
 DYKSTRA_TOL = 1e-12
 DYKSTRA_WINDOW = 20
-DYKSTRA_MAX_ITER = 200
 
 
-def _face_dykstra(project, M: np.ndarray, max_iter: int | None = None):
+def _face_dykstra(project, M: np.ndarray):
     """Batched Dykstra between the PSD cone and the affine set onto which
     ``project`` maps a stack: (points, ok).  Only the PSD step carries a
     correction (an orthogonal projection onto an affine set needs none).
     Each item stops on its own, ok once its gap ||clip - point|| reaches
-    DYKSTRA_TOL, not ok on a stall (NaN too) or after max_iter passes, and
-    keeps its last affine point; so when ``project`` treats items alone,
-    each runs the iterates of a solo run."""
+    DYKSTRA_TOL, not ok on a stall (NaN too), and keeps its last affine
+    point."""
     out, ok = np.empty_like(M), np.zeros(len(M), dtype=bool)
     live, x, p = np.arange(len(M)), M, np.zeros_like(M)
     gaps = np.empty((len(M), DYKSTRA_WINDOW))  # slot i % DYKSTRA_WINDOW: the gap of pass i
-    for i in range(max_iter) if max_iter is not None else itertools.count():
+    for i in itertools.count():
         t = x + p
         y = _psd_clip(t)
         p = t - y
@@ -179,8 +173,6 @@ def _face_dykstra(project, M: np.ndarray, max_iter: int | None = None):
             live, x, p, gaps = live[~done], x[~done], p[~done], gaps[~done]
             if not len(live):
                 return out, ok
-    out[live] = x
-    return out, ok
 
 
 # ----------------------------------------------------------------------------
@@ -453,9 +445,9 @@ def _exposing_face(cs: ConstraintSystem):
     span_R{F_j} is empty exactly when (tr F_j)_j and b are parallel; one
     2 x m SVD decides this first (a single functional, as at d = 1, is
     parallel to b), and an empty slice proves that no exposing vector
-    exists.  Otherwise _face_dykstra, with no pass budget, searches the
-    slice from its point nearest I/n.  None means an empty slice, or a
-    stall, which proves nothing.
+    exists.  Otherwise _face_dykstra searches the slice from its point
+    nearest I/n.  None means an empty slice, or a stall, which proves
+    nothing.
     """
     n = cs.n
     sv = np.linalg.svd([np.real(np.einsum("jii->j", cs.F)), cs.b], compute_uv=False)
@@ -487,26 +479,16 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
     through one batched _face_dykstra call.  Only points passing the affine
     and PSD checks are kept."""
     b_scale = 1.0 + float(np.linalg.norm(cs.b))
-    M = _affine_project(cs.F, cs.P, cs.b, X)
+    # Not cs.proj_affine: that is the ascent's step, which per-layer traces count.
+    project = functools.partial(_affine_project, cs.F, cs.P, cs.b)
+    M = project(X)
     wmin = np.linalg.eigvalsh(M)[:, 0]
     aff = cs.affine_residual(M)
     # Rows off the affine set are not worth a Dykstra run: every affine
     # projection keeps the least-squares residual of M, so no run repairs them.
     dyk = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin < -FEAS_TOL))
     if len(dyk):
-        # One product per item (stride-0 stacks of the real views, built once
-        # per batch size): a shared product would round an item's terms
-        # differently with the batch size.
-        F, P = _flat(cs.F), _flat(cs.P)
-        stacks = {}
-
-        def project(Z):
-            if len(Z) not in stacks:
-                stacks[len(Z)] = (np.broadcast_to(F, Z.shape[:1] + F.shape),
-                                  np.broadcast_to(P, Z.shape[:1] + P.shape))
-            return _affine_project(*stacks[len(Z)], cs.b, Z)
-
-        M[dyk] = _face_dykstra(project, M[dyk], DYKSTRA_MAX_ITER)[0]
+        M[dyk] = _face_dykstra(project, M[dyk])[0]
         wmin[dyk] = np.linalg.eigvalsh(M[dyk])[:, 0]
         aff[dyk] = cs.affine_residual(M[dyk])
     ok = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin >= -FEAS_TOL))
@@ -667,11 +649,6 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
         held_set = opsys.GeneratorSet(d=d, generators=tuple(gens[held]))
         if opsys.generate_algebra(held_set).dim < alg.dim:
             return None
-    choi = cpmaps.identity_choi(d)
-    H = Q.reshape(-1, d, d)
-    # Frobenius norm of (Phi(h) - h) over an orthonormal basis of the span,
-    # the quantity a search report's residuals.affine measures.
-    moved = np.einsum("imjn,aij->amn", choi.mat.reshape(d, d, d, d), H) - H
     rank = d * d * len(Q)  # build_constraints' count, d^2 dim span{I, G, G*}
     return UepReport(
         status="Unique-evidence",
@@ -679,13 +656,13 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
         deviations=[ProbeDeviation(index=idx, deviation=0.0, in_algebra=True,
                                    projection_residual=float(r)) for idx, r, _ in info],
         iterations=0,
-        residuals={"affine": float(np.linalg.norm(moved)),
-                   "psd": float(max(0.0, -np.linalg.eigvalsh(choi.mat)[0]))},
+        # The identity map fixes every h exactly and its Choi matrix w w* is PSD.
+        residuals={"affine": 0.0, "psd": 0.0},
         constraint_rank=rank,
         rank_margin=d ** 4 - rank,
         face_dim=None,
         certificate=None,
-        choi=choi,
+        choi=cpmaps.identity_choi(d),
         seed=P.seed,
         tol=P.tol,
         membership={"residual": float(np.max(resid[held])), "cutoff": MEMBERSHIP_RTOL},

@@ -34,6 +34,19 @@ def test_uep_search_x_only(tmp_path, capsys):
     assert "status=ViolationFound basis=search" in capsys.readouterr().out
 
 
+def test_uep_search_nonconverged_exits_3(tmp_path, capsys):
+    """At --tol 0.2 the X config's deviation, about 1.225, lies in
+    (tol, 10 tol): too small to certify, so NonConverged and exit 3."""
+    cfg = write(tmp_path, "x_only.json", {"d": 3, "generators": [diag3(0, 1, 2)]})
+    out = tmp_path / "report.json"
+    code = main(["uep-search", "--config", cfg, "--seed", "7", "--tol", "0.2", "--out", str(out)])
+    assert code == cli.EXIT_NONCONVERGED == 3
+    report = json.loads(out.read_text())
+    assert report["status"] == "NonConverged" and report["certificate"] is None
+    assert 0.2 < report["max_deviation"] < 2.0
+    assert "status=NonConverged basis=search" in capsys.readouterr().out
+
+
 def test_uep_search_unique(tmp_path, capsys):
     cfg = write(tmp_path, "xx2.json",
                 {"d": 3, "generators": [diag3(0, 1, 2), diag3(0, 1, 4)]})

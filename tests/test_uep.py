@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,12 +270,12 @@ def _hermvec_clip(x, n):
 
 
 def _face_dykstra_reference(RT, pin, b, m, r):
-    """One row's Dykstra in hermvec coordinates, with the stall rule and
-    the pass budget of rounding."""
+    """One row's Dykstra in hermvec coordinates, until success or the stall
+    rule."""
     p = np.zeros_like(m)
     x = m
     gaps = []
-    for _ in range(uep.DYKSTRA_MAX_ITER):
+    while True:
         y = _hermvec_clip(x + p, r)
         p = x + p - y
         x = y - pin @ (RT @ y - b)
@@ -352,45 +354,68 @@ def test_face_polish_keeps_feasible_rows(monkeypatch):
         assert np.allclose(z, cs.x_identity, rtol=0, atol=1e-12)
 
 
-def test_face_dykstra_batch_equals_solo(monkeypatch):
-    """On one shared system, with the projector that _face_polish passes, a
-    batch gives each item its solo point, its solo ok flag and its solo
-    pass count.  The items are the rows that rounding hands to Dykstra for
-    a random Hermitian generator (a violation-search shape), from the first
-    ascent of a solve and from a short ascent; they stop in all three ways:
-    success, stall and the pass budget."""
+def test_face_dykstra_stops_each_item(monkeypatch):
+    """Each item of a rounding batch leaves it on success or on the stall
+    rule, so no pass budget is needed: an item whose first window's largest
+    gap is g stops within DYKSTRA_WINDOW (1 + ceil(log(g / DYKSTRA_TOL) /
+    log(1 / 0.9))) passes, as every window that does not stall shrinks the
+    gap by 10%.  The items are the rows that rounding hands to Dykstra for a
+    random Hermitian generator (a violation-search shape), from the first
+    ascent of a solve and from a short ascent; they stop in both ways, the
+    PSD clips shrink with the batch, and every ok point passes the FEAS_TOL
+    checks."""
     g = random_hermitian(make_rng(2000), 3)
-    calls = []
-    dykstra = uep._face_dykstra
-    monkeypatch.setattr(uep, "_face_dykstra", lambda project, M, max_iter=None:
-                        calls.append((project, M.copy(), max_iter)) or dykstra(project, M, max_iter))
+    rounding = []
+    dykstra, polish = uep._face_dykstra, uep._face_polish
+
+    def spy_polish(cs, X):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(uep, "_face_dykstra",
+                      lambda project, M: rounding.append((project, M.copy())) or dykstra(project, M))
+            return polish(cs, X)
+
+    monkeypatch.setattr(uep, "_face_polish", spy_polish)
     uep.solve(uep.UepProblem(d=3, G=gen(3, g), seed=1, n_witnesses=2))
     cs, X = _ascent_iterates(g)
     uep._face_polish(cs, X)
-    rounding = [c for c in calls if c[2] == uep.DYKSTRA_MAX_ITER]
     project = rounding[-1][0]
     M = np.concatenate([rounding[0][1], rounding[-1][1]])
-    sizes = []
+
+    sizes, log = [], []  # rows of each PSD clip; gaps of the live rows, per pass
     clip = uep._psd_clip
     monkeypatch.setattr(uep, "_psd_clip", lambda Z: sizes.append(len(Z)) or clip(Z))
 
-    def run(items):
-        sizes.clear()
-        points, ok = dykstra(project, items, uep.DYKSTRA_MAX_ITER)
-        return points, ok, len(sizes)
+    def logged(Y):
+        Z = project(Y)
+        log.append(np.linalg.norm((Y - Z).reshape(len(Y), -1), axis=1))
+        return Z
 
-    solo = [run(M[[k]]) for k in range(len(M))]
-    passes = [n for _, _, n in solo]
-    kinds = {"success" if ok[0] else "budget" if n == uep.DYKSTRA_MAX_ITER else "stall"
-             for _, ok, n in solo}
-    assert kinds == {"success", "stall", "budget"}
-    points, ok, _ = run(M)
-    assert sizes == [sum(n > i for n in passes) for i in range(max(passes))]
-    for k, (pk, okk, _) in enumerate(solo):
-        assert np.array_equal(points[k], pk[0]), k
-        assert ok[k] == okk[0], k
+    points, ok = dykstra(logged, M)
+    assert sizes == [len(gap) for gap in log] == sorted(sizes, reverse=True)
+    assert sizes[0] == len(M) > sizes[-1]
+    # Follow each item through the batch: rows leave in order when done.
+    live, hist = list(range(len(M))), [[] for _ in M]
+    W = uep.DYKSTRA_WINDOW
+    for i, gap in enumerate(log):
+        assert len(gap) == len(live)
+        for k, gk in zip(live, gap):
+            hist[k].append(gk)
+        live = [k for k in live if not (hist[k][-1] <= uep.DYKSTRA_TOL or (
+            i >= W and not hist[k][-1] <= 0.9 * hist[k][-1 - W]))]
+    assert not live
+    kinds = set()
+    b_scale = 1.0 + float(np.linalg.norm(cs.b))
+    for k, h in enumerate(hist):
+        first = max(h[:W])
+        bound = W * (1 + max(0, math.ceil(math.log(first / uep.DYKSTRA_TOL) / math.log(1 / 0.9))))
+        assert len(h) <= bound, k
+        won = h[-1] <= uep.DYKSTRA_TOL
+        assert ok[k] == won, k
+        kinds.add("success" if won else "stall")
         if ok[k]:
             assert np.linalg.eigvalsh(points[k])[0] >= -uep.FEAS_TOL, k
+            assert cs.affine_residual(points[k]) <= uep.FEAS_TOL * b_scale, k
+    assert kinds == {"success", "stall"}
 
 
 def test_solve_x_only_finds_violation():
@@ -514,11 +539,25 @@ def test_noisy_identity_generator_keeps_face_and_violation():
         assert uep.build_constraints(uep.UepProblem(d=d, G=gen(d, U, U @ U.conj().T))).n == n_u
 
 
-def test_exhausted_budget_is_not_converged():
-    """A search cut off by max_iter before its stall test fired is no
-    evidence of uniqueness (this generator has a violation)."""
+def test_short_ascent_rounds_to_a_violation():
+    """An ascent cut off by max_iter = 25 ends far enough from the identity
+    for rounding, which runs each row to success or a stall, to certify a
+    violation (deviation about 0.027); one adaptive round adds 25 steps."""
     H = random_hermitian(make_rng(104), 4)
     P = uep.UepProblem(d=4, G=gen(4, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=25)
+    rep = uep.solve(P)
+    assert rep.status == "ViolationFound"
+    assert uep.validate_certificate(rep.certificate, P)
+    assert rep.iterations == 50
+
+
+def test_exhausted_budget_is_not_converged():
+    """A search cut off by max_iter before its stall test fired is no
+    evidence of uniqueness: at tol = 0.5 the same short ascent's deviation
+    is below tol/10, so no adaptive round runs, and the status is
+    NonConverged, not Unique-evidence (this generator has a violation)."""
+    H = random_hermitian(make_rng(104), 4)
+    P = uep.UepProblem(d=4, G=gen(4, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=25, tol=0.5)
     rep = uep.solve(P)
     assert rep.status == "NonConverged"
     assert rep.iterations == 25
@@ -603,16 +642,16 @@ def test_exposing_step_finds_the_vector_of_a_slow_face():
 
 
 def test_exposing_search_is_one_face_dykstra_item(monkeypatch):
-    """The exposing search is a _face_dykstra run on one item with no pass
-    budget: on key 10 build_constraints makes exactly one such run, which
-    finds the exposing vector of the sampled face (n = 9), and the reduced
-    face n = 5 has an empty slice, so it needs no run."""
+    """The exposing search is a _face_dykstra run on one item: on key 10
+    build_constraints makes exactly one such run, which finds the exposing
+    vector of the sampled face (n = 9), and the reduced face n = 5 has an
+    empty slice, so it needs no run."""
     calls = []
     dykstra = uep._face_dykstra
-    monkeypatch.setattr(uep, "_face_dykstra", lambda project, M, max_iter=None:
-                        calls.append((len(M), max_iter)) or dykstra(project, M, max_iter))
+    monkeypatch.setattr(uep, "_face_dykstra",
+                        lambda project, M: calls.append(len(M)) or dykstra(project, M))
     assert uep.build_constraints(_normal_problem(510, 5)).n == 5
-    assert calls == [(1, None)]
+    assert calls == [1]
 
 
 def _spy_exposing_face(monkeypatch) -> list:
@@ -725,7 +764,7 @@ def test_exposing_step_keeps_the_x_search():
     rep = uep.solve(uep.UepProblem(d=3, G=gen(3, x_diag()), seed=7))
     assert rep.status == "ViolationFound"
     assert rep.iterations == 600
-    assert rep.certificate.deviation == 1.2247448713922617
+    assert rep.certificate.deviation == 1.2247448713922608
     assert rep.face_dim == 5
 
 
@@ -845,7 +884,7 @@ def test_theorem_report_fields():
     assert len(rep.deviations) == opsys.generate_algebra(P.G).dim == 9
     assert all(p.in_algebra and p.deviation == 0.0 for p in rep.deviations)
     assert np.array_equal(rep.choi.mat, cpmaps.identity_choi(3).mat)
-    assert rep.residuals["affine"] <= 1e-12 and rep.residuals["psd"] <= 1e-12
+    assert rep.residuals == {"affine": 0.0, "psd": 0.0}
     assert js["membership"]["cutoff"] == uep.MEMBERSHIP_RTOL
     assert js["membership"]["residual"] <= 1e-12
     cs = uep.build_constraints(P)
