@@ -216,10 +216,6 @@ def shift() -> ToeplitzElement:
     return ToeplitzElement({1: GQ_ONE})
 
 
-def from_symbol(coeffs: dict) -> ToeplitzElement:
-    return ToeplitzElement(coeffs)
-
-
 def from_tail(entries: dict) -> ToeplitzElement:
     return ToeplitzElement({}, entries)
 

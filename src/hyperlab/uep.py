@@ -121,11 +121,8 @@ def _flat(A: np.ndarray) -> np.ndarray:
 
 def _tr(F: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """tr(F_j Z) of Hermitian F_j and Z, the dot products of their real views:
-    one stack F (m, n, n) for a batch Z (K, n, n), or one per point."""
-    Ff, zf = _flat(F), _flat(Z)
-    if Ff.ndim == zf.ndim:  # shared stack: one product
-        return zf @ Ff.T
-    return (Ff @ zf[..., None])[..., 0]
+    one stack F (m, n, n) against one point Z (n, n) or a batch (K, n, n)."""
+    return _flat(Z) @ _flat(F).T
 
 
 def _affine_project(F: np.ndarray, P: np.ndarray, b: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -474,24 +471,20 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
     pairs in row order.  build_constraints has already reduced the face, so
     rounding needs no face guess of its own.
 
-    Each row is restored onto the affine constraints of cs.  Every restored
-    row that is affine-exact but has an eigenvalue below -FEAS_TOL goes
-    through one batched _face_dykstra call.  Only points passing the affine
-    and PSD checks are kept."""
+    Each row is projected onto the affine constraints of cs, which are
+    consistent, so it lands on them.  Every projected row with an
+    eigenvalue below -FEAS_TOL goes through one batched _face_dykstra call.
+    Only points passing the affine and PSD checks are kept."""
     b_scale = 1.0 + float(np.linalg.norm(cs.b))
     # Not cs.proj_affine: that is the ascent's step, which per-layer traces count.
     project = functools.partial(_affine_project, cs.F, cs.P, cs.b)
     M = project(X)
     wmin = np.linalg.eigvalsh(M)[:, 0]
-    aff = cs.affine_residual(M)
-    # Rows off the affine set are not worth a Dykstra run: every affine
-    # projection keeps the least-squares residual of M, so no run repairs them.
-    dyk = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin < -FEAS_TOL))
+    dyk = np.flatnonzero(wmin < -FEAS_TOL)
     if len(dyk):
         M[dyk] = _face_dykstra(project, M[dyk])[0]
         wmin[dyk] = np.linalg.eigvalsh(M[dyk])[:, 0]
-        aff[dyk] = cs.affine_residual(M[dyk])
-    ok = np.flatnonzero((aff <= FEAS_TOL * b_scale) & (wmin >= -FEAS_TOL))
+    ok = np.flatnonzero((cs.affine_residual(M) <= FEAS_TOL * b_scale) & (wmin >= -FEAS_TOL))
     return list(zip(ok.tolist(), M[ok]))
 
 
@@ -511,22 +504,21 @@ def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
     Projected gradient ascent (step, PSD clip, affine projection), then one
     facial rounding of all K final iterates by a single _face_polish call.
     Every CHECK_EVERY steps each task's raw objective is compared with its
-    best so far; a task that stops gaining gets its step halved
-    (refinement), and the ascent stops once every task has gone STALL_BREAK
-    checks in a row without a gain.  A task's best point is its certified
-    point when that beats tr(G_k x_identity) by 1e-10, and x_identity
-    otherwise.  Returns (best points, best objectives, iterations, stalled);
-    stalled is False when max_iter ran out first.
+    best so far; a task that stops gaining gets its step halved, with no
+    floor, and the ascent stops once every task has gone STALL_BREAK checks
+    in a row without a gain.  A task's gain is tr(G_k (x_k - x_identity)) at
+    its certified point x_k when that exceeds 1e-10; otherwise it is exactly
+    0 and its point is x_identity.  Every G_k must be nonzero (the caller
+    skips tasks whose gradient is normal to the slice).  Returns (points,
+    gains, iterations, stalled); stalled is False when max_iter ran out
+    first.
     """
     K = len(G)
     X = np.tile(cs.x_identity, (K, 1, 1))
-    gnorm = np.linalg.norm(G.reshape(K, -1), axis=1)
     # Step ~ a modest fraction of the spectrahedron diameter per move.
-    step = 0.1 * cs.d / np.maximum(gnorm, 1e-30)
-    # The floor cuts 61 halvings short per violation-search pass (--seed 1 or 2), so it shapes the ascent.
-    min_step = 1e-4 * cs.d / np.maximum(gnorm, 1e-30)
-    best_obj = _tr(G, cs.x_identity)
-    prev_raw = best_obj.copy()
+    step = 0.1 * cs.d / np.linalg.norm(G.reshape(K, -1), axis=1)
+    base = _tr(G, cs.x_identity)
+    prev_raw = base.copy()
     stall = np.zeros(K, dtype=int)
     it, stalled = 0, False
     while it < max_iter and not stalled:
@@ -537,20 +529,19 @@ def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
             X = cs.proj_psd(X)
             X = cs.proj_affine(X)
         it += inner
-        raw_obj = _tr(G[:, None], X)[:, 0]
+        raw_obj = (_flat(G)[:, None] @ _flat(X)[..., None])[:, 0, 0]  # tr(G_k X_k)
         raw_gain = raw_obj > prev_raw + 1e-8 * (1.0 + np.abs(prev_raw))
         prev_raw = np.maximum(prev_raw, raw_obj)
         stall = np.where(raw_gain, 0, stall + 1)
-        shrink = stall >= 2
-        step[shrink] = np.maximum(step[shrink] * 0.5, min_step[shrink])
+        step[stall >= 2] *= 0.5
         stalled = bool(np.all(stall >= STALL_BREAK))
     best_X = np.tile(cs.x_identity, (K, 1, 1))
+    gain = np.zeros(K)
     for k, z in _face_polish(cs, X):
-        obj = float(_tr(G[k], z))
-        if obj > best_obj[k] + 1e-10:
-            best_obj[k] = obj
-            best_X[k] = z
-    return best_X, best_obj, it, stalled
+        g = float(_tr(G[k], z)) - base[k]
+        if g > 1e-10:
+            gain[k], best_X[k] = g, z
+    return best_X, gain, it, stalled
 
 
 # ----------------------------------------------------------------------------
@@ -575,9 +566,10 @@ def _validate(P: UepProblem) -> tuple:
     """Input checks that both decisions rely on: (alg, probes, info).
 
     alg is C*(G) (opsys.generate_algebra); probes are P.probes, or the
-    basis of alg when None; info holds (index, projection residual,
-    in-algebra) of each probe.  Raises InvalidInput on a bad field, a shape
-    other than (d, d), or when no probe lies in C*(G).
+    basis of alg when None; info holds one ProbeDeviation row per probe,
+    with its index, projection residual and membership, at deviation 0.
+    Raises InvalidInput on a bad field, a shape other than (d, d), or when
+    no probe lies in C*(G).
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
@@ -605,8 +597,9 @@ def _validate(P: UepProblem) -> tuple:
     for idx, a in enumerate(probes):
         resid = alg.projection_residual(a)
         in_alg = resid <= MEMBERSHIP_RTOL * (1.0 + linalg.frob_norm(a))
-        info.append((idx, resid, in_alg))
-    if not any(in_alg for _, _, in_alg in info):
+        info.append(ProbeDeviation(index=idx, deviation=0.0, in_algebra=in_alg,
+                                   projection_residual=float(resid)))
+    if not any(row.in_algebra for row in info):
         raise InvalidInput("no probe lies in C*(G), so no UEP question is asked")
     return alg, probes, info
 
@@ -625,11 +618,12 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
     *-homomorphism, and Phi = id on the C*-algebra of the passing
     generators.  When that algebra is C*(G) (generate_algebra decides it
     unless every generator passes) and every probe lies in C*(G), the
-    answer is proved.  Testing g0 rather than g makes the decision
-    invariant under g -> a g + b I: g = I + s D has g*g within s^2 of
-    span{I, g}, so for small s a raw test would pass it whatever D is.
+    answer is proved, and _validate's rows (deviation 0) are the report's
+    deviations.  Testing g0 rather than g makes the decision invariant
+    under g -> a g + b I: g = I + s D has g*g within s^2 of span{I, g}, so
+    for small s a raw test would pass it whatever D is.
     """
-    if not all(in_alg for _, _, in_alg in info):
+    if not all(row.in_algebra for row in info):
         return None
     d = P.d
     gens = np.array(P.G.generators)
@@ -653,8 +647,7 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
     return UepReport(
         status="Unique-evidence",
         basis="theorem",
-        deviations=[ProbeDeviation(index=idx, deviation=0.0, in_algebra=True,
-                                   projection_residual=float(r)) for idx, r, _ in info],
+        deviations=info,
         iterations=0,
         # The identity map fixes every h exactly and its Choi matrix w w* is PSD.
         residuals={"affine": 0.0, "psd": 0.0},
@@ -673,9 +666,12 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
     """Run the UEP search and report deviations, a certificate, or evidence
     of uniqueness (basis "search").
 
-    Deviations are support-function lower bounds max_W <W, Phi(a) - a>/||W||
-    (Frobenius-normalized witnesses), evaluated only at polished feasible
-    Choi matrices; the certificate deviation is re-measured in operator norm
+    Deviations are support-function lower bounds max_W <W, Phi(a) - a> over
+    unit (Frobenius) witnesses W: the gains _linear_max_batch certifies over
+    the identity's value <W, a>, so only polished feasible Choi matrices
+    count.  The report carries the point of the largest in-algebra
+    deviation (the first such probe on ties; the identity when no task
+    gained), whose certificate deviation is re-measured in operator norm
     and revalidated by an independent code path.  Round 0 draws n_witnesses
     random unit witnesses per probe, each with both signs; then at most 3
     adaptive rounds take, per probe with a deviation above tol/10, the unit
@@ -726,16 +722,13 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
                               > P.tol / 10.0)
         if not len(live):
             return
-        bx, bobj, iters, stalled = _linear_max_batch(cs, grads[live], P.max_iter)
+        bx, gain, iters, stalled = _linear_max_batch(cs, grads[live], P.max_iter)
         total_iters += iters
         exhausted = exhausted or not stalled
         for t, k in enumerate(live):
             idx, W = task_list[k]
-            wnorm = max(linalg.frob_norm(W), 1e-30)
-            base = float(np.real(np.trace(W.conj().T @ probes[idx])))
-            dev = (float(bobj[t]) - base) / wnorm
-            if dev > best_dev[idx]:
-                best_dev[idx] = dev
+            if gain[t] > best_dev[idx]:
+                best_dev[idx] = gain[t]
                 best_x[idx] = bx[t]
                 best_w[idx] = W
 
@@ -767,19 +760,10 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
         if gain <= max(P.tol, 0.02 * float(np.max(best_dev))):
             break
 
-    deviations = [
-        ProbeDeviation(index=idx, deviation=float(best_dev[idx]), in_algebra=in_alg,
-                       projection_residual=float(resid))
-        for idx, resid, in_alg in info
-    ]
-    on_alg = [p for p in deviations if p.in_algebra]
-    max_dev = max(p.deviation for p in on_alg)
-
-    if max_dev <= P.tol:
-        worst_idx = on_alg[0].index
-    else:
-        worst_idx = max(on_alg, key=lambda p: p.deviation).index
-    x_final = best_x.get(worst_idx, cs.x_identity)
+    deviations = [replace(row, deviation=float(best_dev[row.index])) for row in info]
+    worst = max((p for p in deviations if p.in_algebra), key=lambda p: p.deviation)
+    max_dev = worst.deviation
+    x_final = best_x.get(worst.index, cs.x_identity)
     choi = cpmaps.ChoiMatrix(d=d, mat=cs.to_choi_mat(x_final))
     residuals = {
         "affine": float(cs.affine_residual(x_final)),
@@ -793,7 +777,7 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
     elif max_dev < 10.0 * P.tol:
         status = "NonConverged"
     else:
-        a = probes[worst_idx]
+        a = probes[worst.index]
         certificate = ViolationCertificate(choi=choi, probe=a, residuals=residuals,
                                            deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a))
         if not validate_certificate(certificate, P):

@@ -27,7 +27,7 @@ def random_element(rng, max_deg=3, tail_n=4):
         i, j = int(rng.integers(0, tail_n)), int(rng.integers(0, tail_n))
         tail[(i, j)] = [str(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))),
                         int(rng.integers(-2, 3))]
-    return toeplitz.add(toeplitz.from_symbol(sym), toeplitz.from_tail(tail))
+    return toeplitz.add(toeplitz.ToeplitzElement(sym), toeplitz.from_tail(tail))
 
 
 def test_shift_identities_exact():
@@ -35,7 +35,7 @@ def test_shift_identities_exact():
     assert toeplitz.mul(toeplitz.adj(S), S) == toeplitz.identity()
     expected = toeplitz.sub(toeplitz.identity(), toeplitz.from_tail({(0, 0): 1}))
     assert toeplitz.mul(S, toeplitz.adj(S)) == expected
-    assert toeplitz.mul(S, S) == toeplitz.from_symbol({2: 1})
+    assert toeplitz.mul(S, S) == toeplitz.ToeplitzElement({2: 1})
 
 
 def test_adjoint_laws():
@@ -56,9 +56,9 @@ def test_essential_unitarity():
     assert dr == toeplitz.from_tail({(0, 0): 1})
 
     # (3/5 + 4/5 i) z^2 is a unimodular Gaussian-rational monomial.
-    A = toeplitz.from_symbol({2: ["3/5", "4/5"]})
+    A = toeplitz.ToeplitzElement({2: ["3/5", "4/5"]})
     assert toeplitz.is_essentially_unitary(A)
-    assert not toeplitz.is_essentially_unitary(toeplitz.from_symbol({0: 1, 1: 1}))
+    assert not toeplitz.is_essentially_unitary(toeplitz.ToeplitzElement({0: 1, 1: 1}))
 
 
 def test_ring_axioms_exact_battery():
@@ -107,7 +107,7 @@ def test_semicommutator_support_vs_dense():
              for k in rng.integers(-3, 4, size=3)}
         q = {int(k): [int(rng.integers(-3, 4)), int(rng.integers(-3, 4))]
              for k in rng.integers(-3, 4, size=3)}
-        A, B = toeplitz.from_symbol(p), toeplitz.from_symbol(q)
+        A, B = toeplitz.ToeplitzElement(p), toeplitz.ToeplitzElement(q)
         prod = toeplitz.mul(A, B)
         mp = max((k for k in A.symbol), default=0)
         mq = -min((k for k in B.symbol), default=0)
@@ -148,13 +148,13 @@ def test_compression_requires_isometry():
 
 
 def test_exact_coefficient_parsing():
-    A = toeplitz.from_symbol({0: ["1/3", "-2/7"]})
+    A = toeplitz.ToeplitzElement({0: ["1/3", "-2/7"]})
     c = A.symbol[0]
     assert c.re == Fraction(1, 3) and c.im == Fraction(-2, 7)
     # Floats and booleans are not exact rationals.
     for bad in (0.5, "1/0", "x", [0.5, 0], ["1", 0.5], True, [False, "1/2"]):
         with pytest.raises(InvalidInput):
-            toeplitz.from_symbol({0: bad})
+            toeplitz.ToeplitzElement({0: bad})
     # The quarter-plane check runs before zero entries are dropped.
     for entries in ({(-1, 0): 1}, {(-1, 0): 0}):
         with pytest.raises(InvalidInput):
@@ -162,7 +162,7 @@ def test_exact_coefficient_parsing():
 
 
 def test_difference_with_itself_is_empty():
-    A = toeplitz.add(toeplitz.from_symbol({-1: ["1/2", 1], 2: 3}),
+    A = toeplitz.add(toeplitz.ToeplitzElement({-1: ["1/2", 1], 2: 3}),
                      toeplitz.from_tail({(0, 1): ["1/3", 0], (2, 2): [0, -1]}))
     Z = toeplitz.add(A, toeplitz.scale(-1, A))
     assert Z == toeplitz.zero() and Z.is_zero() and Z.N == 0
@@ -170,7 +170,7 @@ def test_difference_with_itself_is_empty():
 
 
 def test_json_round_shapes():
-    A = toeplitz.add(toeplitz.from_symbol({-1: ["1/2", 0]}), toeplitz.from_tail({(1, 2): [0, "3/4"]}))
+    A = toeplitz.add(toeplitz.ToeplitzElement({-1: ["1/2", 0]}), toeplitz.from_tail({(1, 2): [0, "3/4"]}))
     js = A.to_json()
     assert js["symbol"] == {"-1": ["1/2", "0"]}
     assert js["tail"] == {"1,2": ["0", "3/4"]}

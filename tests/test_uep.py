@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -306,17 +307,24 @@ def _face_polish_reference(cs, x, stats):
     return mm if aff <= uep.FEAS_TOL * b_scale and w[0] >= -uep.FEAS_TOL else None
 
 
+def _ascent_tasks(X=x_diag(), tasks=4, probe=None):
+    """The constraint system of {X} and the face gradients of tasks random
+    witness tasks on the probe (X^2 when None)."""
+    d = len(X)
+    cs = uep.build_constraints(uep.UepProblem(d=d, G=gen(d, X)))
+    rng = make_rng(77)
+    a = X @ X if probe is None else probe
+    F = cs.face.conj().T @ cpmaps.choi_functional(
+        [a] * tasks, [random_hermitian(rng, d) for _ in range(tasks)]) @ cs.face
+    return cs, (F + F.conj().swapaxes(-1, -2)) / 2.0
+
+
 def _ascent_iterates(X=x_diag(), tasks=4, checkpoints=4):
     """Face matrices of a short projected-gradient ascent on {X} with probe
     X^2, one block of tasks per stall check, stepped as _linear_max_batch
     steps them."""
-    d = len(X)
-    cs = uep.build_constraints(uep.UepProblem(d=d, G=gen(d, X)))
-    rng = make_rng(77)
-    F = cs.face.conj().T @ cpmaps.choi_functional(
-        [X @ X] * tasks, [random_hermitian(rng, d) for _ in range(tasks)]) @ cs.face
-    grads = (F + F.conj().swapaxes(-1, -2)) / 2.0
-    step = 0.1 * d / np.linalg.norm(grads.reshape(tasks, -1), axis=1)
+    cs, grads = _ascent_tasks(X, tasks)
+    step = 0.1 * len(X) / np.linalg.norm(grads.reshape(tasks, -1), axis=1)
     Z = np.tile(cs.x_identity, (tasks, 1, 1))
     rows = []
     for _ in range(checkpoints):
@@ -338,6 +346,29 @@ def test_face_polish_matches_per_row_reference():
     assert [k for k, _ in got] == [k for k, _ in ref]
     for (_, z), (k, zr) in zip(got, ref):
         assert np.allclose(z, uep.unhermvec(zr, cs.n), rtol=0, atol=1e-10), k
+
+
+def test_linear_max_batch_returns_certified_gains():
+    """Each task's gain is either exactly 0.0 at x_identity or above 1e-10
+    at a point where it equals tr(G_k (x_k - x_identity)), and every point
+    passes the FEAS_TOL checks.  Tasks on the pinned probe X cannot gain;
+    tasks on X^2 can."""
+    cs, grads = _ascent_tasks()
+    _, pinned = _ascent_tasks(probe=x_diag())
+    grads = np.concatenate([grads, pinned])
+    points, gain, _, stalled = uep._linear_max_batch(cs, grads, 20000)
+    assert stalled
+    assert np.all(gain >= 0.0)
+    assert np.all(gain[-len(pinned):] == 0.0) and np.any(gain[:-len(pinned)] > 0.0)
+    b_scale = 1.0 + np.linalg.norm(cs.b)
+    for G, x, g in zip(grads, points, gain):
+        if g == 0.0:
+            assert np.array_equal(x, cs.x_identity)
+        else:
+            assert g > 1e-10
+            assert abs(g - uep._tr(G, x - cs.x_identity)) <= 1e-12
+        assert cs.affine_residual(x) <= uep.FEAS_TOL * b_scale
+        assert cs.psd_residual(x) <= uep.FEAS_TOL
 
 
 def test_face_polish_keeps_feasible_rows(monkeypatch):
@@ -599,8 +630,7 @@ def test_skipped_tasks_cannot_move():
     bound = 2 * d * np.linalg.norm(tangent.reshape(len(grads), -1), axis=1)
     skip = bound <= tol / 10.0
     assert skip.any() and not skip.all()
-    _, bobj, _, _ = uep._linear_max_batch(cs, grads, P.max_iter)
-    gain = bobj - uep._tr(grads, cs.x_identity)
+    _, gain, _, _ = uep._linear_max_batch(cs, grads, P.max_iter)
     assert np.all(gain[skip] <= bound[skip])
     assert np.any(gain[~skip] > tol)
 
@@ -818,6 +848,59 @@ def test_random_hermitian_d4_finds_violation(monkeypatch):
     assert uep.validate_certificate(rep.certificate, P)
     assert rep.max_deviation >= 1.4773
     assert len(batches) == 3
+
+
+def _h_cubed_problem() -> uep.UepProblem:
+    """{H, H^3} with H = random_hermitian(make_rng(20105), 5), at seed 7."""
+    H = random_hermitian(make_rng(20105), 5)
+    return uep.UepProblem(d=5, G=gen(5, H, H @ H @ H), seed=7)
+
+
+def _interior_eigenvalue_maps(H) -> list:
+    """(P_lambda, Kraus set) of the pinch-and-mix map for every eigenvalue
+    lambda of H whose point (lambda, lambda^3) is a convex combination mu of
+    three others: it pinches to the eigenbasis and replaces the lambda entry
+    by the mu-mix of the others, so it fixes H and H^3 and sends P_lambda to
+    0.  mu solves the 3 x 3 system for (1, lambda, lambda^3) over a triple;
+    the triples with a nonnegative solution are kept."""
+    w, V = np.linalg.eigh(H)
+    d = len(w)
+    ket = [V[:, [k]] for k in range(d)]  # eigenvectors as d x 1 columns
+    maps = []
+    for i in range(d):
+        for tri in itertools.combinations([j for j in range(d) if j != i], 3):
+            A = np.array([np.ones(3), w[list(tri)], w[list(tri)] ** 3])
+            mu = np.linalg.solve(A, [1.0, w[i], w[i] ** 3])
+            if np.all(mu >= 0.0):
+                ops = [ket[k] @ ket[k].conj().T for k in range(d) if k != i]
+                ops += [np.sqrt(m) * ket[i] @ ket[j].conj().T for j, m in zip(tri, mu)]
+                maps.append((ket[i] @ ket[i].conj().T,
+                             cpmaps.KrausSet(d_in=d, d_out=d, operators=tuple(ops))))
+    return maps
+
+
+def test_h_cubed_violation_has_a_pinch_and_mix_certificate():
+    """{H, H^3} violates the UEP: an interior point of the curve (lambda,
+    lambda^3) through the eigenvalues gives a UCP map that fixes H and H^3
+    and moves the spectral projection P_lambda by exactly 1."""
+    P = _h_cubed_problem()
+    maps = _interior_eigenvalue_maps(P.G.generators[0])
+    assert maps
+    for proj, kraus in maps:
+        C = cpmaps.choi_from_kraus(kraus)
+        dev = linalg.op_norm(cpmaps.apply_choi(C, proj) - proj)
+        cert = uep.ViolationCertificate(choi=C, probe=proj, deviation=dev, residuals={})
+        assert abs(dev - 1.0) <= 1e-9
+        assert uep.validate_certificate(cert, P)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="no rounding row certifies on this face, so every deviation counts as 0")
+def test_h_cubed_search_is_not_unique_evidence():
+    """The search must not read Unique-evidence on {H, H^3}, which violates
+    the UEP (see the pinch-and-mix certificate above): every rounding row
+    of its face-13 search stalls in Dykstra uncertified."""
+    assert search(_h_cubed_problem()).status != "Unique-evidence"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
