@@ -4,9 +4,10 @@ The unital *-algebra generated by a finite matrix set is computed by word
 closure: orthonormalize the span of all words in the generators and their
 adjoints, degree by degree, until the span stabilizes.  Irreducibility is
 decided through the commutant (trivial commutant <=> the generated algebra
-is all of M_d, by Burnside's theorem).  Gram-Schmidt writes each basis into
-one preallocated (d^2, d^2) array, and AlgebraBasis keeps it as one array
-of shape (dim, d, d).
+is all of M_d, by Burnside's theorem).  Gram-Schmidt writes the algebra
+basis into one preallocated (d^2, d^2) array; the commutant basis is the
+kernel of one SVD.  AlgebraBasis keeps either as one array of shape
+(dim, d, d), and its projection_residual measures membership in the span.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ class AlgebraBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    def project(self, A: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of A onto the span of the basis."""
+    def projection_residual(self, A: np.ndarray):
+        """Frobenius distance from A to the span of the basis: a float for one
+        d x d matrix, one per matrix (an array) for a stack (k, d, d)."""
         A = np.asarray(A, dtype=complex)
-        B = self.basis.reshape(self.dim, A.size)  # rows: the flattened basis
-        return ((B.conj() @ A.ravel()) @ B).reshape(A.shape)
-
-    def projection_residual(self, A: np.ndarray) -> float:
-        return linalg.frob_norm(np.asarray(A, dtype=complex) - self.project(A))
+        X = A.reshape(-1, self.d * self.d)
+        B = self.basis.reshape(self.dim, -1)  # rows: the flattened basis
+        resid = np.linalg.norm(X - (X @ B.conj().T) @ B, axis=1)
+        return float(resid[0]) if A.ndim == 2 else resid
 
 
 def _mgs_extend(B: np.ndarray, k: int, candidates) -> int:
@@ -120,11 +121,8 @@ def commutant(G: GeneratorSet) -> AlgebraBasis:
     d = G.d
     I = np.eye(d)
     M = np.vstack([np.kron(I, g.T) - np.kron(g, I) for g in G.with_adjoints()])
-    kernel = linalg.null_space(M, RANK_RTOL).T
-    # The singular vectors are orthonormal already; a re-pass guards roundoff.
-    B = np.empty((d * d, d * d), dtype=complex)
-    k = _mgs_extend(B, 0, kernel.reshape(-1, d, d))
-    return AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
+    kernel = linalg.null_space(M, RANK_RTOL).T  # orthonormal rows: right singular vectors
+    return AlgebraBasis(d=d, basis=kernel.reshape(-1, d, d))
 
 
 def is_irreducible(G: GeneratorSet) -> bool:

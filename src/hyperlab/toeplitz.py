@@ -176,15 +176,14 @@ class ToeplitzElement:
 
     ``symbol`` maps degrees to coefficients and ``tail`` maps (i, j) with
     i, j >= 0 to coefficients.  The constructor coerces the coefficients
-    (see ``_coeff``) and drops the zeros; ``N`` is the tail's corner size.
+    (see ``_coeff``) and drops the zeros.
     """
 
-    __slots__ = ("symbol", "tail", "N")
+    __slots__ = ("symbol", "tail")
 
     def __init__(self, symbol: dict | None = None, tail: dict | None = None):
         self.symbol = _sparse((int(k), c) for k, c in (symbol or {}).items())
         self.tail = _sparse((_quarter(i, j), c) for (i, j), c in (tail or {}).items())
-        self.N = 1 + max((max(i, j) for (i, j) in self.tail), default=-1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -292,12 +291,13 @@ def truncate(A: ToeplitzElement, n: int) -> np.ndarray:
 
 
 def tail_operator_norm(A: ToeplitzElement) -> float:
-    """Operator norm of a pure-tail (compact, finitely supported) element."""
+    """Operator norm of a pure-tail (compact, finitely supported) element,
+    read on the smallest corner that holds its tail."""
     if A.symbol:
         raise InvalidInput("operator norm is only offered for pure-tail elements")
     if not A.tail:
         return 0.0
-    return linalg.op_norm(truncate(A, A.N))
+    return linalg.op_norm(truncate(A, 1 + max(max(i, j) for (i, j) in A.tail)))
 
 
 @dataclass(frozen=True)

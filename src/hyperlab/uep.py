@@ -181,17 +181,12 @@ class UepProblem:
     """One unique-extension-property test for the identity representation."""
 
     d: int
-    G: opsys.GeneratorSet | None
+    G: opsys.GeneratorSet
     probes: list | None = None
     tol: float = 1e-7
     max_iter: int = 20000
     seed: int = 0
     n_witnesses: int = 8
-
-    def pinned_elements(self) -> list:
-        """G u G*: Phi(g) = g already forces Phi(g*) = g* for *-preserving Phi,
-        so pinning the adjoints changes the equations, not the feasible set."""
-        return [] if self.G is None else self.G.with_adjoints()
 
 
 @dataclass
@@ -291,10 +286,10 @@ class ConstraintSystem:
     d: int
     n: int
     face: np.ndarray = field(repr=False)
-    F: np.ndarray = field(repr=False, default=None)
-    P: np.ndarray = field(repr=False, default=None)
-    b: np.ndarray = field(repr=False, default=None)
-    x_identity: np.ndarray = field(repr=False, default=None)
+    F: np.ndarray = field(repr=False)
+    P: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    x_identity: np.ndarray = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -348,8 +343,7 @@ def _pinned_face(P: UepProblem) -> np.ndarray:
     d = P.d
     D = d * d
     basis = [np.eye(d, dtype=complex)]
-    for g in P.pinned_elements():
-        g = linalg.require_square(g).astype(complex)
+    for g in P.G.with_adjoints():
         for H in ((g + g.conj().T) / 2.0, (g - g.conj().T) / 2.0j):
             if linalg.maxabs(H) > 1e-14:
                 basis.append(H)
@@ -397,10 +391,7 @@ def build_constraints(P: UepProblem) -> ConstraintSystem:
     until none turns up, so every caller gets the same, reduced, face.
     """
     d = P.d
-    gens = [] if P.G is None else list(P.G.generators)
-    if gens and gens[0].shape != (d, d):  # GeneratorSet makes all shapes equal
-        raise InvalidInput(f"pinned element shape {gens[0].shape} != ({d}, {d})")
-    S = np.array([np.eye(d, dtype=complex)] + gens)
+    S = np.array([np.eye(d, dtype=complex), *P.G.generators])
     parts = np.concatenate([hermvec((S + S.conj().swapaxes(-1, -2)) / 2.0),
                             hermvec((S - S.conj().swapaxes(-1, -2)) / 2.0j)])
     _, sv, Vh = np.linalg.svd(parts, full_matrices=False)
@@ -565,11 +556,14 @@ def solve(P: UepProblem) -> UepReport:
 def _validate(P: UepProblem) -> tuple:
     """Input checks that both decisions rely on: (alg, probes, info).
 
-    alg is C*(G) (opsys.generate_algebra); probes are P.probes, or the
-    basis of alg when None; info holds one ProbeDeviation row per probe,
-    with its index, projection residual and membership, at deviation 0.
-    Raises InvalidInput on a bad field, a shape other than (d, d), or when
-    no probe lies in C*(G).
+    This is the one place a UepProblem is checked.  alg is C*(G)
+    (opsys.generate_algebra); probes are P.probes, or the basis of alg when
+    None, as one (k, d, d) stack; info holds one ProbeDeviation row per
+    probe, with its index, projection residual and membership, at deviation
+    0.  The residuals are one alg.projection_residual call on the stack, and
+    a probe a lies in C*(G) when its residual is at most MEMBERSHIP_RTOL
+    (1 + ||a||_F).  Raises InvalidInput on a missing generator set, a bad
+    field, a shape other than (d, d), or when no probe lies in C*(G).
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
@@ -587,18 +581,18 @@ def _validate(P: UepProblem) -> tuple:
     alg = opsys.generate_algebra(P.G)
 
     if P.probes is None:
-        probes = [b.copy() for b in alg.basis]
+        probes = alg.basis
     else:
         probes = [linalg.require_square(a) for a in P.probes]
         for a in probes:
             if a.shape != (d, d):
                 raise InvalidInput(f"probe shape {a.shape} != ({d}, {d})")
-    info = []
-    for idx, a in enumerate(probes):
-        resid = alg.projection_residual(a)
-        in_alg = resid <= MEMBERSHIP_RTOL * (1.0 + linalg.frob_norm(a))
-        info.append(ProbeDeviation(index=idx, deviation=0.0, in_algebra=in_alg,
-                                   projection_residual=float(resid)))
+        probes = np.array(probes)
+    resid = alg.projection_residual(probes)
+    cutoff = MEMBERSHIP_RTOL * (1.0 + np.linalg.norm(probes, axis=(1, 2)))
+    info = [ProbeDeviation(index=idx, deviation=0.0, in_algebra=bool(r <= c),
+                           projection_residual=float(r))
+            for idx, (r, c) in enumerate(zip(resid, cutoff))]
     if not any(row.in_algebra for row in info):
         raise InvalidInput("no probe lies in C*(G), so no UEP question is asked")
     return alg, probes, info
@@ -609,8 +603,9 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
 
     For each generator g let g0 be its traceless part scaled to unit
     Frobenius norm (0 when that part is exactly 0).  g passes when g0*g0 and
-    g0 g0* both lie in span_C{I, G, G*}: their residuals off the
-    orthonormal basis of one SVD of that span (rank cut at 1e-12 of the
+    g0 g0* both lie in span_C{I, G, G*}: their projection residuals
+    (opsys.AlgebraBasis.projection_residual, as for _validate's probes) off
+    the orthonormal basis of one SVD of that span (rank cut at 1e-12 of the
     largest singular value, as in build_constraints) are at most
     MEMBERSHIP_RTOL.  Every feasible Phi fixes that span, so
     Phi(g0*g0) = Phi(g0)*Phi(g0) and Phi(g0 g0*) = Phi(g0)Phi(g0)*: g lies
@@ -630,12 +625,13 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
     S = np.concatenate([np.eye(d)[None], gens, gens.conj().swapaxes(-1, -2)]).reshape(-1, d * d)
     _, sv, Vh = np.linalg.svd(S, full_matrices=False)
     Q = Vh[sv > 1e-12 * sv[0]]  # orthonormal rows spanning span_C{I, G, G*}
+    span = opsys.AlgebraBasis(d=d, basis=Q.reshape(-1, d, d))
     g0 = gens - (np.trace(gens, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
     size = np.linalg.norm(g0, axis=(1, 2))
     g0 = g0 / np.where(size > 0.0, size, 1.0)[:, None, None]
     g0h = g0.conj().swapaxes(-1, -2)
-    A = np.concatenate([g0h @ g0, g0 @ g0h]).reshape(-1, d * d)
-    resid = np.linalg.norm(A - (A @ Q.conj().T) @ Q, axis=1).reshape(2, -1).max(axis=0)
+    A = np.concatenate([g0h @ g0, g0 @ g0h])
+    resid = span.projection_residual(A).reshape(2, -1).max(axis=0)
     held = resid <= MEMBERSHIP_RTOL
     if not held.any():
         return None
@@ -643,7 +639,7 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
         held_set = opsys.GeneratorSet(d=d, generators=tuple(gens[held]))
         if opsys.generate_algebra(held_set).dim < alg.dim:
             return None
-    rank = d * d * len(Q)  # build_constraints' count, d^2 dim span{I, G, G*}
+    rank = d * d * span.dim  # build_constraints' count, d^2 dim span{I, G, G*}
     return UepReport(
         status="Unique-evidence",
         basis="theorem",
@@ -662,7 +658,7 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
     )
 
 
-def _search(P: UepProblem, probes: list, info: list) -> UepReport:
+def _search(P: UepProblem, probes: np.ndarray, info: list) -> UepReport:
     """Run the UEP search and report deviations, a certificate, or evidence
     of uniqueness (basis "search").
 
@@ -698,7 +694,7 @@ def _search(P: UepProblem, probes: list, info: list) -> UepReport:
     for idx, a in enumerate(probes):
         for _ in range(n_w):
             W = random_hermitian(rng, d)
-            W = W / max(linalg.frob_norm(W), 1e-30)
+            W = W / linalg.frob_norm(W)
             tasks.append((idx, W))
             tasks.append((idx, -W))
 
@@ -811,7 +807,7 @@ def validate_certificate(cert: ViolationCertificate, P: UepProblem) -> bool:
     if defects["cp_defect"] > 1e-7 or defects["unital_defect"] > 1e-7:
         return False
     agreement = 0.0
-    for g in P.pinned_elements():
+    for g in P.G.with_adjoints():
         agreement = max(agreement, linalg.op_norm(cpmaps.apply_choi(cert.choi, g) - g))
     if agreement > 1e-7:
         return False
@@ -831,8 +827,6 @@ def schwarz_pinning_check(P: UepProblem, C: cpmaps.ChoiMatrix) -> dict:
     {T, T*}; the maximum word deviation over lengths <= WORD_LENGTH is
     reported.
     """
-    if P.G is None:
-        raise InvalidInput("schwarz_pinning_check requires a generator set")
     gen_defects = []
     for g in P.G.generators:
         dd = cpmaps.schwarz_defects(C, g)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hyperlab import linalg, uep
+from hyperlab import linalg, opsys, uep
 from hyperlab.errors import InvalidInput
 from hyperlab.rng import make_rng, random_complex, random_hermitian
 
@@ -37,7 +37,8 @@ def test_op_norm_submultiplicative():
 def _psd_clip(A):
     """The solver's PSD projection (ConstraintSystem.proj_psd, an eigenvalue
     clip of face matrices) applied to a 4x4 Hermitian matrix."""
-    cs = uep.build_constraints(uep.UepProblem(d=2, G=None))
+    G = opsys.GeneratorSet(d=2, generators=(np.eye(2),))  # unitality only: the face is all of M_4
+    cs = uep.build_constraints(uep.UepProblem(d=2, G=G))
     assert cs.n == 4
     return cs.proj_psd(A)
 

@@ -43,6 +43,20 @@ def test_generated_span_is_star_and_product_closed():
             assert alg.projection_residual(a @ b) <= 1e-8
 
 
+def test_projection_residual_takes_one_matrix_or_a_stack():
+    """One d x d matrix gives a float and a (k, d, d) stack one residual per
+    matrix: for the diagonal algebra of X, the norm of the off-diagonal part."""
+    alg = opsys.generate_algebra(opsys.GeneratorSet(d=3, generators=(np.diag([0.0, 1.0, 2.0]),)))
+    rng = make_rng(15)
+    A = np.array([random_complex(rng, 3, 3) for _ in range(4)] + [np.diag([1.0, 2.0, 5.0])])
+    off = [np.linalg.norm(a - np.diag(np.diag(a))) for a in A]
+    stack = alg.projection_residual(A)
+    assert stack.shape == (5,) and np.allclose(stack, off, rtol=0, atol=1e-14)
+    for a, r in zip(A, stack):
+        one = alg.projection_residual(a)
+        assert isinstance(one, float) and one == pytest.approx(r, rel=0, abs=1e-14)
+
+
 def test_commutant_examples():
     X = np.diag([0.0, 1.0, 2.0]).astype(complex)
     assert opsys.commutant(opsys.GeneratorSet(d=3, generators=(X,))).dim == 3
@@ -137,9 +151,7 @@ def _commutant_reference(G):
     M = np.vstack([np.kron(I, g.T) - np.kron(g, I) for g in G.with_adjoints()])
     sv, Vh = np.linalg.svd(M, full_matrices=True)[1:]
     rank = int(np.sum(sv > opsys.RANK_RTOL * (sv[0] if sv[0] > 0 else 1.0)))
-    basis: list = []
-    _mgs_reference(basis, [Vh[k].conj().reshape(d, d) for k in range(rank, d * d)])
-    return np.array(basis)
+    return np.array([Vh[k].conj().reshape(d, d) for k in range(rank, d * d)])
 
 
 def _basis_cases(d):

@@ -66,7 +66,7 @@ def test_hermvec_one_gather_matches_two():
 def _ambient_system(d, G):
     """Loop reference for build_constraints: the Hermitian functional and
     target of every row, real then imaginary part per (element, m, n)."""
-    elems = [np.eye(d)] + ([] if G is None else G.with_adjoints())
+    elems = [np.eye(d)] + G.with_adjoints()
     mats, targets = [], []
     for s in elems:
         for m in range(d):
@@ -91,7 +91,6 @@ def _generator_cases(d):
         "non-normal": (np.triu(T),),
         "identity": (np.eye(d),),
         "X-and-square": (H, H @ H),
-        "none": None,
     }
 
 
@@ -103,7 +102,7 @@ def test_build_constraints_matches_loop_reference(d):
     rank of the ambient reference system."""
     rng = make_rng(600 + d)
     for name, gens in _generator_cases(d).items():
-        G = None if gens is None else gen(d, *gens)
+        G = gen(d, *gens)
         cs = uep.build_constraints(uep.UepProblem(d=d, G=G))
         mats, targets = _ambient_system(d, G)
         U = cs.face
@@ -123,8 +122,7 @@ def _pinned_face_reference(P):
     multiple of I when its spread is below 1e-12 times its unshifted size."""
     d = P.d
     basis = [np.eye(d, dtype=complex)]
-    for g in P.pinned_elements():
-        g = np.asarray(g, dtype=complex)
+    for g in P.G.with_adjoints():
         for H in ((g + g.conj().T) / 2.0, (g - g.conj().T) / 2.0j):
             if linalg.maxabs(H) > 1e-14:
                 basis.append(H)
@@ -236,16 +234,17 @@ def test_pinned_face_is_minimal_on_unique_families(family, draws):
 
 
 def test_build_constraints_unitality_only():
-    """With no pinned generators only unitality constrains the Choi."""
-    P = uep.UepProblem(d=2, G=None)
+    """With G = {I} only unitality constrains the Choi."""
+    P = uep.UepProblem(d=2, G=gen(2, np.eye(2)))
     cs = uep.build_constraints(P)
     C = cs.to_choi_mat(cs.x_identity)
     assert np.allclose(linalg.partial_trace_first(C, 2), np.eye(2), atol=1e-10)
 
 
 def test_build_constraints_identity_generator_adds_nothing():
-    base = uep.build_constraints(uep.UepProblem(d=2, G=None))
-    with_id = uep.build_constraints(uep.UepProblem(d=2, G=gen(2, np.eye(2))))
+    X = x_diag()
+    base = uep.build_constraints(uep.UepProblem(d=3, G=gen(3, X)))
+    with_id = uep.build_constraints(uep.UepProblem(d=3, G=gen(3, X, np.eye(3))))
     assert with_id.rank == base.rank
 
 
@@ -753,7 +752,7 @@ def test_empty_slice_matches_projection_residual(monkeypatch):
     and on every reduced face of the generator cases at d = 2..5; the
     sampled faces of those are all minimal, so the normal sets of keys 510
     and 7506 add reduced ones."""
-    problems = [uep.UepProblem(d=d, G=None if gens is None else gen(d, *gens))
+    problems = [uep.UepProblem(d=d, G=gen(d, *gens))
                 for d in range(2, 6) for gens in _generator_cases(d).values()]
     problems += [_normal_problem(510, 5), _normal_problem(7506, 5)]
     seen = _spy_exposing_face(monkeypatch)
@@ -931,7 +930,7 @@ def test_scalar_problem_is_unique():
 
 @pytest.mark.parametrize("field, value", [
     ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
-    ("max_iter", 0), ("n_witnesses", 0), ("probes", []), ("probes", [swap01()]),
+    ("max_iter", 0), ("n_witnesses", 0), ("probes", []), ("probes", [swap01()]), ("G", None),
 ])
 def test_solve_rejects_bad_inputs(field, value):
     X = x_diag()
