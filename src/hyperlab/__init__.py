@@ -1,14 +1,18 @@
 """hyperlab: desk-scale experiments on hyperrigid generator sets.
 
-Subpackages:
+Modules:
 
-* ``linalg``   dense complex kernels (norms, hermitization, partial trace)
-* ``opsys``    generated *-algebras, commutants, irreducibility
-* ``cpmaps``   Choi matrices, Kraus sets, Stinespring dilations, Schwarz defects
-* ``toeplitz`` exact Laurent-band + finite-tail arithmetic on l2(N)
-* ``uep``      the unique-extension-property falsifier
-* ``korovkin`` convergence experiments for sequences of positive unital maps
-* ``cli``      the ``hyperlab`` command line front end
+* ``linalg``    dense complex kernels (norms, hermitization, partial trace)
+* ``opsys``     generated *-algebras, commutants, irreducibility
+* ``cpmaps``    Choi matrices, Kraus sets, Stinespring dilations, Schwarz defects
+* ``toeplitz``  exact Laurent-band + finite-tail arithmetic on l2(N)
+* ``uep``       the unique-extension-property falsifier
+* ``korovkin``  convergence experiments for sequences of positive unital maps
+* ``rng``       seeded Philox streams and the random matrices drawn from them
+* ``serialize`` matrix literals, byte-stable JSON and config digests
+* ``suite``     the numbered acceptance criteria behind ``hyperlab suite``
+* ``errors``    the exception hierarchy shared by every module
+* ``cli``       the ``hyperlab`` command line front end
 
 Setting ``HYPERLAB_THREADS=n`` caps the BLAS backends at n threads.  The cap
 is applied here, before any submodule imports numpy, because OpenBLAS reads

@@ -120,14 +120,15 @@ def choi_from_kraus(K: KrausSet) -> ChoiMatrix:
 def kraus_from_choi(C: ChoiMatrix) -> KrausSet:
     """Kraus operators from the Choi eigendecomposition.
 
-    Raises NotCompletelyPositive when C has an eigenvalue below
-    -1e-9 * trace(C).
+    Raises NotCompletelyPositive when C has an eigenvalue below -UCP_TOL,
+    the cp_defect that stinespring's UCP check accepts; eigenvalues at or
+    below KRAUS_EIG_RTOL * max(trace(C), 1) are dropped.
     """
     d = C.d
     w, U = np.linalg.eigh(C.mat)
     tr = float(np.trace(C.mat).real)
     scale = max(tr, 1.0)
-    if w[0] < -1e-9 * scale:
+    if w[0] < -UCP_TOL:
         raise NotCompletelyPositive(f"Choi matrix has eigenvalue {w[0]:.3e}")
     ops = []
     for k in range(len(w) - 1, -1, -1):

@@ -313,17 +313,14 @@ def compression_counterexample(V: ToeplitzElement, probes: list) -> list:
     """Exact images of probes under a |-> V* a V, flagging disagreements.
 
     Requires V*V = I exactly; the compression then agrees with the identity
-    on V and V* (checked) but may move other elements, e.g. VV* |-> I.
+    on V and V* (implied by V*V = I) but may move other elements, e.g.
+    VV* |-> I.
     """
     if mul(adj(V), V) != identity():
         raise NotIsometry("V*V != I exactly; V is not an isometry")
 
     def compress(a):
         return mul(mul(adj(V), a), V)
-
-    for anchor in (V, adj(V)):
-        if compress(anchor) != anchor:
-            raise NotIsometry("compression fails to fix V or V*; inconsistent isometry")
 
     results = []
     for idx, a in enumerate(probes):

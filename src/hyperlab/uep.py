@@ -148,12 +148,12 @@ DYKSTRA_WINDOW = 20
 
 def _face_dykstra(project, M: np.ndarray):
     """Batched Dykstra between the PSD cone and the affine set onto which
-    ``project`` maps a stack: (points, ok).  Only the PSD step carries a
-    correction (an orthogonal projection onto an affine set needs none).
-    Each item stops on its own, ok once its gap ||clip - point|| reaches
-    DYKSTRA_TOL, not ok on a stall (NaN too), and keeps its last affine
-    point."""
-    out, ok = np.empty_like(M), np.zeros(len(M), dtype=bool)
+    ``project`` maps a stack: the last affine point of each item.  Only the
+    PSD step carries a correction (an orthogonal projection onto an affine
+    set needs none).  Each item stops on its own, once its gap
+    ||clip - point|| reaches DYKSTRA_TOL or on a stall (NaN too); the
+    points are not checked here, so every caller checks what it accepts."""
+    out = np.empty_like(M)
     live, x, p = np.arange(len(M)), M, np.zeros_like(M)
     gaps = np.empty((len(M), DYKSTRA_WINDOW))  # slot i % DYKSTRA_WINDOW: the gap of pass i
     for i in itertools.count():
@@ -166,10 +166,10 @@ def _face_dykstra(project, M: np.ndarray):
         done = won | ((i >= DYKSTRA_WINDOW) & ~(gap <= 0.9 * gaps[:, slot]))
         gaps[:, slot] = gap
         if done.any():
-            out[live[done]], ok[live[won]] = x[done], True
+            out[live[done]] = x[done]
             live, x, p, gaps = live[~done], x[~done], p[~done], gaps[~done]
             if not len(live):
-                return out, ok
+                return out
 
 
 # ----------------------------------------------------------------------------
@@ -234,13 +234,18 @@ class UepReport:
     iterations: int
     residuals: dict
     constraint_rank: int
-    rank_margin: int
     face_dim: int | None  # n of the reduced face the search ran on; None: no face was built
     certificate: ViolationCertificate | None
     choi: cpmaps.ChoiMatrix
     seed: int
     tol: float
     membership: dict | None = None  # theorem only: largest membership residual and its cutoff
+
+    @property
+    def rank_margin(self) -> int:
+        """Real dimension d^4 of the Hermitian d^2 x d^2 matrices minus
+        constraint_rank."""
+        return self.choi.d ** 4 - self.constraint_rank
 
     @property
     def max_deviation(self) -> float:
@@ -294,11 +299,6 @@ class ConstraintSystem:
     @property
     def rank(self) -> int:
         return len(self.F)  # orthonormal functionals (build_constraints); restrict keeps the rows
-
-    @property
-    def rank_margin(self) -> int:
-        """Real dimension d^4 of the Hermitian d^2 x d^2 matrices minus rank."""
-        return self.d ** 4 - self.rank
 
     def restrict(self, V: np.ndarray) -> "ConstraintSystem":
         """The same equations on the sub-face ``face @ V`` (V an n x r isometry
@@ -434,8 +434,10 @@ def _exposing_face(cs: ConstraintSystem):
     2 x m SVD decides this first (a single functional, as at d = 1, is
     parallel to b), and an empty slice proves that no exposing vector
     exists.  Otherwise _face_dykstra searches the slice from its point
-    nearest I/n.  None means an empty slice, or a stall, which proves
-    nothing.
+    nearest I/n, and its point Y is kept only when lambda_min(Y) >=
+    -FEAS_TOL, the bound rounded points are certified with (a success stop,
+    gap <= DYKSTRA_TOL, meets it by Weyl; a NaN eigenvalue fails it).  None
+    means an empty slice, or a Y that fails the check, which proves nothing.
     """
     n = cs.n
     sv = np.linalg.svd([np.real(np.einsum("jii->j", cs.F)), cs.b], compute_uv=False)
@@ -446,10 +448,10 @@ def _exposing_face(cs: ConstraintSystem):
     T, t = T - _affine_project(cs.F, cs.P, 0.0, T), np.array([1.0, 0.0])
     Q = _pinv_mats(T)
     project = lambda Z: _affine_project(T, Q, t, Z - _affine_project(cs.F, cs.P, 0.0, Z))  # onto the slice
-    (Y,), (ok,) = _face_dykstra(project, project(np.eye(n, dtype=complex)[None] / n))
-    if not ok:
-        return None
+    (Y,) = _face_dykstra(project, project(np.eye(n, dtype=complex)[None] / n))
     w, U = np.linalg.eigh(Y)
+    if not w[0] >= -FEAS_TOL:
+        return None
     return U[:, w < 1e-6 * w[-1]], _tr(cs.P, Y)  # sum_j y_j F_j = Y
 
 
@@ -473,7 +475,7 @@ def _face_polish(cs: ConstraintSystem, X: np.ndarray) -> list:
     wmin = np.linalg.eigvalsh(M)[:, 0]
     dyk = np.flatnonzero(wmin < -FEAS_TOL)
     if len(dyk):
-        M[dyk] = _face_dykstra(project, M[dyk])[0]
+        M[dyk] = _face_dykstra(project, M[dyk])
         wmin[dyk] = np.linalg.eigvalsh(M[dyk])[:, 0]
     ok = np.flatnonzero((cs.affine_residual(M) <= FEAS_TOL * b_scale) & (wmin >= -FEAS_TOL))
     return list(zip(ok.tolist(), M[ok]))
@@ -639,7 +641,6 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
         held_set = opsys.GeneratorSet(d=d, generators=tuple(gens[held]))
         if opsys.generate_algebra(held_set).dim < alg.dim:
             return None
-    rank = d * d * span.dim  # build_constraints' count, d^2 dim span{I, G, G*}
     return UepReport(
         status="Unique-evidence",
         basis="theorem",
@@ -647,8 +648,7 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
         iterations=0,
         # The identity map fixes every h exactly and its Choi matrix w w* is PSD.
         residuals={"affine": 0.0, "psd": 0.0},
-        constraint_rank=rank,
-        rank_margin=d ** 4 - rank,
+        constraint_rank=d * d * span.dim,  # build_constraints' count, d^2 dim span{I, G, G*}
         face_dim=None,
         certificate=None,
         choi=cpmaps.identity_choi(d),
@@ -738,11 +738,9 @@ def _search(P: UepProblem, probes: np.ndarray, info: list) -> UepReport:
             if best_dev[idx] <= P.tol / 10.0:
                 continue
             C = cpmaps.ChoiMatrix(d=d, mat=cs.to_choi_mat(best_x[idx]))
+            # best_dev > tol/10 is Re tr(W'*(Phi(a) - a)) for a unit W', so the norm is positive.
             W = cpmaps.apply_choi(C, a) - a
-            wn = linalg.frob_norm(W)
-            if wn <= P.tol / 10.0:
-                continue
-            W = W / wn
+            W = W / linalg.frob_norm(W)
             # |<W - W', Phi(a) - a>| <= ||W - W'||_F ||Phi(a) - a||_F and, Phi being
             # contractive, ||Phi(a) - a||_F <= 2 sqrt(d) ||a||: a witness this close
             # to the one that found best_x would re-solve that task, gaining <= tol.
@@ -787,7 +785,6 @@ def _search(P: UepProblem, probes: np.ndarray, info: list) -> UepReport:
         iterations=total_iters,
         residuals=residuals,
         constraint_rank=cs.rank,
-        rank_margin=cs.rank_margin,
         face_dim=cs.n,
         certificate=certificate,
         choi=choi,

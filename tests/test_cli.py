@@ -296,6 +296,15 @@ _SHIFT = {"let": "S", "expr": "shift()"}
     ("toeplitz", [{"let": "A", "symbol": {"1_0": 1}}], "'symbol' keys must be an integer degree"),
     ("toeplitz", [{"let": "A", "symbol": {" 2 ": 1}}], "'symbol' keys must be an integer degree"),
     ("toeplitz", [{"let": "A", "tail": {"0,+1": 1}}], "'tail' keys must be \"i,j\""),
+    ("toeplitz", [{"eval": "adj(Q)"}], "unknown name 'Q'"),
+    ("toeplitz", [{"eval": "-shift()"}], "unsupported syntax"),
+    ("toeplitz", [{"let": "A"}], "needs one of: symbol, tail, expr"),
+    ("toeplitz", {"eval": "shift()"}, "must be a JSON list"),
+    ("toeplitz", [5], "entries must be objects"),
+    ("toeplitz", [{"print": "shift()"}], "needs 'let' or 'eval'"),
+    ("stinespring", {"d": 2}, "stinespring config needs"),
+    ("korovkin", {"kind": "bernstein", "G": [{"exp": 1}]}, "grid elements are"),
+    ("korovkin", {"G": [{"poly": [0, 1]}]}, "needs a family 'kind'"),
 ])
 def test_bad_config_exits_2(tmp_path, capsys, command, cfg, message):
     p = write(tmp_path, "bad.json", cfg)

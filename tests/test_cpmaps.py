@@ -134,6 +134,55 @@ def test_stinespring_rejects_non_ucp():
         cpmaps.stinespring(transpose_choi())
 
 
+def test_stinespring_accepts_every_choi_matrix_its_ucp_check_accepts():
+    """A unital Choi matrix with an eigenvalue of about -6e-9 passes the UCP
+    check (cp_defect <= UCP_TOL), so its Kraus decomposition must not reject
+    it: the dilation is an isometry within UCP_TOL."""
+    K = cpmaps.KrausSet(d_in=2, d_out=2, operators=tuple(random_ucp_kraus(make_rng(3), 2, 2)))
+    C = cpmaps.choi_from_kraus(K).mat
+    _, U = np.linalg.eigh(C)
+    C = C - 1e-8 * np.outer(U[:, 0], U[:, 0].conj())
+    C = C + np.kron(np.eye(2), (np.eye(2) - linalg.partial_trace_first(C, 2)) / 2)
+    choi = cpmaps.ChoiMatrix(d=2, mat=C)
+    defects = cpmaps.validate_ucp(choi)
+    assert 0.0 < defects["cp_defect"] <= cpmaps.UCP_TOL
+    assert defects["unital_defect"] <= cpmaps.UCP_TOL
+    D = cpmaps.stinespring(choi)
+    assert np.linalg.norm(D.V.conj().T @ D.V - np.eye(2)) <= cpmaps.UCP_TOL
+
+
+def _bad_shape_calls() -> dict:
+    """(call, message) pairs that each hand a cpmaps constructor or method a
+    matrix of the wrong shape, a non-Hermitian Choi matrix or no Kraus
+    operator."""
+    E01 = np.zeros((4, 4), dtype=complex)
+    E01[0, 1] = 1.0
+    K2 = cpmaps.KrausSet(d_in=2, d_out=2, operators=(np.eye(2),))
+    K21 = cpmaps.KrausSet(d_in=2, d_out=1, operators=(np.array([[1.0, 0.0]]),))
+    D = cpmaps.StinespringDilation(d=2, r=1, V=np.eye(2, dtype=complex), minimal=True)
+    return {
+        "choi-size": (lambda: cpmaps.ChoiMatrix(d=2, mat=np.eye(3)), "must be 4 x 4"),
+        "choi-hermitian": (lambda: cpmaps.ChoiMatrix(d=2, mat=E01), "must be Hermitian"),
+        "kraus-empty": (lambda: cpmaps.KrausSet(d_in=2, d_out=2, operators=()), "nonempty"),
+        "kraus-shape": (lambda: cpmaps.KrausSet(d_in=2, d_out=2, operators=(np.eye(3),)),
+                        "operator shape"),
+        "kraus-apply": (lambda: K2.apply(np.eye(3)), "input must be 2 x 2"),
+        "sigma": (lambda: D.sigma(np.eye(3)), "input must be 2 x 2"),
+        "choi-rectangular": (lambda: cpmaps.choi_from_kraus(K21), "square maps"),
+        "sigma-S-size": (lambda: cpmaps.coinvariance_block(D, np.eye(3), np.eye(2)),
+                         "sigma\\(S\\) must be"),
+        "rho-S-size": (lambda: cpmaps.coinvariance_block(D, np.eye(2), np.eye(3)),
+                       "rho\\(S\\) must be"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bad_shape_calls()))
+def test_bad_shapes_raise_invalid_input(name):
+    call, message = _bad_shape_calls()[name]
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
 def test_stinespring_roundtrip_battery():
     rng = make_rng(23)
     for _ in range(50):

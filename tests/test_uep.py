@@ -113,7 +113,6 @@ def test_build_constraints_matches_loop_reference(d):
         assert np.allclose(got, uep.unhermvec(ref, cs.n), rtol=0, atol=1e-10), name
         sv = np.linalg.svd(uep.hermvec(mats), compute_uv=False)
         assert len(cs.F) == cs.rank == int(np.sum(sv > 1e-12 * sv[0])), name
-        assert cs.rank_margin == d ** 4 - cs.rank
 
 
 def _pinned_face_reference(P):
@@ -392,8 +391,8 @@ def test_face_dykstra_stops_each_item(monkeypatch):
     gap by 10%.  The items are the rows that rounding hands to Dykstra for a
     random Hermitian generator (a violation-search shape), from the first
     ascent of a solve and from a short ascent; they stop in both ways, the
-    PSD clips shrink with the batch, and every ok point passes the FEAS_TOL
-    checks."""
+    PSD clips shrink with the batch, and every point that stopped on success
+    passes the FEAS_TOL checks."""
     g = random_hermitian(make_rng(2000), 3)
     rounding = []
     dykstra, polish = uep._face_dykstra, uep._face_polish
@@ -420,7 +419,7 @@ def test_face_dykstra_stops_each_item(monkeypatch):
         log.append(np.linalg.norm((Y - Z).reshape(len(Y), -1), axis=1))
         return Z
 
-    points, ok = dykstra(logged, M)
+    points = dykstra(logged, M)
     assert sizes == [len(gap) for gap in log] == sorted(sizes, reverse=True)
     assert sizes[0] == len(M) > sizes[-1]
     # Follow each item through the batch: rows leave in order when done.
@@ -440,9 +439,8 @@ def test_face_dykstra_stops_each_item(monkeypatch):
         bound = W * (1 + max(0, math.ceil(math.log(first / uep.DYKSTRA_TOL) / math.log(1 / 0.9))))
         assert len(h) <= bound, k
         won = h[-1] <= uep.DYKSTRA_TOL
-        assert ok[k] == won, k
         kinds.add("success" if won else "stall")
-        if ok[k]:
+        if won:
             assert np.linalg.eigvalsh(points[k])[0] >= -uep.FEAS_TOL, k
             assert cs.affine_residual(points[k]) <= uep.FEAS_TOL * b_scale, k
     assert kinds == {"success", "stall"}
@@ -688,6 +686,46 @@ def _spy_exposing_face(monkeypatch) -> list:
     seen, expose = [], uep._exposing_face
     monkeypatch.setattr(uep, "_exposing_face", lambda cs: seen.append(cs) or expose(cs))
     return seen
+
+
+def _slice_point_at_lambda_min(Y, Z, target) -> np.ndarray:
+    """The point of the segment from the slice points Y (PSD) to Z where
+    lambda_min is target (lambda_min is concave along the segment, so
+    bisection finds the crossing; the segment stays on the slice)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        t = (lo + hi) / 2
+        lo, hi = (t, hi) if np.linalg.eigvalsh((1 - t) * Y + t * Z)[0] >= target else (lo, t)
+    return (1 - lo) * Y + lo * Z
+
+
+def test_exposing_face_checks_y_itself(monkeypatch):
+    """_exposing_face accepts a Dykstra point by lambda_min(Y) >= -FEAS_TOL
+    on Y itself, whatever stopped the run: a slice point with lambda_min
+    -1e-3, and a NaN point (one whose eigenvalues eigh returns as NaN),
+    give None on the sampled key-10 face, whose exposing vector the real
+    search finds."""
+    expose, dykstra = uep._exposing_face, uep._face_dykstra
+    seen = _spy_exposing_face(monkeypatch)
+    uep.build_constraints(_normal_problem(510, 5))
+    cs = seen[0]
+    assert expose(cs) is not None
+    handed = []
+
+    def stand_in(project, M):
+        Y = _slice_point_at_lambda_min(dykstra(project, M)[0], M[0], -1e-3)
+        assert np.linalg.norm(project(Y) - Y) <= 1e-12
+        assert abs(np.linalg.eigvalsh(Y)[0] + 1e-3) <= 1e-9
+        handed.append(Y)
+        return Y[None]
+
+    monkeypatch.setattr(uep, "_face_dykstra", stand_in)
+    assert expose(cs) is None
+    nan_point = np.diag(np.full(cs.n, np.nan)).astype(complex)
+    monkeypatch.setattr(uep, "_face_dykstra",
+                        lambda project, M: handed.append(nan_point) or nan_point[None])
+    assert expose(cs) is None
+    assert len(handed) == 2
 
 
 def _slice_is_parallel(cs) -> bool:
@@ -969,11 +1007,12 @@ def test_theorem_report_fields():
     assert rep.residuals == {"affine": 0.0, "psd": 0.0}
     assert js["membership"]["cutoff"] == uep.MEMBERSHIP_RTOL
     assert js["membership"]["residual"] <= 1e-12
-    cs = uep.build_constraints(P)
-    assert (rep.constraint_rank, rep.rank_margin) == (cs.rank, cs.rank_margin) == (45, 36)
+    assert rep.constraint_rank == uep.build_constraints(P).rank == 45
+    assert rep.rank_margin == js["rank_margin"] == 36
     X = x_diag()
     searched = uep.solve(uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2))
     assert searched.basis == searched.to_json()["basis"] == "search"
+    assert searched.rank_margin == searched.to_json()["rank_margin"] == 81 - searched.constraint_rank
     assert "membership" not in searched.to_json()
 
 
@@ -1014,6 +1053,19 @@ def test_theorem_agrees_with_the_search():
                 or (f == "H" and d == 2) or (f == "H,H^3" and d <= 3)]
     assert decided == expected
     assert len(decided) == 72
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the theorem step and build_constraints cut the rank in different coordinates")
+def test_theorem_rank_matches_build_constraints_at_a_small_generator():
+    """The theorem step reports build_constraints' constraint_rank.  Both cut
+    singular values at 1e-12 of the largest, but the theorem step runs a
+    complex SVD of {I, g, g*} and build_constraints a real SVD of hermvec
+    coordinates, so for g = 1e-3 diag(1, -1) + 8e-13 i [[0, 1], [1, 0]] they
+    read 12 and 8."""
+    g = 1e-3 * np.diag([1.0, -1.0]) + 8e-13j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    P = uep.UepProblem(d=2, G=gen(2, g))
+    assert theorem(P).constraint_rank == uep.build_constraints(P).rank
 
 
 def _near_scalar(c, s):
