@@ -15,10 +15,15 @@ from .errors import InvalidInput
 from .linalg import hermitize
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Philox-based generator keyed by a 64-bit seed in [0, 2**64)."""
+def check_seed(seed: int) -> None:
+    """InvalidInput unless seed is a 64-bit key in [0, 2**64)."""
     if not 0 <= seed < 2 ** 64:
         raise InvalidInput(f"seed must be in [0, 2**64), got {seed}")
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Philox-based generator keyed by a 64-bit seed in [0, 2**64)."""
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -8,7 +8,21 @@ and gg* lie in span{I, G, G*}, every feasible Phi has
 Phi(g*g) = Phi(g)*Phi(g) and Phi(gg*) = Phi(g)Phi(g)*, so g lies in the
 multiplicative domain of Phi, where Phi is a *-homomorphism fixing g.
 When such generators generate C*(G), Phi = id on C*(G) and solve reports
-Unique-evidence with basis "theorem", having built no face.  Every other
+Unique-evidence with basis "theorem", having built no face.
+
+Commuting normal generators are next decided from their joint spectrum
+(basis "spectrum"; Arveson 2011, Phelps 2001): C*(G) is the span of the
+joint spectral projections P_lambda, and the identity has the unique
+extension property exactly when every joint eigenvalue point p_lambda (the
+real and imaginary parts of g(lambda), g in G) is an extreme point of the
+convex hull of them all.  An interior point p_lambda = sum_nu mu_nu p_nu
+gives the pinch-and-mix map
+
+    Phi(x) = sum_{kappa != lambda} P_kappa x P_kappa
+             + (sum_nu mu_nu <e_nu, x e_nu>) P_lambda,
+
+which is UCP, fixes G and sends P_lambda to 0: a closed-form certificate
+(Saskin's X = diag(0, 1, 2) fails at 1 = (0 + 2)/2 this way).  Every other
 problem is decided at desk scale by searching the spectrahedron
 
     { Choi matrices C : C PSD, Phi_C(h) = h for h in H }
@@ -54,7 +68,7 @@ import numpy as np
 
 from . import cpmaps, linalg, opsys
 from .errors import Infeasible, InvalidInput
-from .rng import make_rng, random_hermitian
+from .rng import check_seed, make_rng, random_hermitian
 from .serialize import matrix_to_literal
 
 SQRT2 = np.sqrt(2.0)
@@ -229,7 +243,7 @@ class ProbeDeviation:
 @dataclass
 class UepReport:
     status: str  # "Unique-evidence" | "ViolationFound" | "NonConverged"
-    basis: str  # "theorem" (_theorem_step) | "search" (_search)
+    basis: str  # "theorem" (_theorem_step) | "spectrum" (_spectrum_step) | "search" (_search)
     deviations: list
     iterations: int
     residuals: dict
@@ -543,16 +557,20 @@ def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
 
 def solve(P: UepProblem) -> UepReport:
     """Decide the UEP question: check the input, then try the theorem
-    step, and search only when it declines.
+    step, then the spectrum step, and search only when both decline.
 
     A theorem report (basis "theorem") has exact zero deviations, no face
-    (``face_dim`` None) and the identity Choi matrix.  A search report
-    (basis "search") carries deviations, a certificate, or evidence of
-    uniqueness, as described at _search.
+    (``face_dim`` None) and the identity Choi matrix.  A spectrum report
+    (basis "spectrum") has no face either: Unique-evidence shaped like a
+    theorem report, or the pinch-and-mix map of an interior joint
+    eigenvalue with every probe's operator-norm deviation under it, as
+    described at _spectrum_step.  A search report (basis "search") carries
+    deviations, a certificate, or evidence of uniqueness, as described at
+    _search.
     """
     alg, probes, info = _validate(P)
-    report = _theorem_step(P, alg, info)
-    return report if report is not None else _search(P, probes, info)
+    return (_theorem_step(P, alg, info) or _spectrum_step(P, probes, info)
+            or _search(P, probes, info))
 
 
 def _validate(P: UepProblem) -> tuple:
@@ -565,10 +583,12 @@ def _validate(P: UepProblem) -> tuple:
     0.  The residuals are one alg.projection_residual call on the stack, and
     a probe a lies in C*(G) when its residual is at most MEMBERSHIP_RTOL
     (1 + ||a||_F).  Raises InvalidInput on a missing generator set, a bad
-    field, a shape other than (d, d), or when no probe lies in C*(G).
+    field (a seed outside [0, 2**64) too, which only the search would draw
+    from), a shape other than (d, d), or when no probe lies in C*(G).
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
+    check_seed(P.seed)
     if not (math.isfinite(P.tol) and P.tol >= 0.0):
         raise InvalidInput(f"tol must be finite and >= 0, got {P.tol}")
     if P.max_iter < 1:
@@ -600,6 +620,26 @@ def _validate(P: UepProblem) -> tuple:
     return alg, probes, info
 
 
+def _pinned_span(P: UepProblem) -> opsys.AlgebraBasis:
+    """Orthonormal basis of span_C{I, G, G*} from one SVD, rank cut at 1e-12
+    of the largest singular value, as in build_constraints."""
+    d = P.d
+    gens = np.array(P.G.generators)
+    S = np.concatenate([np.eye(d)[None], gens, gens.conj().swapaxes(-1, -2)]).reshape(-1, d * d)
+    _, sv, Vh = np.linalg.svd(S, full_matrices=False)
+    return opsys.AlgebraBasis(d=d, basis=Vh[sv > 1e-12 * sv[0]].reshape(-1, d, d))
+
+
+def _unit_traceless(gens: np.ndarray) -> tuple:
+    """(g0, size) of a stack of generators: g0 is the traceless part of each
+    scaled to unit Frobenius norm (0 when that part is exactly 0), size the
+    norm of that part."""
+    d = gens.shape[-1]
+    g0 = gens - (np.trace(gens, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+    size = np.linalg.norm(g0, axis=(1, 2))
+    return g0 / np.where(size > 0.0, size, 1.0)[:, None, None], size
+
+
 def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepReport | None:
     """Unique-evidence by the multiplicative domain theorem, or None.
 
@@ -624,13 +664,8 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
         return None
     d = P.d
     gens = np.array(P.G.generators)
-    S = np.concatenate([np.eye(d)[None], gens, gens.conj().swapaxes(-1, -2)]).reshape(-1, d * d)
-    _, sv, Vh = np.linalg.svd(S, full_matrices=False)
-    Q = Vh[sv > 1e-12 * sv[0]]  # orthonormal rows spanning span_C{I, G, G*}
-    span = opsys.AlgebraBasis(d=d, basis=Q.reshape(-1, d, d))
-    g0 = gens - (np.trace(gens, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
-    size = np.linalg.norm(g0, axis=(1, 2))
-    g0 = g0 / np.where(size > 0.0, size, 1.0)[:, None, None]
+    span = _pinned_span(P)
+    g0, _ = _unit_traceless(gens)
     g0h = g0.conj().swapaxes(-1, -2)
     A = np.concatenate([g0h @ g0, g0 @ g0h])
     resid = span.projection_residual(A).reshape(2, -1).max(axis=0)
@@ -641,9 +676,18 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
         held_set = opsys.GeneratorSet(d=d, generators=tuple(gens[held]))
         if opsys.generate_algebra(held_set).dim < alg.dim:
             return None
+    return _identity_report(P, "theorem", info, span,
+                            {"residual": float(np.max(resid[held])), "cutoff": MEMBERSHIP_RTOL})
+
+
+def _identity_report(P: UepProblem, basis: str, info: list, span: opsys.AlgebraBasis,
+                     membership: dict | None = None) -> UepReport:
+    """Unique-evidence proved without a face: _validate's rows (deviation 0)
+    and the identity map."""
+    d = P.d
     return UepReport(
         status="Unique-evidence",
-        basis="theorem",
+        basis=basis,
         deviations=info,
         iterations=0,
         # The identity map fixes every h exactly and its Choi matrix w w* is PSD.
@@ -654,8 +698,194 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
         choi=cpmaps.identity_choi(d),
         seed=P.seed,
         tol=P.tol,
-        membership={"residual": float(np.max(resid[held])), "cutoff": MEMBERSHIP_RTOL},
+        membership=membership,
     )
+
+
+# Noise model of the spectrum step.  The traceless, unit-norm part g0 of g
+# carries roundoff of about eps = d u max_g ||g||_F / ||g - (tr g / d) I||_F
+# (u the unit roundoff, g over the non-scalar generators): g = I + s D keeps
+# only the digits of s D.  A
+# defect, cluster gap or hull residual counts as 0 at or below
+# SPECTRUM_ZERO eps and as positive at or above SPECTRUM_GAP eps; in between
+# the step declines rather than guess.
+SPECTRUM_ZERO = 1e2
+SPECTRUM_GAP = 1e4
+
+# Key of the fixed stream that mixes the Hermitian parts of the g0 into one
+# matrix whose eigenbasis is the joint one; not P.seed, so a report still
+# depends on (config, seed) only through the search.
+SPECTRUM_MIX_KEY = 0x5BEC
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> tuple:
+    """min ||A x - b|| over x >= 0 by the Lawson-Hanson active-set method:
+    (x, residual norm).  Each outer step frees the coordinate with the
+    largest gradient w = A^T (b - A x); the inner loop solves least squares
+    on the free set and, while that leaves a free coordinate <= 0, steps
+    back toward it until it hits 0 and binds it again.  The outer loop runs
+    at most 3n times (Lawson & Hanson 1974)."""
+    m, n = A.shape
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(A).sum(axis=0).max(initial=0.0)))
+    w = A.T @ b
+    for _ in range(3 * n):
+        if free.all() or np.max(w[~free]) <= tol:
+            break
+        free[np.argmax(np.where(free, -np.inf, w))] = True
+        while True:
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(A[:, free], b, rcond=None)[0]
+            if np.all(z[free] > 0.0):
+                break
+            neg = free & (z <= 0.0)
+            x = x + np.min(x[neg] / (x[neg] - z[neg])) * (z - x)
+            free &= x > tol
+            x[~free] = 0.0
+        x = z
+        w = A.T @ (b - A @ x)
+    return x, float(np.linalg.norm(A @ x - b))
+
+
+def _joint_spectrum(gens: np.ndarray):
+    """The joint spectrum of commuting normal generators: (V, clusters,
+    interior), or None.
+
+    V is one unitary eigenbasis, from one eigh of a fixed real mix of the
+    Hermitian and anti-Hermitian parts of the g0 (_unit_traceless); it must
+    diagonalize every g0 to within the zero level, which holds exactly when
+    the generators are normal and commute.  clusters lists the column
+    indices of V per joint eigenvalue: columns whose points p (real and
+    imaginary parts of the diagonal entries of V* g0 V) lie within the
+    zero level of each other.  interior maps a cluster index c to the
+    weights mu over the other clusters (in order, summing to 1) with
+    p_c = sum mu_nu p_nu: one NNLS of (p_c, 1) against the columns (p_nu, 1)
+    per cluster, read as 0 at or below the zero level and as positive at or
+    above the gap level (see SPECTRUM_ZERO).  None when a generator is not
+    normal, they do not commute, or a residual or a distance between
+    points lies between the two levels (gap >= 2 zero, so points within the
+    zero level of each other form classes).  The same two levels, relative
+    to d u ||g||_F, first sort each generator: a traceless part at most at
+    the zero level is 0, so that g is a scalar and is left out (it adds
+    nothing to C*(G)); one between the levels makes the step decline.  So
+    eps, over the generators left, stays below 1 / SPECTRUM_GAP.
+    """
+    d = gens.shape[-1]
+    g0, size = _unit_traceless(gens)
+    unit = d * np.finfo(float).eps * np.linalg.norm(gens, axis=(1, 2))  # roundoff of each g
+    # A traceless part within its generator's roundoff is 0: that g is a scalar.
+    live = size > SPECTRUM_ZERO * unit
+    if np.any(live & (size < SPECTRUM_GAP * unit)):
+        return None
+    g0 = g0[live]
+    eps = np.max(unit[live] / size[live], initial=0.0)
+    zero, gap = SPECTRUM_ZERO * eps, SPECTRUM_GAP * eps
+    g0h = g0.conj().swapaxes(-1, -2)
+    parts = np.concatenate([g0 + g0h, (g0 - g0h) / 1j]) / 2.0
+    mix = np.tensordot(make_rng(SPECTRUM_MIX_KEY).standard_normal(len(parts)), parts, axes=1)
+    _, V = np.linalg.eigh(mix)
+    D = V.conj().T @ g0 @ V
+    z = np.diagonal(D, axis1=1, axis2=2)
+    if np.linalg.norm(D - z[..., None] * np.eye(d)) > zero:
+        return None
+    points = np.concatenate([z.real, z.imag]).T  # one row per column of V
+    dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    if np.any((dist > zero) & (dist < gap)):
+        return None
+    head = np.argmax(dist <= zero, axis=0)  # first column of each column's cluster
+    clusters = [np.flatnonzero(head == h) for h in np.unique(head)]
+    reps = np.array([points[c].mean(axis=0) for c in clusters])
+    interior = {}
+    for c in range(len(clusters)):
+        others = np.delete(reps, c, axis=0)
+        mu, resid = _nnls(np.vstack([others.T, np.ones(len(others))]), np.append(reps[c], 1.0))
+        if zero < resid < gap:
+            return None
+        if resid <= zero:
+            interior[c] = mu / mu.sum()
+    return V, clusters, interior
+
+
+def _pinch_and_mix(V: np.ndarray, clusters: list, c: int, mu: np.ndarray) -> cpmaps.ChoiMatrix:
+    """Choi matrix of Phi(x) = sum_{k != c} P_k x P_k + (sum_nu mu_nu
+    <e_nu, x e_nu>) P_c, P_k the projection onto the columns of V in
+    cluster k and e_nu the first of them (mu over the clusters other than c,
+    in order), from its Kraus operators: the P_k, and sqrt(mu_nu) f e_nu*
+    for each column f of cluster c."""
+    d = len(V)
+    ops = []
+    for k, m in zip((k for k in range(len(clusters)) if k != c), mu):
+        Vk = V[:, clusters[k]]
+        ops.append(Vk @ Vk.conj().T)
+        if m > 0.0:
+            ops += [np.sqrt(m) * np.outer(f, Vk[:, 0].conj()) for f in V[:, clusters[c]].T]
+    return cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=d, d_out=d, operators=tuple(ops)))
+
+
+def _spectrum_step(P: UepProblem, probes: np.ndarray, info: list) -> UepReport | None:
+    """A report from the joint spectrum of commuting normal generators
+    (basis "spectrum"), or None (_joint_spectrum declines).
+
+    When every joint eigenvalue is an extreme point, Phi = id on C*(G) for
+    every feasible Phi, and when every probe lies in C*(G) the report is a
+    proof shaped like a theorem report; with a probe outside C*(G) the step
+    declines, as the theorem step does.  Otherwise each interior cluster c
+    gives a pinch-and-mix map (_pinch_and_mix), which fixes G and moves P_c
+    by 1; the report takes the map that moves an in-algebra probe the most
+    (the first such cluster on ties), with every probe's operator-norm
+    deviation under it.  Its largest in-algebra deviation decides as in
+    _search: from 10 tol up, the certificate of that probe must pass
+    validate_certificate to give ViolationFound.  Below 10 tol the status is
+    NonConverged, never Unique-evidence: the map proves that the identity
+    lacks the unique extension property even when the probes barely see it.
+    """
+    gens = np.array(P.G.generators)
+    found = _joint_spectrum(gens)
+    if found is None:
+        return None
+    V, clusters, interior = found
+    if not interior:
+        if not all(row.in_algebra for row in info):
+            return None
+        return _identity_report(P, "spectrum", info, _pinned_span(P))
+    maps = []  # (largest in-algebra deviation, Choi matrix, rows) per interior cluster
+    for c, mu in interior.items():
+        choi = _pinch_and_mix(V, clusters, c, mu)
+        rows = [replace(row, deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a))
+                for row, a in zip(info, probes)]
+        maps.append((max(p.deviation for p in rows if p.in_algebra), choi, rows))
+    _, choi, deviations = max(maps, key=lambda m: m[0])
+    worst = max((p for p in deviations if p.in_algebra), key=lambda p: p.deviation)
+    # Phi fixes G only as well as the hull weights solve p_c = sum mu_nu p_nu,
+    # so that residual is measured; its Choi matrix sum_a w_a w_a* is PSD.
+    moved = [cpmaps.apply_choi(choi, g) - g for g in gens]
+    residuals = {"affine": float(np.linalg.norm(moved)), "psd": 0.0}
+    certificate = None
+    if worst.deviation >= 10.0 * P.tol:
+        certificate = _certify(P, choi, probes[worst.index], residuals)
+    return UepReport(
+        status="NonConverged" if certificate is None else "ViolationFound",
+        basis="spectrum",
+        deviations=deviations,
+        iterations=0,
+        residuals=residuals,
+        constraint_rank=P.d * P.d * _pinned_span(P).dim,
+        face_dim=None,
+        certificate=certificate,
+        choi=choi,
+        seed=P.seed,
+        tol=P.tol,
+    )
+
+
+def _certify(P: UepProblem, choi: cpmaps.ChoiMatrix, a: np.ndarray, residuals: dict):
+    """The violation certificate of choi on probe a, its deviation
+    re-measured in operator norm, or None when validate_certificate rejects
+    it."""
+    cert = ViolationCertificate(choi=choi, probe=a, residuals=residuals,
+                                deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a))
+    return cert if validate_certificate(cert, P) else None
 
 
 def _search(P: UepProblem, probes: np.ndarray, info: list) -> UepReport:
@@ -771,11 +1001,7 @@ def _search(P: UepProblem, probes: np.ndarray, info: list) -> UepReport:
     elif max_dev < 10.0 * P.tol:
         status = "NonConverged"
     else:
-        a = probes[worst.index]
-        certificate = ViolationCertificate(choi=choi, probe=a, residuals=residuals,
-                                           deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a))
-        if not validate_certificate(certificate, P):
-            certificate = None
+        certificate = _certify(P, choi, probes[worst.index], residuals)
         status = "NonConverged" if certificate is None else "ViolationFound"
 
     return UepReport(

@@ -31,12 +31,13 @@ def test_uep_search_x_only(tmp_path, capsys):
     assert report["status"] == "ViolationFound"
     assert report["certificate"] is not None
     assert "config_digest" in report
-    assert "status=ViolationFound basis=search" in capsys.readouterr().out
+    assert "status=ViolationFound basis=spectrum" in capsys.readouterr().out
 
 
 def test_uep_search_nonconverged_exits_3(tmp_path, capsys):
-    """At --tol 0.2 the X config's deviation, about 1.225, lies in
-    (tol, 10 tol): too small to certify, so NonConverged and exit 3."""
+    """At --tol 0.2 the X config's deviation under its pinch-and-mix map,
+    3/sqrt(6) (about 1.225), lies in (tol, 10 tol): too small to certify,
+    so NonConverged and exit 3."""
     cfg = write(tmp_path, "x_only.json", {"d": 3, "generators": [diag3(0, 1, 2)]})
     out = tmp_path / "report.json"
     code = main(["uep-search", "--config", cfg, "--seed", "7", "--tol", "0.2", "--out", str(out)])
@@ -44,7 +45,7 @@ def test_uep_search_nonconverged_exits_3(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["status"] == "NonConverged" and report["certificate"] is None
     assert 0.2 < report["max_deviation"] < 2.0
-    assert "status=NonConverged basis=search" in capsys.readouterr().out
+    assert "status=NonConverged basis=spectrum" in capsys.readouterr().out
 
 
 def test_uep_search_unique(tmp_path, capsys):
@@ -339,6 +340,17 @@ def test_uep_search_out_of_range_seed_exits_2(tmp_path, capsys, seed):
     cfg = write(tmp_path, "x.json", {"d": 3, "generators": [diag3(0, 1, 2)]})
     assert main(["uep-search", "--config", cfg, "--seed", seed]) == 2
     assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_uep_search_out_of_range_seed_exits_2_on_a_theorem_set(tmp_path, capsys, seed):
+    """{X, X^2} is decided by theorem, which draws no random number, yet an
+    out-of-range seed is still rejected first."""
+    cfg = write(tmp_path, "xx2.json", {"d": 3, "generators": [diag3(0, 1, 2), diag3(0, 1, 4)]})
+    out = tmp_path / "report.json"
+    assert main(["uep-search", "--config", cfg, "--seed", seed, "--out", str(out)]) == 2
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_suite_small(tmp_path, capsys):

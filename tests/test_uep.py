@@ -404,7 +404,7 @@ def test_face_dykstra_stops_each_item(monkeypatch):
             return polish(cs, X)
 
     monkeypatch.setattr(uep, "_face_polish", spy_polish)
-    uep.solve(uep.UepProblem(d=3, G=gen(3, g), seed=1, n_witnesses=2))
+    search(uep.UepProblem(d=3, G=gen(3, g), seed=1, n_witnesses=2))
     cs, X = _ascent_iterates(g)
     uep._face_polish(cs, X)
     project = rounding[-1][0]
@@ -542,25 +542,28 @@ def test_self_adjoint_three_eigenvalues_violates():
 def test_wide_face_search_finds_violation():
     """A single Hermitian generator at d = 6 has a pinned face of dimension
     26; rounding on that whole face certifies the violation, so it is found
-    rather than reported as unique."""
+    rather than reported as unique (the search alone: the spectrum step
+    decides a single Hermitian generator)."""
     H = random_hermitian(make_rng(106), 6)
     P = uep.UepProblem(d=6, G=gen(6, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=2000)
     assert uep.build_constraints(P).n > 12
-    rep = uep.solve(P)
+    rep = search(P)
     assert rep.status == "ViolationFound"
     assert uep.validate_certificate(rep.certificate, P)
 
 
 def test_noisy_identity_generator_keeps_face_and_violation():
     """W W* equals I only up to rounding; pinning it must neither shrink the
-    face nor hide the violation of {X}."""
+    face nor hide the violation of {X}, from the search or from the
+    spectrum step, which reads W W* as a scalar."""
     X = x_diag()
     W = random_unitary(make_rng(950), 3)
     P = uep.UepProblem(d=3, G=gen(3, X, W @ W.conj().T), probes=[X @ X], seed=1, n_witnesses=2)
     assert uep.build_constraints(P).n == uep.build_constraints(uep.UepProblem(d=3, G=gen(3, X))).n
-    rep = uep.solve(P)
-    assert rep.status == "ViolationFound"
-    assert uep.validate_certificate(rep.certificate, P)
+    for rep in (search(P), uep.solve(P)):
+        assert rep.status == "ViolationFound"
+        assert uep.validate_certificate(rep.certificate, P)
+    assert rep.basis == "spectrum"
     for d in (2, 3, 4, 5):
         U = random_unitary(make_rng(960 + d), d)
         n_u = uep.build_constraints(uep.UepProblem(d=d, G=gen(d, U))).n
@@ -573,7 +576,7 @@ def test_short_ascent_rounds_to_a_violation():
     violation (deviation about 0.027); one adaptive round adds 25 steps."""
     H = random_hermitian(make_rng(104), 4)
     P = uep.UepProblem(d=4, G=gen(4, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=25)
-    rep = uep.solve(P)
+    rep = search(P)
     assert rep.status == "ViolationFound"
     assert uep.validate_certificate(rep.certificate, P)
     assert rep.iterations == 50
@@ -586,7 +589,7 @@ def test_exhausted_budget_is_not_converged():
     NonConverged, not Unique-evidence (this generator has a violation)."""
     H = random_hermitian(make_rng(104), 4)
     P = uep.UepProblem(d=4, G=gen(4, H), probes=[H @ H], seed=1, n_witnesses=1, max_iter=25, tol=0.5)
-    rep = uep.solve(P)
+    rep = search(P)
     assert rep.status == "NonConverged"
     assert rep.iterations == 25
 
@@ -827,8 +830,8 @@ def test_exposing_face_none_on_minimal_faces(g, monkeypatch):
 def test_exposing_step_keeps_the_x_search():
     """On {X} the step finds nothing, so the search runs on the sampled
     face n = 5: pinned iterations and certificate deviation at solver
-    seed 7."""
-    rep = uep.solve(uep.UepProblem(d=3, G=gen(3, x_diag()), seed=7))
+    seed 7 (the search alone: the spectrum step decides {X})."""
+    rep = search(uep.UepProblem(d=3, G=gen(3, x_diag()), seed=7))
     assert rep.status == "ViolationFound"
     assert rep.iterations == 600
     assert rep.certificate.deviation == 1.2247448713922608
@@ -851,7 +854,7 @@ def test_ascent_rounds_once_on_all_rows(monkeypatch):
     polish = uep._face_polish
     monkeypatch.setattr(uep, "_face_polish", lambda cs, X: polished.append(len(X)) or polish(cs, X))
     X = x_diag()
-    rep = uep.solve(uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2))
+    rep = search(uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2))
     assert rep.status == "ViolationFound"
     assert len(batches) >= 2  # round 0 and an adaptive round
     assert polished == batches
@@ -867,7 +870,7 @@ def test_adaptive_round_skips_a_repeat(g, monkeypatch):
     point gives back its own witness, so the second adaptive round would
     repeat it and is skipped: round 0 and one adaptive round."""
     batches = _spy_linear_max(monkeypatch)
-    rep = uep.solve(uep.UepProblem(d=3, G=gen(3, g), seed=7))
+    rep = search(uep.UepProblem(d=3, G=gen(3, g), seed=7))
     assert rep.status == "ViolationFound"
     assert len(batches) == 2
 
@@ -880,7 +883,7 @@ def test_random_hermitian_d4_finds_violation(monkeypatch):
     batches = _spy_linear_max(monkeypatch)
     H = random_hermitian(make_rng(104), 4)
     P = uep.UepProblem(d=4, G=gen(4, H), seed=7)
-    rep = uep.solve(P)
+    rep = search(P)
     assert rep.status == "ViolationFound"
     assert uep.validate_certificate(rep.certificate, P)
     assert rep.max_deviation >= 1.4773
@@ -969,6 +972,7 @@ def test_scalar_problem_is_unique():
 @pytest.mark.parametrize("field, value", [
     ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
     ("max_iter", 0), ("n_witnesses", 0), ("probes", []), ("probes", [swap01()]), ("G", None),
+    ("seed", -1), ("seed", 2 ** 64),
 ])
 def test_solve_rejects_bad_inputs(field, value):
     X = x_diag()
@@ -1010,7 +1014,7 @@ def test_theorem_report_fields():
     assert rep.constraint_rank == uep.build_constraints(P).rank == 45
     assert rep.rank_margin == js["rank_margin"] == 36
     X = x_diag()
-    searched = uep.solve(uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2))
+    searched = search(uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X], seed=1, n_witnesses=2))
     assert searched.basis == searched.to_json()["basis"] == "search"
     assert searched.rank_margin == searched.to_json()["rank_margin"] == 81 - searched.constraint_rank
     assert "membership" not in searched.to_json()
@@ -1130,10 +1134,175 @@ def test_input_checks_run_before_the_theorem_step():
 
 def test_theorem_step_needs_the_passing_generators_to_generate_c_star():
     """In {X, 2I} only the scalar passes, and C*(2I) = C I is smaller than
-    C*(X): the step declines, and the search certifies X's violation."""
+    C*(X): the step declines, and the search certifies X's violation, as
+    does the spectrum step, which solve runs next."""
     X = x_diag()
     P = uep.UepProblem(d=3, G=gen(3, X, 2.0 * np.eye(3)), probes=[X @ X], seed=1, n_witnesses=2)
     assert theorem(P) is None
-    rep = uep.solve(P)
+    rep = search(P)
     assert (rep.status, rep.basis) == ("ViolationFound", "search")
     assert uep.validate_certificate(rep.certificate, P)
+    rep = uep.solve(P)
+    assert (rep.status, rep.basis) == ("ViolationFound", "spectrum")
+    assert uep.validate_certificate(rep.certificate, P)
+
+
+# ----------------------------------------------------------------------------
+# The spectrum step
+# ----------------------------------------------------------------------------
+
+def spectrum(P: uep.UepProblem) -> uep.UepReport | None:
+    """The spectrum step alone, after solve's input checks."""
+    _, probes, info = uep._validate(P)
+    return uep._spectrum_step(P, probes, info)
+
+
+def _commutative_grid() -> list:
+    """(label, d, generators) of the cross-check sets: {H}, {H, H^3}, {N} and
+    {U} from make_rng(9300 + 10 d + k) at d = 2..4, k = 0, 1, and the d = 4
+    normal N of make_rng(20000 + k), k < 6, two of which (k = 1 and 5) have
+    an eigenvalue inside the triangle of the others."""
+    sets = []
+    for d in (2, 3, 4):
+        for k in range(2):
+            rng = make_rng(9300 + 10 * d + k)
+            H, N, U = random_hermitian(rng, d), random_normal_matrix(rng, d), random_unitary(rng, d)
+            sets += [(f"H d={d} k={k}", d, (H,)), (f"H,H^3 d={d} k={k}", d, (H, H @ H @ H)),
+                     (f"N d={d} k={k}", d, (N,)), (f"U d={d} k={k}", d, (U,))]
+    sets += [(f"N 20000+{k}", 4, (random_normal_matrix(make_rng(20000 + k), 4),)) for k in range(6)]
+    return sets
+
+
+def test_spectrum_agrees_with_the_search():
+    """On every set of the commutative grid the spectrum step decides, and
+    its status equals the search's (both statuses occur); its reports have
+    no face and no iterations, and its violations re-check."""
+    statuses = set()
+    for label, d, gens in _commutative_grid():
+        P = uep.UepProblem(d=d, G=gen(d, *gens), seed=1, n_witnesses=2)
+        rep = spectrum(P)
+        assert rep is not None, label
+        assert (rep.basis, rep.face_dim, rep.iterations) == ("spectrum", None, 0), label
+        assert rep.status == search(P).status, label
+        if rep.status == "ViolationFound":
+            assert uep.validate_certificate(rep.certificate, P), label
+        statuses.add(rep.status)
+    assert statuses == {"Unique-evidence", "ViolationFound"}
+
+
+def test_interior_maps_move_their_projection_by_one():
+    """Every interior joint eigenvalue's pinch-and-mix map is UCP, fixes G
+    and moves its spectral projection P_lambda by 1 within 1e-9: on the
+    grid, on X and on the two d = 5 {H, H^3} sets of the search's wrong
+    Unique-evidence."""
+    sets = [(d, gens) for _, d, gens in _commutative_grid()] + [(3, (x_diag(),))]
+    for k in (9051, 20105):
+        H = random_hermitian(make_rng(k), 5)
+        sets.append((5, (H, H @ H @ H)))
+    maps = 0
+    for d, gens in sets:
+        V, clusters, interior = uep._joint_spectrum(np.array(gens, dtype=complex))
+        for c, mu in interior.items():
+            choi = uep._pinch_and_mix(V, clusters, c, mu)
+            proj = V[:, clusters[c]] @ V[:, clusters[c]].conj().T
+            assert abs(linalg.op_norm(cpmaps.apply_choi(choi, proj) - proj) - 1.0) <= 1e-9
+            defects = cpmaps.validate_ucp(choi)
+            assert defects["cp_defect"] <= 1e-12 and defects["unital_defect"] <= 1e-12
+            for g in gens:
+                assert linalg.op_norm(cpmaps.apply_choi(choi, g) - g) <= 1e-9
+            maps += 1
+    assert maps >= 10
+
+
+def test_x_hull_weights_are_one_half():
+    """X = diag(0, 1, 2) has one interior joint eigenvalue, 1 = (0 + 2)/2:
+    mu = (1/2, 1/2), and its map is suite's hand certificate."""
+    V, clusters, interior = uep._joint_spectrum(x_diag()[None])
+    assert len(clusters) == 3 and list(interior) == [1]
+    assert np.allclose(interior[1], [0.5, 0.5], rtol=0, atol=1e-12)
+    choi = uep._pinch_and_mix(V, clusters, 1, interior[1])
+    hand = cpmaps.choi_from_kraus(hand_certificate())
+    assert np.allclose(choi.mat, hand.mat, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [9051, 20105])
+def test_h_cubed_solve_finds_the_violation(k):
+    """solve decides the two d = 5 {H, H^3} sets on which the search alone
+    reads Unique-evidence: ViolationFound by the spectrum step, with a
+    certificate that re-checks."""
+    H = random_hermitian(make_rng(k), 5)
+    P = uep.UepProblem(d=5, G=gen(5, H, H @ H @ H), seed=7)
+    rep = uep.solve(P)
+    assert (rep.status, rep.basis) == ("ViolationFound", "spectrum")
+    assert uep.validate_certificate(rep.certificate, P)
+    assert rep.certificate.deviation >= 0.5
+
+
+def test_spectrum_step_declines_off_commuting_normal_sets():
+    """A noncommuting Hermitian pair and a non-normal T get no decision,
+    nor does X beside I + 1e-13 X, whose traceless part is about 120 times
+    its roundoff d u ||g||_F: neither 0 (at most 100 times) nor clearly
+    nonzero (at least 1e4 times).  The search decides them."""
+    rng = make_rng(46)
+    A, B = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    T = random_complex(rng, 3, 3)
+    X = x_diag()
+    for gens in ((A, B), (T,), (X, np.eye(3) + 1e-13 * X)):
+        assert uep._joint_spectrum(np.array(gens)) is None
+        assert spectrum(uep.UepProblem(d=3, G=gen(3, *gens))) is None
+
+
+def test_spectrum_step_declines_on_a_probe_outside_when_unique():
+    """Every point of {X, X^2} is extreme, but a probe outside C*(G) has a
+    deviation the step cannot give, so it declines (as the theorem step
+    does) and the search runs."""
+    X = x_diag()
+    assert spectrum(uep.UepProblem(d=3, G=gen(3, X, X @ X), probes=[X @ X, swap01()])) is None
+    rep = spectrum(uep.UepProblem(d=3, G=gen(3, X, X @ X)))
+    assert (rep.status, rep.basis, rep.face_dim, rep.iterations) == ("Unique-evidence", "spectrum", None, 0)
+    assert rep.constraint_rank == uep.build_constraints(uep.UepProblem(d=3, G=gen(3, X, X @ X))).rank
+    assert np.array_equal(rep.choi.mat, cpmaps.identity_choi(3).mat)
+    assert all(p.deviation == 0.0 for p in rep.deviations)
+
+
+@pytest.mark.parametrize("c, s", [(c, s) for c in (0.0, 1.0) for s in (1.0, 1e-6, 1e-9)])
+def test_near_scalar_generator_is_never_unique_evidence(c, s):
+    """g = U(c I + s diag(0, 1, 1, 2))U* violates the UEP at every scale.
+    solve reports ViolationFound by spectrum, except at c = 1, s = 1e-9:
+    there generate_algebra reads C*(g) as span{I}, so the default probes
+    are {I}, which no unital map moves, and the interior point gives
+    NonConverged, not Unique-evidence."""
+    P = uep.UepProblem(d=4, G=gen(4, _near_scalar(c, s)), seed=7)
+    rep = uep.solve(P)
+    want = "NonConverged" if (c, s) == (1.0, 1e-9) else "ViolationFound"
+    assert (rep.status, rep.basis) == (want, "spectrum")
+    if want == "ViolationFound":
+        assert uep.validate_certificate(rep.certificate, P)
+    else:
+        assert rep.certificate is None and len(rep.deviations) == 1
+
+
+def test_nnls_matches_scipy():
+    """The Lawson-Hanson solver gives scipy's solution and residual on
+    random small problems, tall ones (a unique solution) and wide ones (a
+    unique residual)."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = make_rng(47)
+    for trial in range(60):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        A, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+        x, resid = uep._nnls(A, b)
+        ref, ref_resid = scipy_optimize.nnls(A, b)
+        assert np.all(x >= 0.0), trial
+        assert resid == pytest.approx(ref_resid, rel=1e-9, abs=1e-12), trial
+        assert resid == pytest.approx(np.linalg.norm(A @ x - b), rel=1e-12, abs=1e-14), trial
+        if m > n:
+            assert np.allclose(x, ref, rtol=1e-9, atol=1e-12), trial
+
+
+def test_nnls_hull_weights_of_x():
+    """The hull test of X's middle eigenvalue: (1, 1) against the columns
+    (0, 1) and (2, 1) gives mu = (1/2, 1/2) with residual 0."""
+    mu, resid = uep._nnls(np.array([[0.0, 2.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
+    assert np.allclose(mu, [0.5, 0.5], rtol=0, atol=1e-15)
+    assert resid <= 1e-15
