@@ -11,6 +11,9 @@ issues a converges/stalls verdict per element.  Two domains are supported:
   violation certificate from the UEP search, which fixes G but permanently
   moves some probe), a unitary conjugation path shrinking to the identity,
   or a pinching.
+
+A Bernstein operator holds the basis of its last index n, built in one
+log-space einsum pass with the rounding of the plain log-space expression.
 """
 
 from __future__ import annotations
@@ -38,30 +41,30 @@ def grid() -> np.ndarray:
 # The basis of the last Bernstein index applied, keyed by n: korovkin.run
 # applies one n to every element in turn.  At most one basis is held.
 _basis_slot: dict = {}
-# Rows of the basis per block of its build (a 0.5 MB temporary).
-_BUILD_ROWS = 64
 
 
 def _bernstein_basis(n: int) -> np.ndarray:
     """C(n,k) x^k (1-x)^(n-k) at the interior grid points, (n+1) x 999, read-only.
 
-    Built in log space, as a float C(n,k) overflows from n = 1030 on.
-    The old basis is released before the new one is built, and the new one
-    is filled one block of rows at a time, so a build holds one basis-sized
-    array and no basis-sized temporaries.
+    Built in log space, as a float C(n,k) overflows from n = 1030 on: one
+    einsum of the (n+1) x 3 rows [log C(n,k), k, n-k] against the 3 x 999
+    rows [1, log x, log(1-x)], exponentiated in place.  Without ``optimize``
+    einsum runs numpy's own loop, not BLAS; where numpy's baseline SIMD has
+    no fused multiply-add (x86-64), that loop rounds each product and adds
+    them in order, so every entry has the rounding of
+    log C(n,k) + k log x + (n-k) log(1-x).  A BLAS product fuses and changes
+    the bits.  The old basis is released before the new one is built, and
+    the build makes no basis-sized temporary.
     """
     B = _basis_slot.get(n)
     if B is None:
         _basis_slot.clear()
         x = grid()[1:-1]
-        log_x, log1m_x = np.log(x), np.log1p(-x)
-        k = np.arange(n + 1)[:, None]
+        k = np.arange(n + 1.0)
         lg = np.array([lgamma(i + 1) for i in range(n + 1)])  # log i!
-        log_c = (lg[n] - lg - lg[::-1])[:, None]
-        B = np.empty((n + 1, x.size))
-        for r in range(0, n + 1, _BUILD_ROWS):
-            kr = k[r:r + _BUILD_ROWS]
-            B[r:r + _BUILD_ROWS] = log_c[r:r + _BUILD_ROWS] + kr * log_x + (n - kr) * log1m_x
+        A = np.stack([lg[n] - lg - lg[::-1], k, n - k], axis=1)
+        W = np.stack([np.ones_like(x), np.log(x), np.log1p(-x)])
+        B = np.einsum("ik,kj->ij", A, W)
         np.exp(B, out=B)
         B.setflags(write=False)
         _basis_slot[n] = B
@@ -75,8 +78,10 @@ def bernstein_apply(n: int, f) -> np.ndarray:
     are linearly interpolated from the grid.  B_n is positive and fixes
     constants up to the rounding of its log-space basis (1.5e-13 at
     n = 400, 3e-12 at n = 4000); at the endpoints B_n f = f exactly.
-    The basis is held for the last n only (3.2 MB at n = 400), so a table
-    that applies each n to several elements builds it once per n.
+    The basis is built in one einsum pass, with no row blocks, and is
+    bit for bit exp(log C(n,k) + k log x + (n-k) log(1-x)).  It is held
+    for the last n only (3.2 MB at n = 400), so a table that applies each
+    n to several elements builds it once per n.
     """
     if not _is_index(n) or n < 1:
         raise InvalidInput(f"Bernstein index must be an integer >= 1, got {n!r}")

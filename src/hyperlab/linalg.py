@@ -23,7 +23,7 @@ def as_matrix(a) -> np.ndarray:
     A = np.asarray(a, dtype=complex)
     if A.ndim != 2:
         raise InvalidInput(f"expected a 2-d matrix, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise InvalidInput("matrix has non-finite entries")
     return A
 

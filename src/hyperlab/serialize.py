@@ -2,7 +2,10 @@
 
 Matrix literal format (used by every CLI config and report): nested arrays
 of [re, im] pairs, row-major.  Structured reports are JSON with sorted keys
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files.  Reports are written by a
+small recursive writer that joins C-encoded leaves; its bytes are those of
+``json.dumps(obj, sort_keys=True, indent=1)``, whose indented form would
+otherwise run json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -43,11 +46,88 @@ def config_digest(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_str(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _indented(obj, nl: str, out: list) -> None:
+    """Append the chunks of obj as json.dumps(obj, sort_keys=True, indent=1)
+    writes it at the indentation ``nl``, a newline and one space per level.
+
+    Scalars are tested in json's order (no container is also a scalar).
+    Inside a container, a str or a finite float is written in line, without
+    a recursive call.
+    """
+    if isinstance(obj, (list, tuple)) and obj:
+        inner = nl + " "
+        comma = "," + inner
+        sep = "[" + inner
+        for value in obj:
+            t = type(value)
+            if t is str:
+                out.append(sep + _encode_str(value))
+            elif t is float and value - value == 0.0:
+                out.append(sep + float.__repr__(value))
+            else:
+                out.append(sep)
+                _indented(value, inner, out)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        inner = nl + " "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            sep += _encode_str(key) + ": "
+            t = type(value)
+            if t is str:
+                out.append(sep + _encode_str(value))
+            elif t is float and value - value == 0.0:
+                out.append(sep + float.__repr__(value))
+            else:
+                out.append(sep)
+                _indented(value, inner, out)
+            sep = comma
+        out.append(nl + "}")
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_str(obj))
+    else:  # empty containers, dicts with non-str keys, whatever json rejects
+        out.append(json.dumps(obj, sort_keys=True, indent=1).replace("\n", nl))
+
+
 def write_json(path, obj) -> None:
-    """Indented JSON with sorted keys, encoded whole and written at once."""
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """Indented JSON with sorted keys, encoded whole and written at once.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=1)``
+    and a final newline: strings go through json's C string encoder, ints
+    and floats through their reprs (json's NaN and Infinity tokens for the
+    non-finite floats), and any other subtree through ``json.dumps``.
+    """
+    out: list = []
+    _indented(obj, "\n", out)
+    out.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("".join(out))
 
 
 def read_json(path):

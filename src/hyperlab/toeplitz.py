@@ -118,10 +118,18 @@ class GQ(tuple):
         return complex(a / m, b / m)
 
     def as_strings(self) -> list:
-        return [str(self.re), str(self.im)]
+        """[str(re), str(im)]: "p" or "p/q" in lowest terms."""
+        a, b, m = self
+        return [_ratio_str(a, m), _ratio_str(b, m)]
 
 
 _new = tuple.__new__
+
+
+def _ratio_str(a: int, m: int) -> str:
+    """str(Fraction(a, m)) for m > 0, after one gcd and no Fraction."""
+    g = gcd(a, m)
+    return str(a // m) if g == m else f"{a // g}/{m // g}"
 
 
 def _reduced(a: int, b: int, m: int) -> GQ:
@@ -146,22 +154,21 @@ def _coeff(x) -> GQ:
 GQ_ONE = _coeff(1)
 
 
-def _sparse(pairs) -> dict:
-    """The map key -> sum of the coefficients given for that key, zeros dropped.
+def _collect(pairs) -> dict:
+    """The map key -> sum of the GQs given for that key, zeros dropped.
 
     A key's first coefficient is stored as it is: adding it to zero would
     cost a GQ addition, with its gcd, per entry.
     """
     out: dict = {}
     for k, c in pairs:
-        c = _coeff(c)
         out[k] = out[k] + c if k in out else c
     return {k: c for k, c in out.items() if c}
 
 
 def _conv(p: dict, q: dict) -> dict:
     """The product of two Laurent polynomials: (pq)_k = sum_{i+j=k} p_i q_j."""
-    return _sparse((dp + dq, cp * cq) for dp, cp in p.items() for dq, cq in q.items())
+    return _collect((dp + dq, cp * cq) for dp, cp in p.items() for dq, cq in q.items())
 
 
 def _quarter(i, j) -> tuple:
@@ -175,15 +182,17 @@ class ToeplitzElement:
     """T(symbol) + tail acting on l2(N).
 
     ``symbol`` maps degrees to coefficients and ``tail`` maps (i, j) with
-    i, j >= 0 to coefficients.  The constructor coerces the coefficients
-    (see ``_coeff``) and drops the zeros.
+    i, j >= 0 to coefficients.  The constructor checks the keys, coerces the
+    coefficients (see ``_coeff``) and drops the zeros; the arithmetic below
+    builds its results with ``_element`` instead, from maps that are
+    already in that form.
     """
 
     __slots__ = ("symbol", "tail")
 
     def __init__(self, symbol: dict | None = None, tail: dict | None = None):
-        self.symbol = _sparse((int(k), c) for k, c in (symbol or {}).items())
-        self.tail = _sparse((_quarter(i, j), c) for (i, j), c in (tail or {}).items())
+        self.symbol = _collect((int(k), _coeff(c)) for k, c in (symbol or {}).items())
+        self.tail = _collect((_quarter(i, j), _coeff(c)) for (i, j), c in (tail or {}).items())
 
     def __eq__(self, other) -> bool:
         return (
@@ -200,6 +209,14 @@ class ToeplitzElement:
             "symbol": {str(k): self.symbol[k].as_strings() for k in sorted(self.symbol)},
             "tail": {f"{i},{j}": c.as_strings() for (i, j), c in sorted(self.tail.items())},
         }
+
+
+def _element(symbol: dict, tail: dict) -> ToeplitzElement:
+    """T(symbol) + tail from maps that are already canonical: GQ values,
+    int degrees, (i, j) keys with i, j >= 0 and no zero coefficient."""
+    A = ToeplitzElement.__new__(ToeplitzElement)
+    A.symbol, A.tail = symbol, tail
+    return A
 
 
 def zero() -> ToeplitzElement:
@@ -220,16 +237,18 @@ def from_tail(entries: dict) -> ToeplitzElement:
 
 
 def add(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
-    return ToeplitzElement(_sparse([*A.symbol.items(), *B.symbol.items()]),
-                           _sparse([*A.tail.items(), *B.tail.items()]))
+    return _element(_collect([*A.symbol.items(), *B.symbol.items()]),
+                    _collect([*A.tail.items(), *B.tail.items()]))
 
 
 def scale(c, A: ToeplitzElement) -> ToeplitzElement:
+    """c A; a nonzero c times a nonzero GQ is nonzero, so only c = 0 drops
+    coefficients."""
     c = _coeff(c)
-    return ToeplitzElement(
-        {k: c * v for k, v in A.symbol.items()},
-        {ij: c * v for ij, v in A.tail.items()},
-    )
+    if not c:
+        return zero()
+    return _element({k: c * v for k, v in A.symbol.items()},
+                    {ij: c * v for ij, v in A.tail.items()})
 
 
 def sub(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
@@ -238,10 +257,8 @@ def sub(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
 
 def adj(A: ToeplitzElement) -> ToeplitzElement:
     """The adjoint: (p*)_k = conj(p_{-k}) and the conjugate transpose tail."""
-    return ToeplitzElement(
-        {-k: c.conj() for k, c in A.symbol.items()},
-        {(j, i): c.conj() for (i, j), c in A.tail.items()},
-    )
+    return _element({-k: c.conj() for k, c in A.symbol.items()},
+                    {(j, i): c.conj() for (i, j), c in A.tail.items()})
 
 
 def mul(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
@@ -251,10 +268,14 @@ def mul(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
     """
     p, q = A.symbol, B.symbol
     tail: list = []
-    # Semicommutator: -sum_{k<0} p_{i-k} q_{k-j} at (i, j) = (dp + k, k - dq).
+    # Semicommutator: -sum_{k<0} p_{i-k} q_{k-j} at (i, j) = (dp + k, k - dq),
+    # nonempty only for dp > 0 > dq; one coefficient -p_dp q_dq per pair.
     for dp, cp in p.items():
-        for dq, cq in q.items():
-            tail += [((dp + k, k - dq), -(cp * cq)) for k in range(max(-dp, dq), 0)]
+        if dp > 0:
+            for dq, cq in q.items():
+                if dq < 0:
+                    c = -(cp * cq)
+                    tail += [((dp + k, k - dq), c) for k in range(max(-dp, dq), 0)]
     # T(p) tail_B: (T(p) t)_{i c} = sum_r p_{i-r} t_{r c}.
     tail += [((dp + r, c), cp * t) for (r, c), t in B.tail.items()
              for dp, cp in p.items() if dp + r >= 0]
@@ -264,7 +285,7 @@ def mul(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
     # tail_A tail_B.
     tail += [((r, c), t1 * t2) for (r, k1), t1 in A.tail.items()
              for (k2, c), t2 in B.tail.items() if k1 == k2]
-    return ToeplitzElement(_conv(p, q), _sparse(tail))
+    return _element(_conv(p, q), _collect(tail))
 
 
 def is_essentially_unitary(A: ToeplitzElement) -> bool:

@@ -165,8 +165,13 @@ def _face_dykstra(project, M: np.ndarray):
     ``project`` maps a stack: the last affine point of each item.  Only the
     PSD step carries a correction (an orthogonal projection onto an affine
     set needs none).  Each item stops on its own, once its gap
-    ||clip - point|| reaches DYKSTRA_TOL or on a stall (NaN too); the
-    points are not checked here, so every caller checks what it accepts."""
+    ||clip - point|| reaches DYKSTRA_TOL or on a stall, and a NaN gap
+    counts as a stall.  That covers only items whose ``eigh`` returns NaN:
+    an item with a NaN off the diagonal can make the batched ``eigh`` of
+    ``_psd_clip`` raise LinAlgError for the whole batch before any gap is
+    read (numpy 2.4.6 does at n = 3; a 2 x 2 item gets NaN eigenvalues).
+    The points are not checked here, so every caller checks what it
+    accepts."""
     out = np.empty_like(M)
     live, x, p = np.arange(len(M)), M, np.zeros_like(M)
     gaps = np.empty((len(M), DYKSTRA_WINDOW))  # slot i % DYKSTRA_WINDOW: the gap of pass i

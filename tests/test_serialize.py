@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab.errors import InvalidInput
 from hyperlab.serialize import (canonical_dumps, config_digest, literal_to_matrix,
@@ -48,3 +50,25 @@ def test_json_roundtrip_is_byte_stable(tmp_path):
     write_json(p2, read_json(p1))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes() == (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+_leaves = (st.text() | st.sampled_from(["", "\"\\\n\t\x00\x1f\x7f", "\u00e9 p/q", "\U0001f600"])
+           | st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e308, float("nan"), float("inf"),
+                                             -float("inf")])
+           | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+           | st.booleans() | st.none() | st.sampled_from([[], {}, ()]))
+_objects = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(obj=_objects)
+def test_write_json_bytes_match_json_dumps(obj, tmp_path_factory):
+    """write_json's own writer against json.dumps on random nested objects."""
+    path = tmp_path_factory.getbasetemp() / "write_json.json"
+    write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")

@@ -237,3 +237,26 @@ def test_gq_equals_only_a_gq():
     for op in (lambda: 2 * x, lambda: x < x, lambda: x >= x):
         with pytest.raises(TypeError):
             op()
+
+
+_small = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(lambda t: Fraction(*t))
+_coeffs = st.lists(_small, min_size=2, max_size=2)
+_elements = st.builds(
+    toeplitz.ToeplitzElement,
+    st.dictionaries(st.integers(-3, 3), _coeffs, max_size=4),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _coeffs, max_size=4),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(A=_elements, B=_elements, c=st.sampled_from([0, -1, ["1/2", "-2/3"], [0, 0]]))
+def test_arithmetic_results_are_canonical(A, B, c):
+    """mul, add, sub, adj and scale build their results without the
+    constructor; each must equal what the constructor makes of its maps and
+    hold no zero coefficient (scale by a zero coefficient included)."""
+    for r in (toeplitz.mul(A, B), toeplitz.add(A, B), toeplitz.sub(A, B), toeplitz.sub(A, A),
+              toeplitz.adj(A), toeplitz.scale(c, A)):
+        assert r == toeplitz.ToeplitzElement(r.symbol, r.tail)
+        assert all(type(v) is toeplitz.GQ and v for v in (*r.symbol.values(), *r.tail.values()))
+        assert all(type(k) is int for k in r.symbol)
+        assert all(type(i) is int and type(j) is int and i >= 0 and j >= 0 for i, j in r.tail)
