@@ -4,14 +4,16 @@ The unital *-algebra generated by a finite matrix set is computed by word
 closure: orthonormalize the span of all words in the generators and their
 adjoints, degree by degree, until the span stabilizes.  Irreducibility is
 decided through the commutant (trivial commutant <=> the generated algebra
-is all of M_d, by Burnside's theorem).  Gram-Schmidt writes the algebra
-basis into one preallocated (d^2, d^2) array; the commutant basis is the
-kernel of one SVD.  AlgebraBasis keeps either as one array of shape
+is all of M_d, by Burnside's theorem).  Gram-Schmidt takes one degree of
+words at a time as one block and writes the algebra basis into one
+preallocated (d^2, d^2) array; the commutant basis is the kernel of one
+SVD.  AlgebraBasis keeps either as one array of shape
 (dim, d, d), and its projection_residual measures membership in the span.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,48 +67,68 @@ class AlgebraBasis:
         return float(resid[0]) if A.ndim == 2 else resid
 
 
-def _mgs_extend(B: np.ndarray, k: int, candidates) -> int:
-    """Extend the orthonormal rows B[:k] by Gram-Schmidt; returns the new
-    row count.
+def _mgs_extend(B: np.ndarray, k: int, C: np.ndarray) -> int:
+    """Extend the orthonormal rows B[:k] by the candidate rows C, in order;
+    returns the new row count.
 
-    Each candidate is orthogonalized twice against the rows so far (one
-    array projection per pass, the second a re-orthogonalization) and
-    written into the next row of B when its residual norm stays above
-    RANK_RTOL relative to the candidate's own norm.  Stops once B is full.
+    A candidate becomes the next row of B when its residual off the rows so
+    far stays above RANK_RTOL relative to its own norm.  All of C is
+    projected off B[:k] in one block, twice (classical Gram-Schmidt with one
+    re-orthogonalization: "twice is enough", Giraud, Langou & Rozloznik
+    2005), and every candidate already at or below the cutoff is dropped in
+    one comparison.  Only the survivors are orthogonalized, in order and
+    twice, against the rows this call adds.  Stops once B is full.
     """
-    for cand in candidates:
+    scale = np.linalg.norm(C, axis=1)
+    X = C
+    for _ in range(2):
+        X = X - (X @ B[:k].conj().T) @ B[:k]
+    keep = np.linalg.norm(X, axis=1) > RANK_RTOL * scale
+    start = k
+    for x, s in zip(X[keep], scale[keep]):
         if k == len(B):
             break
-        v = np.asarray(cand, dtype=complex)
-        scale = linalg.frob_norm(v)
-        if scale == 0.0:
-            continue
-        x = v.ravel()
-        for _ in range(2):
-            x = x - (B[:k].conj() @ x) @ B[:k]
-        nrm = float(np.linalg.norm(x))
-        if nrm > RANK_RTOL * scale:
+        if k > start:
+            N = B[start:k]
+            Nc = N.conj()
+            for _ in range(2):
+                x = x - (Nc @ x) @ N
+        nrm = math.sqrt(np.vdot(x, x).real)
+        if nrm > RANK_RTOL * s:
             B[k] = x / nrm
             k += 1
     return k
 
 
-def generate_algebra(G: GeneratorSet) -> AlgebraBasis:
-    """Orthonormal basis of the unital *-algebra generated by G.
+def word_spans(G: GeneratorSet):
+    """Yield the span of the words of degree at most n in G, G* (and I),
+    for n = 1, 2, ..., as an AlgebraBasis, while each degree adds a
+    dimension; the last one is C*(G).
 
-    Words of increasing length in G, G* (and I) are folded into the span
-    until a degree adds nothing new or the span is all of M_d.  Every
-    degree before that adds a dimension, so at most d^2 degrees run.
+    Each degree's candidates, every new row of the one before times every
+    letter, come from one batched matmul and go to _mgs_extend as one
+    block.  Every degree before the last adds a dimension, so at most d^2
+    degrees run.  A consumer may stop early; generate_algebra drains it.
     """
     d = G.d
-    gens = G.with_adjoints()
+    letters = np.array(G.with_adjoints())
     B = np.empty((d * d, d * d), dtype=complex)
-    k = _mgs_extend(B, 0, [linalg.eye(d)] + gens)
-    start = 0
+    first = np.concatenate([linalg.eye(d)[None], letters]).reshape(-1, d * d)
+    start, k = 0, _mgs_extend(B, 0, first)
+    yield AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
     while start < k < d * d:
-        new = B[start:k].reshape(-1, d, d)
-        start, k = k, _mgs_extend(B, k, [w @ g for w in new for g in gens])
-    return AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
+        words = B[start:k].reshape(-1, 1, d, d) @ letters
+        start, k = k, _mgs_extend(B, k, words.reshape(-1, d * d))
+        if k > start:
+            yield AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
+
+
+def generate_algebra(G: GeneratorSet) -> AlgebraBasis:
+    """Orthonormal basis of the unital *-algebra generated by G: the last
+    span of word_spans."""
+    for alg in word_spans(G):
+        pass
+    return alg
 
 
 def commutant(G: GeneratorSet) -> AlgebraBasis:

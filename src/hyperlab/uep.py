@@ -573,16 +573,17 @@ def solve(P: UepProblem) -> UepReport:
     deviations, a certificate, or evidence of uniqueness, as described at
     _search.
     """
-    alg, probes, info = _validate(P)
-    return (_theorem_step(P, alg, info) or _spectrum_step(P, probes, info)
+    span, probes, info = _validate(P)
+    return (_theorem_step(P, span, info) or _spectrum_step(P, span, probes, info)
             or _search(P, probes, info))
 
 
 def _validate(P: UepProblem) -> tuple:
-    """Input checks that both decisions rely on: (alg, probes, info).
+    """Input checks, and what the steps after them share: (span, probes, info).
 
-    This is the one place a UepProblem is checked.  alg is C*(G)
-    (opsys.generate_algebra); probes are P.probes, or the basis of alg when
+    This is the one place a UepProblem is checked.  span is span_C{I, G, G*}
+    (_pinned_span), built once for the theorem and spectrum steps; probes
+    are P.probes, or the basis of alg = C*(G) (opsys.generate_algebra) when
     None, as one (k, d, d) stack; info holds one ProbeDeviation row per
     probe, with its index, projection residual and membership, at deviation
     0.  The residuals are one alg.projection_residual call on the stack, and
@@ -622,7 +623,7 @@ def _validate(P: UepProblem) -> tuple:
             for idx, (r, c) in enumerate(zip(resid, cutoff))]
     if not any(row.in_algebra for row in info):
         raise InvalidInput("no probe lies in C*(G), so no UEP question is asked")
-    return alg, probes, info
+    return _pinned_span(P), probes, info
 
 
 def _pinned_span(P: UepProblem) -> opsys.AlgebraBasis:
@@ -645,31 +646,32 @@ def _unit_traceless(gens: np.ndarray) -> tuple:
     return g0 / np.where(size > 0.0, size, 1.0)[:, None, None], size
 
 
-def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepReport | None:
+def _theorem_step(P: UepProblem, span: opsys.AlgebraBasis, info: list) -> UepReport | None:
     """Unique-evidence by the multiplicative domain theorem, or None.
 
     For each generator g let g0 be its traceless part scaled to unit
     Frobenius norm (0 when that part is exactly 0).  g passes when g0*g0 and
-    g0 g0* both lie in span_C{I, G, G*}: their projection residuals
+    g0 g0* both lie in span = span_C{I, G, G*}: their projection residuals
     (opsys.AlgebraBasis.projection_residual, as for _validate's probes) off
-    the orthonormal basis of one SVD of that span (rank cut at 1e-12 of the
-    largest singular value, as in build_constraints) are at most
-    MEMBERSHIP_RTOL.  Every feasible Phi fixes that span, so
+    the orthonormal basis of one SVD of that span (_pinned_span) are at
+    most MEMBERSHIP_RTOL.  Every feasible Phi fixes that span, so
     Phi(g0*g0) = Phi(g0)*Phi(g0) and Phi(g0 g0*) = Phi(g0)Phi(g0)*: g lies
     in the multiplicative domain of Phi (Choi), where Phi is a
     *-homomorphism, and Phi = id on the C*-algebra of the passing
-    generators.  When that algebra is C*(G) (generate_algebra decides it
-    unless every generator passes) and every probe lies in C*(G), the
-    answer is proved, and _validate's rows (deviation 0) are the report's
-    deviations.  Testing g0 rather than g makes the decision invariant
-    under g -> a g + b I: g = I + s D has g*g within s^2 of span{I, g}, so
-    for small s a raw test would pass it whatever D is.
+    generators.  That algebra is C*(G) when every generator passes, and
+    otherwise exactly when the g0 of every other generator lies in it: the
+    passing generators' words are closed degree by degree
+    (opsys.word_spans), and the step stops at the first degree whose span
+    holds each of those g0 within MEMBERSHIP_RTOL, or declines when the
+    closure ends first.  When that algebra is C*(G) and every probe lies in
+    C*(G), the answer is proved, and _validate's rows (deviation 0) are the
+    report's deviations.  Testing g0 rather than g makes the decision
+    invariant under g -> a g + b I: g = I + s D has g*g within s^2 of
+    span{I, g}, so for small s a raw test would pass it whatever D is.
     """
     if not all(row.in_algebra for row in info):
         return None
-    d = P.d
     gens = np.array(P.G.generators)
-    span = _pinned_span(P)
     g0, _ = _unit_traceless(gens)
     g0h = g0.conj().swapaxes(-1, -2)
     A = np.concatenate([g0h @ g0, g0 @ g0h])
@@ -678,8 +680,10 @@ def _theorem_step(P: UepProblem, alg: opsys.AlgebraBasis, info: list) -> UepRepo
     if not held.any():
         return None
     if not held.all():
-        held_set = opsys.GeneratorSet(d=d, generators=tuple(gens[held]))
-        if opsys.generate_algebra(held_set).dim < alg.dim:
+        rest = g0[~held]
+        held_set = opsys.GeneratorSet(d=P.d, generators=tuple(gens[held]))
+        if not any(np.all(words.projection_residual(rest) <= MEMBERSHIP_RTOL)
+                   for words in opsys.word_spans(held_set)):
             return None
     return _identity_report(P, "theorem", info, span,
                             {"residual": float(np.max(resid[held])), "cutoff": MEMBERSHIP_RTOL})
@@ -828,7 +832,8 @@ def _pinch_and_mix(V: np.ndarray, clusters: list, c: int, mu: np.ndarray) -> cpm
     return cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=d, d_out=d, operators=tuple(ops)))
 
 
-def _spectrum_step(P: UepProblem, probes: np.ndarray, info: list) -> UepReport | None:
+def _spectrum_step(P: UepProblem, span: opsys.AlgebraBasis, probes: np.ndarray,
+                   info: list) -> UepReport | None:
     """A report from the joint spectrum of commuting normal generators
     (basis "spectrum"), or None (_joint_spectrum declines).
 
@@ -853,7 +858,7 @@ def _spectrum_step(P: UepProblem, probes: np.ndarray, info: list) -> UepReport |
     if not interior:
         if not all(row.in_algebra for row in info):
             return None
-        return _identity_report(P, "spectrum", info, _pinned_span(P))
+        return _identity_report(P, "spectrum", info, span)
     maps = []  # (largest in-algebra deviation, Choi matrix, rows) per interior cluster
     for c, mu in interior.items():
         choi = _pinch_and_mix(V, clusters, c, mu)
@@ -875,7 +880,7 @@ def _spectrum_step(P: UepProblem, probes: np.ndarray, info: list) -> UepReport |
         deviations=deviations,
         iterations=0,
         residuals=residuals,
-        constraint_rank=P.d * P.d * _pinned_span(P).dim,
+        constraint_rank=P.d * P.d * span.dim,
         face_dim=None,
         certificate=certificate,
         choi=choi,

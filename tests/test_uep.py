@@ -38,8 +38,8 @@ def search(P: uep.UepProblem) -> uep.UepReport:
 
 def theorem(P: uep.UepProblem) -> uep.UepReport | None:
     """The theorem step alone, after solve's input checks."""
-    alg, _, info = uep._validate(P)
-    return uep._theorem_step(P, alg, info)
+    span, _, info = uep._validate(P)
+    return uep._theorem_step(P, span, info)
 
 
 def test_hermvec_isometry():
@@ -834,7 +834,9 @@ def test_exposing_step_keeps_the_x_search():
     rep = search(uep.UepProblem(d=3, G=gen(3, x_diag()), seed=7))
     assert rep.status == "ViolationFound"
     assert rep.iterations == 600
-    assert rep.certificate.deviation == 1.2247448713922608
+    # The default probes are C*(X)'s basis, whose rows generate_algebra
+    # gives at roundoff, so the deviation is pinned to 1e-12 relative.
+    assert rep.certificate.deviation == pytest.approx(1.2247448713922608, rel=1e-12, abs=0)
     assert rep.face_dim == 5
 
 
@@ -1059,6 +1061,47 @@ def test_theorem_agrees_with_the_search():
     assert len(decided) == 72
 
 
+def _held_and_old_rule(P: uep.UepProblem) -> tuple:
+    """(held, decided) by the rule the theorem step used before it closed
+    the passing generators degree by degree: held marks the generators
+    whose g0*g0 and g0 g0* lie in span{I, G, G*}, and the set is decided
+    when some generator passes and the passing ones generate an algebra of
+    C*(G)'s dimension, each closed in full by generate_algebra."""
+    gens = np.array(P.G.generators)
+    g0, _ = uep._unit_traceless(gens)
+    g0h = g0.conj().swapaxes(-1, -2)
+    resid = uep._pinned_span(P).projection_residual(np.concatenate([g0h @ g0, g0 @ g0h]))
+    held = resid.reshape(2, -1).max(axis=0) <= uep.MEMBERSHIP_RTOL
+    decided = bool(held.any()) and (opsys.generate_algebra(gen(P.d, *gens[held])).dim
+                                    == opsys.generate_algebra(P.G).dim)
+    return held, decided
+
+
+def test_early_exit_agrees_with_the_full_closure():
+    """The step stops closing the passing generators' words once the
+    other generators' g0 lie in their span; that decides each of the 96
+    sets of test_theorem_agrees_with_the_search as comparing the dimension
+    of the passing generators' full closure with C*(G)'s did.  Among them
+    are partly passing sets, and so are three that decline: {X, 2I}, where
+    only the scalar passes, and {U, H} at d = 3 and 4, where the unitary
+    passes and H lies outside C*(U)."""
+    declining = [(3, (x_diag(), 2.0 * np.eye(3)), [False, True])]  # (d, G, held)
+    for d in (3, 4):
+        fam = _grid_families(d, make_rng(9100 + 10 * d))
+        declining.append((d, (fam["unitary"][0], fam["H"][0]), [True, False]))
+    cases = [(d, gens, None) for d in (2, 3, 4) for k in range(4)
+             for gens in _grid_families(d, make_rng(9100 + 10 * d + k)).values()]
+    partial = 0
+    for d, gens, expected in cases + declining:
+        P = uep.UepProblem(d=d, G=gen(d, *gens))
+        held, decided = _held_and_old_rule(P)
+        partial += bool(held.any() and not held.all())
+        assert (theorem(P) is not None) == decided, (d, len(gens))
+        if expected is not None:
+            assert held.tolist() == expected and not decided, d
+    assert partial > len(declining)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the theorem step and build_constraints cut the rank in different coordinates")
 def test_theorem_rank_matches_build_constraints_at_a_small_generator():
@@ -1153,8 +1196,8 @@ def test_theorem_step_needs_the_passing_generators_to_generate_c_star():
 
 def spectrum(P: uep.UepProblem) -> uep.UepReport | None:
     """The spectrum step alone, after solve's input checks."""
-    _, probes, info = uep._validate(P)
-    return uep._spectrum_step(P, probes, info)
+    span, probes, info = uep._validate(P)
+    return uep._spectrum_step(P, span, probes, info)
 
 
 def _commutative_grid() -> list:
