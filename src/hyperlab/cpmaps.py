@@ -141,13 +141,16 @@ def kraus_from_choi(C: ChoiMatrix) -> KrausSet:
 
 
 def apply_choi(C: ChoiMatrix, A) -> np.ndarray:
-    """Phi(A); algebraically equal to partial_trace_first(C (A^T (x) I))."""
-    A = linalg.as_matrix(A)
+    """Phi(A); algebraically equal to partial_trace_first(C (A^T (x) I)).
+
+    A is one d x d matrix or a (k, d, d) stack, mapped in one einsum; each
+    Phi(A_k) has the bits of the 2-d call on A_k."""
+    A, single = linalg.as_stack(A)
     d = C.d
-    if A.shape != (d, d):
+    if A.shape[1:] != (d, d):
         raise InvalidInput(f"input must be {d} x {d}")
-    C4 = C.mat.reshape(d, d, d, d)
-    return np.einsum("imjn,ij->mn", C4, A)
+    out = np.einsum("imjn,kij->kmn", C.mat.reshape(d, d, d, d), A)
+    return out[0] if single else out
 
 
 def choi_functional(A, W) -> np.ndarray:

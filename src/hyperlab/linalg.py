@@ -28,6 +28,17 @@ def as_matrix(a) -> np.ndarray:
     return A
 
 
+def as_stack(a) -> tuple:
+    """(A, single): A a (k, m, n) complex stack with as_matrix's finite check,
+    and single True when a was one matrix, which becomes the stack of one."""
+    A = np.asarray(a, dtype=complex)
+    if A.ndim != 3:
+        return as_matrix(A)[None], True
+    if not np.isfinite(A).all():
+        raise InvalidInput("matrix has non-finite entries")
+    return A, False
+
+
 def require_square(A: np.ndarray) -> np.ndarray:
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
@@ -48,19 +59,23 @@ def is_hermitian(A, rtol: float = HERMITICITY_RTOL) -> bool:
 
 
 def hermitize(A) -> np.ndarray:
-    """Symmetrize (A + A*)/2; used to wash out floating-point drift."""
+    """Symmetrize (A + A*)/2 of a matrix or of each matrix of a stack; used
+    to wash out floating-point drift."""
     A = np.asarray(A, dtype=complex)
-    return (A + A.conj().T) / 2.0
+    return (A + A.conj().swapaxes(-1, -2)) / 2.0
 
 
-def op_norm(A) -> float:
-    """Largest singular value, via the top eigenvalue of A*A."""
-    A = as_matrix(A)
+def op_norm(A):
+    """Largest singular value, via the top eigenvalue of A*A: a float for a
+    matrix, and an array of one per matrix for a (k, m, n) stack, each with
+    the bits of the 2-d call on that matrix (the product and eigvalsh run
+    per matrix)."""
+    A, single = as_stack(A)
     if A.size == 0:
-        return 0.0
-    M = hermitize(A.conj().T @ A)
-    w = np.linalg.eigvalsh(M)
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+        return 0.0 if single else np.zeros(len(A))
+    top = np.linalg.eigvalsh(hermitize(A.conj().swapaxes(-1, -2) @ A))[:, -1]
+    norms = np.sqrt(np.where(top < 0.0, 0.0, top))  # max(top, 0.0), as the sign of a 0 stays
+    return float(norms[0]) if single else norms
 
 
 def frob_norm(A) -> float:

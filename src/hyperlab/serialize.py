@@ -19,10 +19,11 @@ from .errors import InvalidInput
 
 
 def matrix_to_literal(A) -> list:
+    """The [re, im] literal of a 2-d matrix, from one tolist of its real view."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
         raise InvalidInput("matrix literal requires a 2-d array")
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+    return np.ascontiguousarray(A).view(float).reshape(A.shape + (2,)).tolist()
 
 
 def literal_to_matrix(lit) -> np.ndarray:

@@ -727,6 +727,15 @@ SPECTRUM_GAP = 1e4
 SPECTRUM_MIX_KEY = 0x5BEC
 
 
+@functools.lru_cache(maxsize=None)
+def _mix_weights(n: int) -> np.ndarray:
+    """The first n draws of the SPECTRUM_MIX_KEY stream, drawn once per n
+    (read-only, as every caller shares them)."""
+    w = make_rng(SPECTRUM_MIX_KEY).standard_normal(n)
+    w.flags.writeable = False
+    return w
+
+
 def _nnls(A: np.ndarray, b: np.ndarray) -> tuple:
     """min ||A x - b|| over x >= 0 by the Lawson-Hanson active-set method:
     (x, residual norm).  Each outer step frees the coordinate with the
@@ -769,12 +778,24 @@ def _joint_spectrum(gens: np.ndarray):
     imaginary parts of the diagonal entries of V* g0 V) lie within the
     zero level of each other.  interior maps a cluster index c to the
     weights mu over the other clusters (in order, summing to 1) with
-    p_c = sum mu_nu p_nu: one NNLS of (p_c, 1) against the columns (p_nu, 1)
-    per cluster, read as 0 at or below the zero level and as positive at or
-    above the gap level (see SPECTRUM_ZERO).  None when a generator is not
-    normal, they do not commute, or a residual or a distance between
-    points lies between the two levels (gap >= 2 zero, so points within the
-    zero level of each other form classes).  The same two levels, relative
+    p_c = sum mu_nu p_nu: one NNLS of b = (p_c, 1) against the columns
+    (p_nu, 1), its residual read as 0 at or below the zero level and as
+    positive at or above the gap level (see SPECTRUM_ZERO).
+
+    A hull bound spares the NNLS of clusters it proves extreme.  For a
+    coordinate direction e (each axis, both signs) let t be the largest
+    e.p_nu over the other clusters.  The unit vector u = (e, -t) /
+    sqrt(1 + t^2) has u.(p_nu, 1) <= 0 on every column, so every mu >= 0
+    has ||A mu - b|| >= u.(b - A mu) >= (e.p_c - t) / sqrt(1 + t^2).  Where
+    that bound reaches 2 gap on some direction, the NNLS residual would read
+    positive, so c is extreme and its NNLS is skipped.  Every other cluster,
+    a vertex that ties another on each axis too, runs its NNLS, so the
+    result is that of an NNLS for every cluster, bit for bit.
+
+    None when a generator is not normal, they do not commute, or a
+    residual or a distance between points lies between the two levels
+    (gap >= 2 zero, so points within the zero level of each other form
+    classes).  The same two levels, relative
     to d u ||g||_F, first sort each generator: a traceless part at most at
     the zero level is 0, so that g is a scalar and is left out (it adds
     nothing to C*(G)); one between the levels makes the step decline.  So
@@ -792,7 +813,7 @@ def _joint_spectrum(gens: np.ndarray):
     zero, gap = SPECTRUM_ZERO * eps, SPECTRUM_GAP * eps
     g0h = g0.conj().swapaxes(-1, -2)
     parts = np.concatenate([g0 + g0h, (g0 - g0h) / 1j]) / 2.0
-    mix = np.tensordot(make_rng(SPECTRUM_MIX_KEY).standard_normal(len(parts)), parts, axes=1)
+    mix = np.tensordot(_mix_weights(len(parts)), parts, axes=1)
     _, V = np.linalg.eigh(mix)
     D = V.conj().T @ g0 @ V
     z = np.diagonal(D, axis1=1, axis2=2)
@@ -805,8 +826,15 @@ def _joint_spectrum(gens: np.ndarray):
     head = np.argmax(dist <= zero, axis=0)  # first column of each column's cluster
     clusters = [np.flatnonzero(head == h) for h in np.unique(head)]
     reps = np.array([points[c].mean(axis=0) for c in clusters])
+    extreme = np.zeros(len(clusters), dtype=bool)
+    if len(clusters) > 1:
+        proj = np.concatenate([reps, -reps], axis=1)  # e.p_c, one column per direction e
+        t = np.where(np.eye(len(clusters), dtype=bool)[..., None], -np.inf, proj).max(axis=1)
+        extreme = np.any((proj - t) / np.sqrt(1.0 + t * t) >= 2.0 * gap, axis=1)
     interior = {}
     for c in range(len(clusters)):
+        if extreme[c]:
+            continue
         others = np.delete(reps, c, axis=0)
         mu, resid = _nnls(np.vstack([others.T, np.ones(len(others))]), np.append(reps[c], 1.0))
         if zero < resid < gap:
@@ -844,9 +872,12 @@ def _spectrum_step(P: UepProblem, span: opsys.AlgebraBasis, probes: np.ndarray,
     gives a pinch-and-mix map (_pinch_and_mix), which fixes G and moves P_c
     by 1; the report takes the map that moves an in-algebra probe the most
     (the first such cluster on ties), with every probe's operator-norm
-    deviation under it.  Its largest in-algebra deviation decides as in
-    _search: from 10 tol up, the certificate of that probe must pass
-    validate_certificate to give ViolationFound.  Below 10 tol the status is
+    deviation under it.  Each map measures all its probe deviations in one
+    stacked apply_choi and op_norm call, and the residual over G in one
+    more apply_choi call.  Its largest in-algebra deviation decides as in
+    _search: from 10 tol up, the certificate of that probe, carrying that
+    row's deviation, must pass validate_certificate (which measures it
+    again on its own) to give ViolationFound.  Below 10 tol the status is
     NonConverged, never Unique-evidence: the map proves that the identity
     lacks the unique extension property even when the probes barely see it.
     """
@@ -862,18 +893,18 @@ def _spectrum_step(P: UepProblem, span: opsys.AlgebraBasis, probes: np.ndarray,
     maps = []  # (largest in-algebra deviation, Choi matrix, rows) per interior cluster
     for c, mu in interior.items():
         choi = _pinch_and_mix(V, clusters, c, mu)
-        rows = [replace(row, deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a))
-                for row, a in zip(info, probes)]
+        devs = linalg.op_norm(cpmaps.apply_choi(choi, probes) - probes).tolist()
+        rows = [replace(row, deviation=dev) for row, dev in zip(info, devs)]
         maps.append((max(p.deviation for p in rows if p.in_algebra), choi, rows))
     _, choi, deviations = max(maps, key=lambda m: m[0])
     worst = max((p for p in deviations if p.in_algebra), key=lambda p: p.deviation)
     # Phi fixes G only as well as the hull weights solve p_c = sum mu_nu p_nu,
     # so that residual is measured; its Choi matrix sum_a w_a w_a* is PSD.
-    moved = [cpmaps.apply_choi(choi, g) - g for g in gens]
+    moved = cpmaps.apply_choi(choi, gens) - gens
     residuals = {"affine": float(np.linalg.norm(moved)), "psd": 0.0}
     certificate = None
     if worst.deviation >= 10.0 * P.tol:
-        certificate = _certify(P, choi, probes[worst.index], residuals)
+        certificate = _certify(P, choi, probes[worst.index], residuals, worst.deviation)
     return UepReport(
         status="NonConverged" if certificate is None else "ViolationFound",
         basis="spectrum",
@@ -889,12 +920,13 @@ def _spectrum_step(P: UepProblem, span: opsys.AlgebraBasis, probes: np.ndarray,
     )
 
 
-def _certify(P: UepProblem, choi: cpmaps.ChoiMatrix, a: np.ndarray, residuals: dict):
-    """The violation certificate of choi on probe a, its deviation
-    re-measured in operator norm, or None when validate_certificate rejects
-    it."""
-    cert = ViolationCertificate(choi=choi, probe=a, residuals=residuals,
-                                deviation=linalg.op_norm(cpmaps.apply_choi(choi, a) - a))
+def _certify(P: UepProblem, choi: cpmaps.ChoiMatrix, a: np.ndarray, residuals: dict,
+             deviation: float):
+    """The violation certificate of choi on probe a with the caller's
+    operator-norm deviation ||Phi(a) - a||, or None when
+    validate_certificate, which measures that deviation again on its own,
+    rejects it."""
+    cert = ViolationCertificate(choi=choi, probe=a, residuals=residuals, deviation=deviation)
     return cert if validate_certificate(cert, P) else None
 
 
@@ -1011,7 +1043,8 @@ def _search(P: UepProblem, probes: np.ndarray, info: list) -> UepReport:
     elif max_dev < 10.0 * P.tol:
         status = "NonConverged"
     else:
-        certificate = _certify(P, choi, probes[worst.index], residuals)
+        a = probes[worst.index]
+        certificate = _certify(P, choi, a, residuals, linalg.op_norm(cpmaps.apply_choi(choi, a) - a))
         status = "NonConverged" if certificate is None else "ViolationFound"
 
     return UepReport(
@@ -1033,15 +1066,16 @@ def validate_certificate(cert: ViolationCertificate, P: UepProblem) -> bool:
     """Independent re-check of a violation certificate (no solver state).
 
     The map must be UCP within 1e-7, agree with the identity on G u G*
-    within 1e-7, and move the probe by at least 10x both the agreement
-    residual and the problem tolerance.
+    within 1e-7 (one stacked apply_choi and op_norm call), and move the
+    probe by at least 10x both the agreement residual and the problem
+    tolerance, a deviation measured here again that must match the
+    certificate's.
     """
     defects = cpmaps.validate_ucp(cert.choi)
     if defects["cp_defect"] > 1e-7 or defects["unital_defect"] > 1e-7:
         return False
-    agreement = 0.0
-    for g in P.G.with_adjoints():
-        agreement = max(agreement, linalg.op_norm(cpmaps.apply_choi(cert.choi, g) - g))
+    S = np.array(P.G.with_adjoints())
+    agreement = float(np.max(linalg.op_norm(cpmaps.apply_choi(cert.choi, S) - S)))
     if agreement > 1e-7:
         return False
     dev = linalg.op_norm(cpmaps.apply_choi(cert.choi, cert.probe) - cert.probe)

@@ -87,6 +87,35 @@ def test_apply_choi_unital_and_linear():
         cpmaps.apply_choi(C, np.eye(3))
 
 
+def test_apply_choi_stack_matches_single_calls():
+    """A (k, d, d) stack maps to the bits of the 2-d calls, matrix by
+    matrix, at d = 2..6 and k = 1..7; a 2-d call still returns one d x d
+    complex array, with the bits of the einsum over the matrix alone."""
+    rng = make_rng(61)
+    for d in range(2, 7):
+        C = cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=d, d_out=d,
+                                                   operators=tuple(random_ucp_kraus(rng, d, 3))))
+        for k in range(1, 8):
+            A = np.array([random_complex(rng, d, d) for _ in range(k)])
+            out = cpmaps.apply_choi(C, A)
+            assert out.shape == (k, d, d)
+            for a, img in zip(A, out):
+                one = cpmaps.apply_choi(C, a)
+                assert type(one) is np.ndarray and one.shape == (d, d) and one.dtype == complex
+                assert one.tobytes() == img.tobytes()
+                assert one.tobytes() == np.einsum("imjn,ij->mn", C.mat.reshape(d, d, d, d), a).tobytes()
+
+
+def test_apply_choi_stack_input_checks():
+    C = depolarizing_choi()
+    with pytest.raises(InvalidInput):
+        cpmaps.apply_choi(C, np.zeros((2, 3, 3)))
+    with pytest.raises(InvalidInput):
+        cpmaps.apply_choi(C, np.array([np.eye(2), np.full((2, 2), np.nan)]))
+    with pytest.raises(InvalidInput):
+        cpmaps.apply_choi(C, np.zeros((1, 1, 2, 2)))
+
+
 def test_stinespring_identity():
     D = cpmaps.stinespring(cpmaps.identity_choi(2))
     assert D.r == 1

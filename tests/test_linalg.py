@@ -15,6 +15,34 @@ def test_op_norm_examples():
     assert linalg.op_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)
 
 
+def test_op_norm_stack_matches_single_calls():
+    """A (k, m, n) stack gives one norm per matrix with the bits of its 2-d
+    call, at d = 2..6 and k = 1..7 (square and wide); a 2-d call still
+    returns a float with the bits of the top eigenvalue of its own A*A."""
+    rng = make_rng(62)
+    for d in range(2, 7):
+        for k in range(1, 8):
+            for shape in ((d, d), (d - 1, d)):
+                A = np.array([random_complex(rng, *shape) for _ in range(k)])
+                norms = linalg.op_norm(A)
+                assert type(norms) is np.ndarray and norms.shape == (k,)
+                for a, norm in zip(A, norms):
+                    one = linalg.op_norm(a)
+                    top = float(np.linalg.eigvalsh(linalg.hermitize(a.conj().T @ a))[-1])
+                    assert type(one) is float
+                    assert one.hex() == float(norm).hex() == float(np.sqrt(max(top, 0.0))).hex()
+
+
+def test_op_norm_stack_edges():
+    assert linalg.op_norm(np.zeros((0, 0))) == 0.0
+    assert linalg.op_norm(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert linalg.op_norm(np.zeros((2, 2, 2))).tolist() == [0.0, 0.0]
+    with pytest.raises(InvalidInput):
+        linalg.op_norm(np.array([np.eye(2), np.full((2, 2), np.inf)]))
+    with pytest.raises(InvalidInput):
+        linalg.op_norm(np.zeros((1, 1, 2, 2)))
+
+
 def test_op_norm_sampling_oracle():
     rng = make_rng(5)
     A = random_complex(rng, 5, 5)

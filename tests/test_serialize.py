@@ -30,6 +30,26 @@ def test_literal_shape_and_finite_validation():
         matrix_to_literal(np.array([1.0, 2.0]))
 
 
+def test_matrix_literal_matches_the_elementwise_form():
+    """One tolist of the real view gives the literal of the elementwise
+    comprehension, float for float, signed zeros and transposed views too."""
+    rng = np.random.default_rng(63)
+    mats = [np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0 - 2.5j]]),
+            rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)),
+            (rng.standard_normal((3, 3)) + 1j).T, np.arange(6).reshape(2, 3),
+            np.zeros((0, 2)), np.zeros((2, 0))]
+    for A in mats:
+        lit = matrix_to_literal(A)
+        ref = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(A, dtype=complex)]
+        assert json.dumps(lit) == json.dumps(ref)
+        flat = [x for row in lit for z in row for x in z]
+        assert all(type(x) is float for x in flat)
+        assert [x.hex() for x in flat] == [x.hex() for row in ref for z in row for x in z]
+    for bad in (np.array(1.0), np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(InvalidInput):
+            matrix_to_literal(bad)
+
+
 def test_config_digest_is_order_insensitive():
     a = {"d": 3, "generators": [], "tol": 1e-7}
     b = {"tol": 1e-7, "generators": [], "d": 3}

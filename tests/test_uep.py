@@ -1349,3 +1349,152 @@ def test_nnls_hull_weights_of_x():
     mu, resid = uep._nnls(np.array([[0.0, 2.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
     assert np.allclose(mu, [0.5, 0.5], rtol=0, atol=1e-15)
     assert resid <= 1e-15
+
+
+def _joint_spectrum_every_cluster(gens: np.ndarray):
+    """_joint_spectrum without its hull bound, one NNLS for every cluster:
+    the reference the bound must reproduce bit for bit."""
+    d = gens.shape[-1]
+    g0, size = uep._unit_traceless(gens)
+    unit = d * np.finfo(float).eps * np.linalg.norm(gens, axis=(1, 2))
+    live = size > uep.SPECTRUM_ZERO * unit
+    if np.any(live & (size < uep.SPECTRUM_GAP * unit)):
+        return None
+    g0 = g0[live]
+    eps = np.max(unit[live] / size[live], initial=0.0)
+    zero, gap = uep.SPECTRUM_ZERO * eps, uep.SPECTRUM_GAP * eps
+    g0h = g0.conj().swapaxes(-1, -2)
+    parts = np.concatenate([g0 + g0h, (g0 - g0h) / 1j]) / 2.0
+    mix = np.tensordot(make_rng(uep.SPECTRUM_MIX_KEY).standard_normal(len(parts)), parts, axes=1)
+    _, V = np.linalg.eigh(mix)
+    D = V.conj().T @ g0 @ V
+    z = np.diagonal(D, axis1=1, axis2=2)
+    if np.linalg.norm(D - z[..., None] * np.eye(d)) > zero:
+        return None
+    points = np.concatenate([z.real, z.imag]).T
+    dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    if np.any((dist > zero) & (dist < gap)):
+        return None
+    head = np.argmax(dist <= zero, axis=0)
+    clusters = [np.flatnonzero(head == h) for h in np.unique(head)]
+    reps = np.array([points[c].mean(axis=0) for c in clusters])
+    interior = {}
+    for c in range(len(clusters)):
+        others = np.delete(reps, c, axis=0)
+        mu, resid = uep._nnls(np.vstack([others.T, np.ones(len(others))]), np.append(reps[c], 1.0))
+        if zero < resid < gap:
+            return None
+        if resid <= zero:
+            interior[c] = mu / mu.sum()
+    return V, clusters, interior
+
+
+def tied_square() -> np.ndarray:
+    """U diag(e^{i pi/4} i^k for k = 0..3, and 0) U* at d = 5, U =
+    random_unitary(make_rng(5), 5): the four vertices of the square tie in
+    pairs on both axes, so no hull bound proves them extreme, and the centre
+    0 is interior."""
+    U = random_unitary(make_rng(5), 5)
+    D = np.diag([np.exp(1j * np.pi / 4) * 1j ** k for k in range(4)] + [0.0])
+    return U @ D @ U.conj().T
+
+
+def regular_pentagon() -> np.ndarray:
+    """U diag(i e^{2 pi i k / 5}) U* at d = 5: no interior point, and its two
+    lowest vertices tie on the -imaginary axis."""
+    U = random_unitary(make_rng(5), 5)
+    return U @ np.diag(1j * np.exp(2j * np.pi * np.arange(5) / 5)) @ U.conj().T
+
+
+def offset_midpoint() -> np.ndarray:
+    """diag(0, 2, 1 + 1.4e-12 i): the middle point sits about 1e-12 off the
+    segment between the others, a hull residual between the zero level
+    (about 1e-13) and the gap level (about 1e-11)."""
+    return np.diag([0.0, 2.0, 1.0 + 1.4e-12j])
+
+
+def _hull_bound_sets() -> list:
+    """(label, generator stack, NNLS calls the hull bound leaves or None) of
+    the equivalence check: random commuting normal sets at d = 2..8 and the
+    three fixed sets above."""
+    sets = []
+    for d in range(2, 9):
+        rng = make_rng(9500 + d)
+        H, N, U = random_hermitian(rng, d), random_normal_matrix(rng, d), random_unitary(rng, d)
+        # Lattice points in {0, 1, 2} x {0, 1}: repeated eigenvalues, ties and edge points.
+        Z = np.diag(rng.integers(0, 3, d) + 1j * rng.integers(0, 2, d))
+        sets += [(f"H d={d}", (H,), None), (f"N d={d}", (N,), None),
+                 (f"H,H^3 d={d}", (H, H @ H @ H), None), (f"Z d={d}", (Z,), None),
+                 (f"UZU* d={d}", (U @ Z @ U.conj().T,), None),
+                 (f"Z,Re Z d={d}", (Z, Z.real.astype(complex)), None)]
+    return sets + [("tied square", (tied_square(),), 5), ("pentagon", (regular_pentagon(),), 2),
+                   ("X", (x_diag(),), 1), ("offset midpoint", (offset_midpoint(),), 1)]
+
+
+def test_hull_bound_matches_every_cluster_nnls(monkeypatch):
+    """The hull bound changes no bit: on every set the same None, the same V
+    and clusters, the same interior keys (ints, in order) and the same mu
+    bits as an NNLS for every cluster.  It skips the NNLS of no tied vertex
+    (the square runs all five, the pentagon its two lowest vertices, X its
+    middle point), and the offset midpoint still declines."""
+    calls = []
+    nnls = uep._nnls
+    monkeypatch.setattr(uep, "_nnls", lambda A, b: calls.append(1) or nnls(A, b))
+    interior_seen = 0
+    for label, gens, want_calls in _hull_bound_sets():
+        gens = np.array(gens, dtype=complex)
+        ref = _joint_spectrum_every_cluster(gens)
+        calls.clear()
+        got = uep._joint_spectrum(gens)
+        if want_calls is not None:
+            assert len(calls) == want_calls, label
+        assert (got is None) == (ref is None), label
+        if got is None:
+            continue
+        (V, clusters, interior), (V_ref, clusters_ref, interior_ref) = got, ref
+        assert V.tobytes() == V_ref.tobytes(), label
+        assert [c.tolist() for c in clusters] == [c.tolist() for c in clusters_ref], label
+        assert list(interior) == list(interior_ref), label
+        assert all(type(c) is int for c in interior), label
+        for c, mu in interior.items():
+            assert mu.tobytes() == interior_ref[c].tobytes(), label
+        interior_seen += len(interior)
+    assert uep._joint_spectrum(offset_midpoint()[None]) is None
+    assert interior_seen >= 10
+
+
+def test_spectrum_deviations_are_the_per_probe_norms():
+    """Each row of a spectrum report holds the bits of its own
+    op_norm(apply_choi(choi, a) - a), and the certificate carries the
+    deviation and probe of the worst in-algebra row."""
+    H = random_hermitian(make_rng(9051), 5)
+    for d, gens in ((3, (x_diag(),)), (5, (tied_square(),)), (5, (H, H @ H @ H)),
+                    (4, (random_hermitian(make_rng(9604), 4),))):
+        P = uep.UepProblem(d=d, G=gen(d, *gens), seed=7)
+        _, probes, _ = uep._validate(P)
+        rep = spectrum(P)
+        assert (rep.status, rep.basis) == ("ViolationFound", "spectrum")
+        for row in rep.deviations:
+            a = probes[row.index]
+            assert row.deviation.hex() == linalg.op_norm(cpmaps.apply_choi(rep.choi, a) - a).hex()
+        worst = max((p for p in rep.deviations if p.in_algebra), key=lambda p: p.deviation)
+        assert rep.certificate.deviation.hex() == worst.deviation.hex()
+        assert np.array_equal(rep.certificate.probe, probes[worst.index])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="validate_certificate does not check that the probe lies in C*(G) (ROADMAP item 17)")
+def test_validate_certificate_rejects_a_probe_outside_the_algebra():
+    """G = {X, X^2} has the unique extension property, yet the pinching onto
+    the diagonal fixes G and moves E01, which lies outside C*(G), by 1.
+    Such a certificate proves nothing about C*(G) and must be rejected."""
+    X = x_diag()
+    P = uep.UepProblem(d=3, G=gen(3, X, X @ X))
+    pinch = cpmaps.choi_from_kraus(cpmaps.KrausSet(
+        d_in=3, d_out=3, operators=tuple(np.diag(np.eye(3)[k]) for k in range(3))))
+    E01 = np.zeros((3, 3), dtype=complex)
+    E01[0, 1] = 1.0
+    cert = uep.ViolationCertificate(choi=pinch, probe=E01, deviation=1.0,
+                                    residuals={"affine": 0.0, "psd": 0.0})
+    assert linalg.op_norm(cpmaps.apply_choi(pinch, E01) - E01) == 1.0
+    assert not uep.validate_certificate(cert, P)
