@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all hyperlab modules."""
+"""Exceptions and the integer input check shared by all hyperlab modules."""
+
+import numbers
 
 
 class HyperlabError(Exception):
@@ -23,3 +25,9 @@ class NotIsometry(HyperlabError):
 
 class Infeasible(HyperlabError):
     """Affine constraint system admits no solution."""
+
+
+def require_integer(name: str, value) -> None:
+    """InvalidInput unless value is an int or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")

@@ -1,8 +1,8 @@
 """Finite-dimensional operator systems: generated *-algebras and commutants.
 
 The unital *-algebra generated by a finite matrix set is computed by word
-closure: orthonormalize the span of all words in the generators and their
-adjoints, degree by degree, until the span stabilizes.  Irreducibility is
+closure (generate_algebra): orthonormalize all words in the generators and
+adjoints, one degree at a time, until the span stabilizes.  Irreducibility is
 decided through the commutant (trivial commutant <=> the generated algebra
 is all of M_d, by Burnside's theorem).  Gram-Schmidt takes one degree of
 words at a time as one block and writes the algebra basis into one
@@ -100,35 +100,24 @@ def _mgs_extend(B: np.ndarray, k: int, C: np.ndarray) -> int:
     return k
 
 
-def word_spans(G: GeneratorSet):
-    """Yield the span of the words of degree at most n in G, G* (and I),
-    for n = 1, 2, ..., as an AlgebraBasis, while each degree adds a
-    dimension; the last one is C*(G).
+def generate_algebra(G: GeneratorSet) -> AlgebraBasis:
+    """Orthonormal basis of the unital *-algebra C*(G) generated by G: the
+    span of the words in G, G* and I, closed one degree at a time.
 
     Each degree's candidates, every new row of the one before times every
     letter, come from one batched matmul and go to _mgs_extend as one
-    block.  Every degree before the last adds a dimension, so at most d^2
-    degrees run.  A consumer may stop early; generate_algebra drains it.
+    block.  The closure ends at the first degree that adds no dimension,
+    so at most d^2 degrees run.
     """
     d = G.d
     letters = np.array(G.with_adjoints())
     B = np.empty((d * d, d * d), dtype=complex)
     first = np.concatenate([linalg.eye(d)[None], letters]).reshape(-1, d * d)
     start, k = 0, _mgs_extend(B, 0, first)
-    yield AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
     while start < k < d * d:
         words = B[start:k].reshape(-1, 1, d, d) @ letters
         start, k = k, _mgs_extend(B, k, words.reshape(-1, d * d))
-        if k > start:
-            yield AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
-
-
-def generate_algebra(G: GeneratorSet) -> AlgebraBasis:
-    """Orthonormal basis of the unital *-algebra generated by G: the last
-    span of word_spans."""
-    for alg in word_spans(G):
-        pass
-    return alg
+    return AlgebraBasis(d=d, basis=B[:k].reshape(k, d, d))
 
 
 def commutant(G: GeneratorSet) -> AlgebraBasis:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, require_integer
 from .linalg import hermitize
 
 
 def check_seed(seed: int) -> None:
-    """InvalidInput unless seed is a 64-bit key in [0, 2**64)."""
+    """InvalidInput unless seed is an integer (require_integer) in [0, 2**64)."""
+    require_integer("seed", seed)
     if not 0 <= seed < 2 ** 64:
         raise InvalidInput(f"seed must be in [0, 2**64), got {seed}")
 

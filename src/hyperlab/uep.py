@@ -67,7 +67,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import cpmaps, linalg, opsys
-from .errors import Infeasible, InvalidInput
+from .errors import Infeasible, InvalidInput, require_integer
 from .rng import check_seed, make_rng, random_hermitian
 from .serialize import matrix_to_literal
 
@@ -77,7 +77,7 @@ SQRT2 = np.sqrt(2.0)
 FEAS_TOL = 1e-9
 
 # A probe counts as inside the generated algebra when its projection
-# residual is below this (relative) threshold; _theorem_step cuts the
+# residual is below this (relative) threshold; _validate cuts the
 # residuals of g0*g0 and g0 g0* off span{I, G, G*} (unit-norm g0) there too.
 MEMBERSHIP_RTOL = 1e-8
 
@@ -573,27 +573,31 @@ def solve(P: UepProblem) -> UepReport:
     deviations, a certificate, or evidence of uniqueness, as described at
     _search.
     """
-    span, probes, info = _validate(P)
-    return (_theorem_step(P, span, info) or _spectrum_step(P, span, probes, info)
-            or _search(P, probes, info))
+    span, probes, info, membership = _validate(P)
+    return (_theorem_step(P, span, info, membership)
+            or _spectrum_step(P, span, probes, info) or _search(P, probes, info))
 
 
 def _validate(P: UepProblem) -> tuple:
-    """Input checks, and what the steps after them share: (span, probes, info).
+    """Input checks and what the steps share: (span, probes, info, membership).
 
     This is the one place a UepProblem is checked.  span is span_C{I, G, G*}
-    (_pinned_span), built once for the theorem and spectrum steps; probes
-    are P.probes, or the basis of alg = C*(G) (opsys.generate_algebra) when
-    None, as one (k, d, d) stack; info holds one ProbeDeviation row per
-    probe, with its index, projection residual and membership, at deviation
-    0.  The residuals are one alg.projection_residual call on the stack, and
-    a probe a lies in C*(G) when its residual is at most MEMBERSHIP_RTOL
-    (1 + ||a||_F).  Raises InvalidInput on a missing generator set, a bad
-    field (a seed outside [0, 2**64) too, which only the search would draw
-    from), a shape other than (d, d), or when no probe lies in C*(G).
+    (_pinned_span), built once for the theorem and spectrum steps; alg =
+    C*(G) is closed once (opsys.generate_algebra), and membership is the
+    theorem's decision (see _theorem_step), None when it declines; probes
+    are P.probes, or the basis of alg when None, as one (k, d, d) stack;
+    info holds one ProbeDeviation row per probe, with its index, projection
+    residual and membership, at deviation 0.  The residuals are one
+    alg.projection_residual call on the stack, and a probe a lies in C*(G)
+    when its residual is at most MEMBERSHIP_RTOL (1 + ||a||_F).  Raises
+    InvalidInput on a missing generator set, a bad field (a non-integral
+    or boolean d, max_iter, n_witnesses or seed, or a seed outside
+    [0, 2**64)), a shape other than (d, d), or when no probe lies in C*(G).
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
+    for name in ("d", "max_iter", "n_witnesses"):
+        require_integer(name, getattr(P, name))
     check_seed(P.seed)
     if not (math.isfinite(P.tol) and P.tol >= 0.0):
         raise InvalidInput(f"tol must be finite and >= 0, got {P.tol}")
@@ -606,7 +610,21 @@ def _validate(P: UepProblem) -> tuple:
     d = P.d
     if P.G.d != d:  # GeneratorSet makes every generator G.d x G.d
         raise InvalidInput(f"pinned element shape ({P.G.d}, {P.G.d}) != ({d}, {d})")
-    alg = opsys.generate_algebra(P.G)
+    span = _pinned_span(P)
+    # The theorem's premise (_theorem_step) picks the one closure of C*(G).
+    gens = np.array(P.G.generators)
+    g0, _ = _unit_traceless(gens)
+    g0h = g0.conj().swapaxes(-1, -2)
+    A = np.concatenate([g0h @ g0, g0 @ g0h])
+    premise = span.projection_residual(A).reshape(2, -1).max(axis=0)
+    held = premise <= MEMBERSHIP_RTOL
+    proved, alg = held.all(), None
+    if held.any() and not proved:
+        alg = opsys.generate_algebra(opsys.GeneratorSet(d=d, generators=tuple(gens[held])))
+        proved = np.all(alg.projection_residual(g0[~held]) <= MEMBERSHIP_RTOL)
+    if not proved or alg is None:
+        alg = opsys.generate_algebra(P.G)
+    membership = {"residual": float(np.max(premise[held])), "cutoff": MEMBERSHIP_RTOL} if proved else None
 
     if P.probes is None:
         probes = alg.basis
@@ -623,12 +641,13 @@ def _validate(P: UepProblem) -> tuple:
             for idx, (r, c) in enumerate(zip(resid, cutoff))]
     if not any(row.in_algebra for row in info):
         raise InvalidInput("no probe lies in C*(G), so no UEP question is asked")
-    return _pinned_span(P), probes, info
+    return span, probes, info, membership
 
 
 def _pinned_span(P: UepProblem) -> opsys.AlgebraBasis:
-    """Orthonormal basis of span_C{I, G, G*} from one SVD, rank cut at 1e-12
-    of the largest singular value, as in build_constraints."""
+    """Orthonormal basis of span_C{I, G, G*} from one complex SVD, rank cut
+    at 1e-12 of the largest singular value; build_constraints cuts there in
+    real hermvec coordinates instead, so near the cut the ranks can differ."""
     d = P.d
     gens = np.array(P.G.generators)
     S = np.concatenate([np.eye(d)[None], gens, gens.conj().swapaxes(-1, -2)]).reshape(-1, d * d)
@@ -646,47 +665,30 @@ def _unit_traceless(gens: np.ndarray) -> tuple:
     return g0 / np.where(size > 0.0, size, 1.0)[:, None, None], size
 
 
-def _theorem_step(P: UepProblem, span: opsys.AlgebraBasis, info: list) -> UepReport | None:
+def _theorem_step(P: UepProblem, span: opsys.AlgebraBasis, info: list,
+                  membership: dict | None) -> UepReport | None:
     """Unique-evidence by the multiplicative domain theorem, or None.
 
     For each generator g let g0 be its traceless part scaled to unit
-    Frobenius norm (0 when that part is exactly 0).  g passes when g0*g0 and
-    g0 g0* both lie in span = span_C{I, G, G*}: their projection residuals
-    (opsys.AlgebraBasis.projection_residual, as for _validate's probes) off
-    the orthonormal basis of one SVD of that span (_pinned_span) are at
-    most MEMBERSHIP_RTOL.  Every feasible Phi fixes that span, so
-    Phi(g0*g0) = Phi(g0)*Phi(g0) and Phi(g0 g0*) = Phi(g0)Phi(g0)*: g lies
-    in the multiplicative domain of Phi (Choi), where Phi is a
+    Frobenius norm (0 when that part is exactly 0).  g passes when the
+    projection residuals of g0*g0 and g0 g0* off span = span_C{I, G, G*}
+    are at most MEMBERSHIP_RTOL.  Every feasible Phi fixes that span, so g
+    lies in the multiplicative domain of Phi (Choi), where Phi is a
     *-homomorphism, and Phi = id on the C*-algebra of the passing
     generators.  That algebra is C*(G) when every generator passes, and
-    otherwise exactly when the g0 of every other generator lies in it: the
-    passing generators' words are closed degree by degree
-    (opsys.word_spans), and the step stops at the first degree whose span
-    holds each of those g0 within MEMBERSHIP_RTOL, or declines when the
-    closure ends first.  When that algebra is C*(G) and every probe lies in
-    C*(G), the answer is proved, and _validate's rows (deviation 0) are the
-    report's deviations.  Testing g0 rather than g makes the decision
-    invariant under g -> a g + b I: g = I + s D has g*g within s^2 of
-    span{I, g}, so for small s a raw test would pass it whatever D is.
+    otherwise exactly when it holds the g0 of every other generator within
+    MEMBERSHIP_RTOL (then C*(passing) is in C*(G), which is in
+    C*(passing)); _validate decides this while closing C*(G) and passes
+    membership, the largest passing residual and its cutoff, or None.
+    When it is set and every probe lies in C*(G), the answer is proved, and
+    _validate's rows (deviation 0) are the report's deviations.  Testing g0
+    rather than g makes the decision invariant under g -> a g + b I:
+    g = I + s D has g*g within s^2 of span{I, g}, so for small s a raw test
+    would pass it whatever D is.
     """
-    if not all(row.in_algebra for row in info):
+    if membership is None or not all(row.in_algebra for row in info):
         return None
-    gens = np.array(P.G.generators)
-    g0, _ = _unit_traceless(gens)
-    g0h = g0.conj().swapaxes(-1, -2)
-    A = np.concatenate([g0h @ g0, g0 @ g0h])
-    resid = span.projection_residual(A).reshape(2, -1).max(axis=0)
-    held = resid <= MEMBERSHIP_RTOL
-    if not held.any():
-        return None
-    if not held.all():
-        rest = g0[~held]
-        held_set = opsys.GeneratorSet(d=P.d, generators=tuple(gens[held]))
-        if not any(np.all(words.projection_residual(rest) <= MEMBERSHIP_RTOL)
-                   for words in opsys.word_spans(held_set)):
-            return None
-    return _identity_report(P, "theorem", info, span,
-                            {"residual": float(np.max(resid[held])), "cutoff": MEMBERSHIP_RTOL})
+    return _identity_report(P, "theorem", info, span, membership)
 
 
 def _identity_report(P: UepProblem, basis: str, info: list, span: opsys.AlgebraBasis,
@@ -957,14 +959,13 @@ def _search(P: UepProblem, probes: np.ndarray, info: list) -> UepReport:
     cs = build_constraints(P)
 
     rng = make_rng(P.seed)
-    n_w = int(P.n_witnesses)
 
     # Round 0: random Hermitian witnesses for every probe, in +/- pairs
     # (a witness only sees deviation directions it overlaps positively,
     # so each draw is used with both signs).
     tasks = []  # (probe_idx, W)
     for idx, a in enumerate(probes):
-        for _ in range(n_w):
+        for _ in range(P.n_witnesses):
             W = random_hermitian(rng, d)
             W = W / linalg.frob_norm(W)
             tasks.append((idx, W))

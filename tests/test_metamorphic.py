@@ -83,8 +83,8 @@ def _decision(gens) -> tuple:
     d = gens[0].shape[0]
     G = opsys.GeneratorSet(d=d, generators=tuple(np.asarray(g, dtype=complex) for g in gens))
     P = uep.UepProblem(d=d, G=G)
-    span, _, info = uep._validate(P)
-    rep = uep._theorem_step(P, span, info)
+    span, _, info, membership = uep._validate(P)
+    rep = uep._theorem_step(P, span, info, membership)
     return (False, None) if rep is None else (True, rep.constraint_rank)
 
 

@@ -32,14 +32,14 @@ def gen(d, *mats) -> opsys.GeneratorSet:
 
 def search(P: uep.UepProblem) -> uep.UepReport:
     """The search alone, after solve's input checks, without the theorem step."""
-    _, probes, info = uep._validate(P)
+    _, probes, info, _ = uep._validate(P)
     return uep._search(P, probes, info)
 
 
 def theorem(P: uep.UepProblem) -> uep.UepReport | None:
     """The theorem step alone, after solve's input checks."""
-    span, _, info = uep._validate(P)
-    return uep._theorem_step(P, span, info)
+    span, _, info, membership = uep._validate(P)
+    return uep._theorem_step(P, span, info, membership)
 
 
 def test_hermvec_isometry():
@@ -975,6 +975,8 @@ def test_scalar_problem_is_unique():
     ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
     ("max_iter", 0), ("n_witnesses", 0), ("probes", []), ("probes", [swap01()]), ("G", None),
     ("seed", -1), ("seed", 2 ** 64),
+    ("max_iter", 2.5), ("max_iter", True), ("n_witnesses", 1.5), ("n_witnesses", True),
+    ("d", 3.0), ("seed", 2.5),
 ])
 def test_solve_rejects_bad_inputs(field, value):
     X = x_diag()
@@ -1078,13 +1080,13 @@ def _held_and_old_rule(P: uep.UepProblem) -> tuple:
 
 
 def test_early_exit_agrees_with_the_full_closure():
-    """The step stops closing the passing generators' words once the
-    other generators' g0 lie in their span; that decides each of the 96
-    sets of test_theorem_agrees_with_the_search as comparing the dimension
-    of the passing generators' full closure with C*(G)'s did.  Among them
-    are partly passing sets, and so are three that decline: {X, 2I}, where
-    only the scalar passes, and {U, H} at d = 3 and 4, where the unitary
-    passes and H lies outside C*(U)."""
+    """Testing the other generators' g0 against the passing generators'
+    closure decides each of the 96 sets of
+    test_theorem_agrees_with_the_search as comparing the dimension of that
+    closure with C*(G)'s did.  Among them are partly passing sets, and so
+    are three that decline: {X, 2I}, where only the scalar passes, and
+    {U, H} at d = 3 and 4, where the unitary passes and H lies outside
+    C*(U)."""
     declining = [(3, (x_diag(), 2.0 * np.eye(3)), [False, True])]  # (d, G, held)
     for d in (3, 4):
         fam = _grid_families(d, make_rng(9100 + 10 * d))
@@ -1100,6 +1102,37 @@ def test_early_exit_agrees_with_the_full_closure():
         if expected is not None:
             assert held.tolist() == expected and not decided, d
     assert partial > len(declining)
+
+
+def test_each_solve_closes_c_star_once(monkeypatch):
+    """A solve closes C*(G) once when every generator passes the theorem's
+    span test, or when the passing ones generate C*(G): polar {T, T*T, TT*}
+    at d = 3, 4, 5 (T passes, and T*T, TT* lie in C*(T)), the d = 5 normal
+    {N, NN*} of make_rng(500), {U} and {X, X^2}.  A partly passing set that
+    declines closes the passing generators, then G: {X, 2I}, and {U, H} at
+    d = 3, where U passes and H lies outside C*(U)."""
+    cases = []  # (d, G, closures started, basis)
+    for d in (3, 4, 5):
+        T = random_complex(make_rng(7500 + d), d, d)
+        cases.append((d, (T, T.conj().T @ T, T @ T.conj().T), 1, "theorem"))
+    X = x_diag()
+    N = random_normal_matrix(make_rng(500), 5)
+    U3, H3 = random_unitary(make_rng(3), 3), random_hermitian(make_rng(103), 3)
+    cases += [(5, (N, N @ N.conj().T), 1, "theorem"), (3, (U3,), 1, "theorem"),
+              (3, (X, X @ X), 1, "theorem"), (3, (X, 2.0 * np.eye(3)), 2, "spectrum"),
+              (3, (U3, H3), 2, "search")]
+    starts = []  # one flag per opsys._mgs_extend call: k == 0 starts a closure
+    extend = opsys._mgs_extend
+
+    def spy(B, k, C):
+        starts.append(k == 0)
+        return extend(B, k, C)
+
+    monkeypatch.setattr(opsys, "_mgs_extend", spy)
+    for d, gens, closures, basis in cases:
+        starts.clear()
+        rep = uep.solve(uep.UepProblem(d=d, G=gen(d, *gens), seed=7, n_witnesses=2))
+        assert (sum(starts), rep.basis) == (closures, basis), (d, len(gens))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -1196,7 +1229,7 @@ def test_theorem_step_needs_the_passing_generators_to_generate_c_star():
 
 def spectrum(P: uep.UepProblem) -> uep.UepReport | None:
     """The spectrum step alone, after solve's input checks."""
-    span, probes, info = uep._validate(P)
+    span, probes, info, _ = uep._validate(P)
     return uep._spectrum_step(P, span, probes, info)
 
 
@@ -1471,7 +1504,7 @@ def test_spectrum_deviations_are_the_per_probe_norms():
     for d, gens in ((3, (x_diag(),)), (5, (tied_square(),)), (5, (H, H @ H @ H)),
                     (4, (random_hermitian(make_rng(9604), 4),))):
         P = uep.UepProblem(d=d, G=gen(d, *gens), seed=7)
-        _, probes, _ = uep._validate(P)
+        _, probes, _, _ = uep._validate(P)
         rep = spectrum(P)
         assert (rep.status, rep.basis) == ("ViolationFound", "spectrum")
         for row in rep.deviations:
