@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, NotCompletelyPositive, NotUCP
+from .errors import InvalidInput, NotCompletelyPositive, NotUCP, require_integer
 
 # Eigenvalues of C below this fraction of trace(C) are dropped from the
 # Kraus decomposition (numerical rank).
@@ -42,6 +42,7 @@ class ChoiMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
+        require_integer("d", self.d)
         M = linalg.require_square(self.mat)
         if M.shape[0] != self.d * self.d:
             raise InvalidInput(f"Choi matrix for d={self.d} must be {self.d ** 2} x {self.d ** 2}")
@@ -63,6 +64,8 @@ class KrausSet:
     operators: tuple
 
     def __post_init__(self):
+        require_integer("d_in", self.d_in)
+        require_integer("d_out", self.d_out)
         ops = tuple(linalg.as_matrix(K) for K in self.operators)
         if not ops:
             raise InvalidInput("Kraus set must be nonempty")
@@ -72,13 +75,16 @@ class KrausSet:
         object.__setattr__(self, "operators", ops)
 
     def apply(self, A) -> np.ndarray:
-        A = linalg.as_matrix(A)
-        if A.shape != (self.d_in, self.d_in):
+        """Phi(A) for one d_in x d_in matrix or a (k, d_in, d_in) stack,
+        summed over the operators in order; each Phi(A_k) has the bits of
+        the 2-d call on A_k."""
+        A, single = linalg.as_stack(A)
+        if A.shape[1:] != (self.d_in, self.d_in):
             raise InvalidInput(f"input must be {self.d_in} x {self.d_in}")
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
+        out = np.zeros((len(A), self.d_out, self.d_out), dtype=complex)
         for K in self.operators:
             out += K @ A @ K.conj().T
-        return out
+        return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -201,15 +207,18 @@ def stinespring(C: ChoiMatrix) -> StinespringDilation:
 
 
 def _schwarz_from_apply(phi, a) -> dict:
+    """The defects from one stacked phi call on [a, a*a, aa*] and one
+    stacked op_norm call on [left, right]; phi must take a stack."""
     a = linalg.as_matrix(a)
-    pa = phi(a)
-    left = linalg.hermitize(phi(a.conj().T @ a) - pa.conj().T @ pa)
-    right = linalg.hermitize(phi(a @ a.conj().T) - pa @ pa.conj().T)
+    pa, p_left, p_right = phi(np.array([a, a.conj().T @ a, a @ a.conj().T]))
+    left = linalg.hermitize(p_left - pa.conj().T @ pa)
+    right = linalg.hermitize(p_right - pa @ pa.conj().T)
+    left_norm, right_norm = linalg.op_norm(np.array([left, right])).tolist()
     return {
         "left": left,
         "right": right,
-        "left_norm": linalg.op_norm(left),
-        "right_norm": linalg.op_norm(right),
+        "left_norm": left_norm,
+        "right_norm": right_norm,
     }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput
+from .errors import InvalidInput, require_integer
 
 # Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-9
@@ -33,6 +33,7 @@ class GeneratorSet:
     generators: tuple
 
     def __post_init__(self):
+        require_integer("d", self.d)
         if not self.generators:
             raise InvalidInput("generator set must be nonempty")
         gens = tuple(linalg.require_square(g) for g in self.generators)

@@ -12,7 +12,9 @@ Laurent-polynomial Toeplitz operators is finitely supported:
 nonzero only for 0 <= i < maxdeg(p), 0 <= j < -mindeg(q).  All coefficients
 are exact, so identities like S*S = I and S S* = I - E_00 hold bit-exactly.
 A coefficient (``GQ``) is two integer numerators over one integer
-denominator, reduced by one gcd per sum or product.
+denominator, reduced by one gcd per sum or product.  ``mul`` reduces less
+often: it puts each operand over one denominator, sums its products on
+integer numerators and reduces each result coefficient once.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import linalg
-from .errors import InvalidInput, NotIsometry
+from .errors import InvalidInput, NotIsometry, require_integer
 
 
 def _frac(x) -> Fraction:
@@ -166,12 +168,47 @@ def _collect(pairs) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def _numerators(A: ToeplitzElement) -> tuple:
+    """(m, symbol, tail): each coefficient c of A as the integer pair
+    (re, im) with c = (re + im i)/m, for m the lcm of all A's denominators,
+    symbol and tail together."""
+    m = lcm(*[c[2] for c in A.symbol.values()], *[c[2] for c in A.tail.values()])
+    return (m, {k: (a * (m // d), b * (m // d)) for k, (a, b, d) in A.symbol.items()},
+            {ij: (a * (m // d), b * (m // d)) for ij, (a, b, d) in A.tail.items()})
+
+
+def _sum_terms(terms, out: dict) -> dict:
+    """Adds each (key, re, im) of terms to the [re, im] sum under key."""
+    for k, x, y in terms:
+        e = out.get(k)
+        if e is None:
+            out[k] = [x, y]
+        else:
+            e[0] += x
+            e[1] += y
+    return out
+
+
+def _reduced_map(sums: dict, m: int) -> dict:
+    """key -> the GQ (re + im i)/m for each nonzero [re, im] sum."""
+    return {k: _reduced(x, y, m) for k, (x, y) in sums.items() if x or y}
+
+
 def _conv(p: dict, q: dict) -> dict:
-    """The product of two Laurent polynomials: (pq)_k = sum_{i+j=k} p_i q_j."""
-    return _collect((dp + dq, cp * cq) for dp, cp in p.items() for dq, cq in q.items())
+    """The product of two Laurent polynomials, (pq)_k = sum_{i+j=k} p_i q_j,
+    on (re, im) numerator pairs: k -> its [re, im] sum, zeros kept."""
+    return _sum_terms(((dp + dq, a * c - b * d, a * d + b * c)
+                       for dp, (a, b) in p.items() for dq, (c, d) in q.items()), {})
+
+
+def _degree(k) -> int:
+    require_integer("symbol degree", k)
+    return int(k)
 
 
 def _quarter(i, j) -> tuple:
+    require_integer("tail index", i)
+    require_integer("tail index", j)
     i, j = int(i), int(j)
     if i < 0 or j < 0:
         raise InvalidInput(f"tail index ({i},{j}) outside the quarter plane")
@@ -191,7 +228,7 @@ class ToeplitzElement:
     __slots__ = ("symbol", "tail")
 
     def __init__(self, symbol: dict | None = None, tail: dict | None = None):
-        self.symbol = _collect((int(k), _coeff(c)) for k, c in (symbol or {}).items())
+        self.symbol = _collect((_degree(k), _coeff(c)) for k, c in (symbol or {}).items())
         self.tail = _collect((_quarter(i, j), _coeff(c)) for (i, j), c in (tail or {}).items())
 
     def __eq__(self, other) -> bool:
@@ -265,27 +302,31 @@ def mul(A: ToeplitzElement, B: ToeplitzElement) -> ToeplitzElement:
     """Exact product; the symbol multiplies and four tail pieces collect:
 
     semicommutator correction, T(p) tail_B, tail_A T(q), tail_A tail_B.
+
+    A is put over one denominator m and B over n (``_numerators``), every
+    piece is summed on integer (re, im) numerator pairs, and each nonzero
+    result coefficient becomes one GQ over m n, with one gcd (Knuth, TAOCP
+    Vol. 2, 4.5.1).
     """
-    p, q = A.symbol, B.symbol
-    tail: list = []
+    m, p, ta = _numerators(A)
+    n, q, tb = _numerators(B)
     # Semicommutator: -sum_{k<0} p_{i-k} q_{k-j} at (i, j) = (dp + k, k - dq),
     # nonempty only for dp > 0 > dq; one coefficient -p_dp q_dq per pair.
-    for dp, cp in p.items():
-        if dp > 0:
-            for dq, cq in q.items():
-                if dq < 0:
-                    c = -(cp * cq)
-                    tail += [((dp + k, k - dq), c) for k in range(max(-dp, dq), 0)]
-    # T(p) tail_B: (T(p) t)_{i c} = sum_r p_{i-r} t_{r c}.
-    tail += [((dp + r, c), cp * t) for (r, c), t in B.tail.items()
-             for dp, cp in p.items() if dp + r >= 0]
-    # tail_A T(q): (t T(q))_{r j} = sum_c t_{r c} q_{c-j}.
-    tail += [((r, c - dq), t * cq) for (r, c), t in A.tail.items()
-             for dq, cq in q.items() if c >= dq]
+    pairs = [(dp, dq, b * d - a * c, -(a * d + b * c)) for dp, (a, b) in p.items() if dp > 0
+             for dq, (c, d) in q.items() if dq < 0]
+    tail = _sum_terms((((dp + k, k - dq), x, y) for dp, dq, x, y in pairs
+                       for k in range(max(-dp, dq), 0)), {})
+    # T(p) tail_B: (T(p) t)_{i j} = sum_r p_{i-r} t_{r j}.
+    _sum_terms((((dp + r, j), a * c - b * d, a * d + b * c) for (r, j), (c, d) in tb.items()
+                for dp, (a, b) in p.items() if dp + r >= 0), tail)
+    # tail_A T(q): (t T(q))_{r i} = sum_j t_{r j} q_{j-i}.
+    _sum_terms((((r, j - dq), a * c - b * d, a * d + b * c) for (r, j), (a, b) in ta.items()
+                for dq, (c, d) in q.items() if j >= dq), tail)
     # tail_A tail_B.
-    tail += [((r, c), t1 * t2) for (r, k1), t1 in A.tail.items()
-             for (k2, c), t2 in B.tail.items() if k1 == k2]
-    return _element(_conv(p, q), _collect(tail))
+    _sum_terms((((r, j), a * c - b * d, a * d + b * c) for (r, k1), (a, b) in ta.items()
+                for (k2, j), (c, d) in tb.items() if k1 == k2), tail)
+    mn = m * n
+    return _element(_reduced_map(_conv(p, q), mn), _reduced_map(tail, mn))
 
 
 def is_essentially_unitary(A: ToeplitzElement) -> bool:
@@ -293,11 +334,14 @@ def is_essentially_unitary(A: ToeplitzElement) -> bool:
 
     Then both I - A*A and I - AA* are pure tails (compact), exactly.
     """
-    return _conv(A.symbol, adj(A).symbol) == {0: GQ_ONE}
+    m, p, _ = _numerators(A)
+    p_star = {-k: (a, -b) for k, (a, b) in p.items()}
+    return _reduced_map(_conv(p, p_star), m * m) == {0: GQ_ONE}
 
 
 def truncate(A: ToeplitzElement, n: int) -> np.ndarray:
     """Upper-left n x n corner P_n A P_n as a float matrix."""
+    require_integer("truncation size", n)
     if n < 1:
         raise InvalidInput("truncation size must be >= 1")
     M = np.zeros((n, n), dtype=complex)

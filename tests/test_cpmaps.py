@@ -116,6 +116,66 @@ def test_apply_choi_stack_input_checks():
         cpmaps.apply_choi(C, np.zeros((1, 1, 2, 2)))
 
 
+def _kraus_apply_reference(K: cpmaps.KrausSet, A) -> np.ndarray:
+    """The 2-d Kraus sum, one matrix per call, as KrausSet.apply had it."""
+    out = np.zeros((K.d_out, K.d_out), dtype=complex)
+    for op in K.operators:
+        out += op @ A @ op.conj().T
+    return out
+
+
+def _schwarz_reference(phi, a) -> tuple:
+    """(left, right, left_norm, right_norm) from three 2-d phi calls and two
+    2-d op_norm calls."""
+    pa = phi(a)
+    left = linalg.hermitize(phi(a.conj().T @ a) - pa.conj().T @ pa)
+    right = linalg.hermitize(phi(a @ a.conj().T) - pa @ pa.conj().T)
+    return left, right, linalg.op_norm(left), linalg.op_norm(right)
+
+
+def test_kraus_apply_stack_matches_single_calls():
+    """A (k, d_in, d_in) stack maps to the bits of the per-matrix Kraus sum,
+    at d = 2..5 and r = 1..4 (square unital sets and d_out = d - 1
+    compressions); a 2-d call still returns one d_out x d_out complex
+    array with those bits."""
+    rng = make_rng(62)
+    for d in range(2, 6):
+        for r in range(1, 5):
+            sets = (cpmaps.KrausSet(d_in=d, d_out=d, operators=tuple(random_ucp_kraus(rng, d, r))),
+                    cpmaps.KrausSet(d_in=d, d_out=d - 1,
+                                    operators=tuple(random_complex(rng, d - 1, d) for _ in range(r))))
+            for K in sets:
+                A = np.array([random_complex(rng, d, d) for _ in range(3)])
+                out = K.apply(A)
+                assert out.shape == (3, K.d_out, K.d_out)
+                for a, img in zip(A, out):
+                    one = K.apply(a)
+                    assert type(one) is np.ndarray and one.shape == (K.d_out, K.d_out)
+                    assert one.dtype == complex
+                    assert one.tobytes() == img.tobytes() == _kraus_apply_reference(K, a).tobytes()
+
+
+def test_schwarz_defects_match_per_call_reference():
+    """The stacked phi and op_norm calls give the bits of the per-call
+    defects, for the Kraus and the Choi form, at d = 2..5 and r = 1..4."""
+    rng = make_rng(63)
+    for d in range(2, 6):
+        for r in range(1, 5):
+            K = cpmaps.KrausSet(d_in=d, d_out=d, operators=tuple(random_ucp_kraus(rng, d, r)))
+            C = cpmaps.choi_from_kraus(K)
+            C4 = C.mat.reshape(d, d, d, d)
+            a = random_complex(rng, d, d)
+            for got, phi in ((cpmaps.schwarz_defects_kraus(K, a),
+                              lambda x: _kraus_apply_reference(K, x)),
+                             (cpmaps.schwarz_defects(C, a),
+                              lambda x: np.einsum("imjn,ij->mn", C4, x))):
+                left, right, left_norm, right_norm = _schwarz_reference(phi, a)
+                assert got["left"].tobytes() == left.tobytes()
+                assert got["right"].tobytes() == right.tobytes()
+                assert type(got["left_norm"]) is float and type(got["right_norm"]) is float
+                assert (got["left_norm"], got["right_norm"]) == (left_norm, right_norm)
+
+
 def test_stinespring_identity():
     D = cpmaps.stinespring(cpmaps.identity_choi(2))
     assert D.r == 1
@@ -182,8 +242,8 @@ def test_stinespring_accepts_every_choi_matrix_its_ucp_check_accepts():
 
 def _bad_shape_calls() -> dict:
     """(call, message) pairs that each hand a cpmaps constructor or method a
-    matrix of the wrong shape, a non-Hermitian Choi matrix or no Kraus
-    operator."""
+    matrix of the wrong shape, a non-Hermitian Choi matrix, no Kraus
+    operator or a dimension that is a float or a bool."""
     E01 = np.zeros((4, 4), dtype=complex)
     E01[0, 1] = 1.0
     K2 = cpmaps.KrausSet(d_in=2, d_out=2, operators=(np.eye(2),))
@@ -196,6 +256,15 @@ def _bad_shape_calls() -> dict:
         "kraus-shape": (lambda: cpmaps.KrausSet(d_in=2, d_out=2, operators=(np.eye(3),)),
                         "operator shape"),
         "kraus-apply": (lambda: K2.apply(np.eye(3)), "input must be 2 x 2"),
+        "kraus-apply-stack": (lambda: K2.apply(np.zeros((2, 3, 3))), "input must be 2 x 2"),
+        "choi-float-d": (lambda: cpmaps.ChoiMatrix(d=2.0, mat=np.eye(4)), "d must be an integer"),
+        "choi-bool-d": (lambda: cpmaps.ChoiMatrix(d=True, mat=np.eye(1)), "d must be an integer"),
+        "kraus-float-d": (lambda: cpmaps.KrausSet(d_in=2.0, d_out=2.0, operators=(np.eye(2),)),
+                          "d_in must be an integer"),
+        "kraus-float-d-out": (lambda: cpmaps.KrausSet(d_in=2, d_out=2.0, operators=(np.eye(2),)),
+                              "d_out must be an integer"),
+        "kraus-bool-d": (lambda: cpmaps.KrausSet(d_in=True, d_out=True, operators=(np.eye(1),)),
+                         "d_in must be an integer"),
         "sigma": (lambda: D.sigma(np.eye(3)), "input must be 2 x 2"),
         "choi-rectangular": (lambda: cpmaps.choi_from_kraus(K21), "square maps"),
         "sigma-S-size": (lambda: cpmaps.coinvariance_block(D, np.eye(3), np.eye(2)),

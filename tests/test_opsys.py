@@ -107,6 +107,10 @@ def test_generator_set_validation():
         opsys.GeneratorSet(d=2, generators=())
     with pytest.raises(InvalidInput):
         opsys.GeneratorSet(d=2, generators=(np.eye(3),))
+    # A float or bool d passes the shape check (3.0 == 3, True == 1).
+    for d, g in ((3.0, np.eye(3)), (True, np.eye(1))):
+        with pytest.raises(InvalidInput, match="d must be an integer"):
+            opsys.GeneratorSet(d=d, generators=(g,))
 
 
 def test_basis_orthonormality():

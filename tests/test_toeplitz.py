@@ -161,6 +161,25 @@ def test_exact_coefficient_parsing():
             toeplitz.from_tail(entries)
 
 
+def test_indices_must_be_integers():
+    """A float or bool degree, tail index or truncation size is rejected,
+    not truncated by int(); numpy integers are stored as int."""
+    for bad in (lambda: toeplitz.ToeplitzElement({0.5: 1, 1: 2}),
+                lambda: toeplitz.ToeplitzElement({True: 1}),
+                lambda: toeplitz.from_tail({(0.9, 1): 1}),
+                lambda: toeplitz.from_tail({(1, 2.0): 1}),
+                lambda: toeplitz.from_tail({(False, 1): 1}),
+                lambda: toeplitz.truncate(toeplitz.shift(), 2.5),
+                lambda: toeplitz.truncate(toeplitz.shift(), True)):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            bad()
+    A = toeplitz.ToeplitzElement({np.int64(-1): 1}, {(np.int32(2), np.int64(0)): "1/2"})
+    assert A == toeplitz.ToeplitzElement({-1: 1}, {(2, 0): "1/2"})
+    assert [type(k) for k in A.symbol] == [int]
+    assert [type(i) for ij in A.tail for i in ij] == [int, int]
+    assert np.array_equal(toeplitz.truncate(A, np.int64(3)), toeplitz.truncate(A, 3))
+
+
 def test_difference_with_itself_is_empty():
     A = toeplitz.add(toeplitz.ToeplitzElement({-1: ["1/2", 1], 2: 3}),
                      toeplitz.from_tail({(0, 1): ["1/3", 0], (2, 2): [0, -1]}))
@@ -260,3 +279,76 @@ def test_arithmetic_results_are_canonical(A, B, c):
         assert all(type(v) is toeplitz.GQ and v for v in (*r.symbol.values(), *r.tail.values()))
         assert all(type(k) is int for k in r.symbol)
         assert all(type(i) is int and type(j) is int and i >= 0 and j >= 0 for i, j in r.tail)
+
+
+def _reference_collect(pairs) -> dict:
+    out: dict = {}
+    for k, c in pairs:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
+
+
+def _reference_conv(p: dict, q: dict) -> dict:
+    return _reference_collect((dp + dq, cp * cq) for dp, cp in p.items() for dq, cq in q.items())
+
+
+def _reference_mul(A, B):
+    """The product with one reduced GQ product and sum per term."""
+    p, q = A.symbol, B.symbol
+    tail: list = []
+    for dp, cp in p.items():
+        if dp > 0:
+            for dq, cq in q.items():
+                if dq < 0:
+                    c = -(cp * cq)
+                    tail += [((dp + k, k - dq), c) for k in range(max(-dp, dq), 0)]
+    tail += [((dp + r, c), cp * t) for (r, c), t in B.tail.items()
+             for dp, cp in p.items() if dp + r >= 0]
+    tail += [((r, c - dq), t * cq) for (r, c), t in A.tail.items()
+             for dq, cq in q.items() if c >= dq]
+    tail += [((r, c), t1 * t2) for (r, k1), t1 in A.tail.items()
+             for (k2, c), t2 in B.tail.items() if k1 == k2]
+    return toeplitz.ToeplitzElement(_reference_conv(p, q), _reference_collect(tail))
+
+
+_mixed = st.tuples(st.integers(-50, 50), st.integers(1, 12)).map(lambda t: Fraction(*t))
+_mixed_coeffs = st.lists(_mixed, min_size=2, max_size=2)
+_mixed_elements = st.builds(
+    toeplitz.ToeplitzElement,
+    st.dictionaries(st.integers(-3, 3), _mixed_coeffs, max_size=4),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _mixed_coeffs, max_size=4),
+)
+# S + (2/3) E00 times S* + (3/2) E00: the semicommutator's -1 at (0, 0)
+# cancels against the tail product's 1.
+_CANCEL_TAIL = (toeplitz.ToeplitzElement({1: 1}, {(0, 0): "2/3"}),
+                toeplitz.ToeplitzElement({-1: 1}, {(0, 0): "3/2"}))
+# (1/2 + z/3)(3/5 - 2z/5): the z coefficient cancels.
+_CANCEL_SYMBOL = (toeplitz.ToeplitzElement({0: "1/2", 1: "1/3"}),
+                  toeplitz.ToeplitzElement({0: "3/5", 1: "-2/5"}))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(A=_mixed_elements, B=_mixed_elements)
+@example(A=_CANCEL_TAIL[0], B=_CANCEL_TAIL[1])
+@example(A=_CANCEL_SYMBOL[0], B=_CANCEL_SYMBOL[1])
+@example(A=toeplitz.ToeplitzElement({2: ["3/5", "4/5"]}, {(1, 0): "5/7"}), B=toeplitz.zero())
+def test_mul_matches_per_term_reference(A, B):
+    """mul and is_essentially_unitary on numerators over one denominator
+    against the per-term GQ product: equal elements, equal keys in the same
+    order, and equal to_json, with denominators up to 12 (so the lcm
+    scaling runs) and the examples' sums that cancel to zero."""
+    got, want = toeplitz.mul(A, B), _reference_mul(A, B)
+    assert got == want and got.to_json() == want.to_json()
+    assert list(got.symbol) == list(want.symbol) and list(got.tail) == list(want.tail)
+    for X in (A, B, got):
+        unitary = _reference_conv(X.symbol, toeplitz.adj(X).symbol) == {0: toeplitz.GQ_ONE}
+        assert toeplitz.is_essentially_unitary(X) == unitary
+
+
+def test_reference_examples_cancel():
+    """The examples above do cancel, so the zero filter after the sums runs."""
+    got = toeplitz.mul(*_CANCEL_TAIL)
+    assert (0, 0) not in got.tail and got.tail and got.symbol == {0: toeplitz.GQ_ONE}
+    got = toeplitz.mul(*_CANCEL_SYMBOL)
+    assert set(got.symbol) == {0, 2} and not got.tail
+    assert toeplitz.is_essentially_unitary(toeplitz.ToeplitzElement({2: ["3/5", "4/5"]}))
