@@ -19,6 +19,7 @@ whenever sum_a K_a K_a* = I (unitality).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,10 @@ class StinespringDilation:
     V: np.ndarray
     minimal: bool
 
+    def __post_init__(self):
+        require_integer("d", self.d)
+        require_integer("r", self.r)
+
     def sigma(self, a) -> np.ndarray:
         """The dilation representation sigma(a) = a (x) I_r."""
         a = linalg.require_square(a)
@@ -108,8 +113,21 @@ class StinespringDilation:
 
 
 def identity_choi(d: int) -> ChoiMatrix:
+    """Choi matrix w w* of the identity map on M_d, built once per d and
+    shared, so its mat is read-only.  d is checked before the lookup, as
+    3.0 and True would otherwise find the entries of 3 and 1, and a numpy
+    integer shares the entry of its int."""
+    require_integer("d", d)
+    return _identity_choi(int(d))
+
+
+# A few dimensions at a time: each entry holds d^4 complex numbers.
+@functools.lru_cache(maxsize=8)
+def _identity_choi(d: int) -> ChoiMatrix:
     w = np.eye(d, dtype=complex).reshape(-1)  # w[(i,m)] = delta_im
-    return ChoiMatrix(d=d, mat=np.outer(w, w.conj()))
+    C = ChoiMatrix(d=d, mat=np.outer(w, w.conj()))
+    C.mat.flags.writeable = False
+    return C
 
 
 def choi_from_kraus(K: KrausSet) -> ChoiMatrix:

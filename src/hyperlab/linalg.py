@@ -78,6 +78,14 @@ def op_norm(A):
     return float(norms[0]) if single else norms
 
 
+def row_norm(A, axis=-1) -> np.ndarray:
+    """Euclidean norms of A over axis (an int or a tuple of ints), one per
+    remaining index: numpy's own expression for np.linalg.norm(A,
+    axis=axis) with ord None, so the same bits, without that call's
+    dispatch.  Inexact A only (norm casts integers to float first)."""
+    return np.sqrt(np.add.reduce((A.conj() * A).real, axis=axis))
+
+
 def frob_norm(A) -> float:
     return float(np.linalg.norm(np.asarray(A, dtype=complex)))
 

@@ -64,7 +64,7 @@ class AlgebraBasis:
         A = np.asarray(A, dtype=complex)
         X = A.reshape(-1, self.d * self.d)
         B = self.basis.reshape(self.dim, -1)  # rows: the flattened basis
-        resid = np.linalg.norm(X - (X @ B.conj().T) @ B, axis=1)
+        resid = linalg.row_norm(X - (X @ B.conj().T) @ B)
         return float(resid[0]) if A.ndim == 2 else resid
 
 
@@ -80,11 +80,11 @@ def _mgs_extend(B: np.ndarray, k: int, C: np.ndarray) -> int:
     one comparison.  Only the survivors are orthogonalized, in order and
     twice, against the rows this call adds.  Stops once B is full.
     """
-    scale = np.linalg.norm(C, axis=1)
+    scale = linalg.row_norm(C)
     X = C
     for _ in range(2):
         X = X - (X @ B[:k].conj().T) @ B[:k]
-    keep = np.linalg.norm(X, axis=1) > RANK_RTOL * scale
+    keep = linalg.row_norm(X) > RANK_RTOL * scale
     start = k
     for x, s in zip(X[keep], scale[keep]):
         if k == len(B):

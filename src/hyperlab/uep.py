@@ -180,7 +180,7 @@ def _face_dykstra(project, M: np.ndarray):
         y = _psd_clip(t)
         p = t - y
         x = project(y)
-        gap = np.linalg.norm((y - x).reshape(len(live), -1), axis=1)
+        gap = linalg.row_norm((y - x).reshape(len(live), -1))
         won, slot = gap <= DYKSTRA_TOL, i % DYKSTRA_WINDOW
         done = won | ((i >= DYKSTRA_WINDOW) & ~(gap <= 0.9 * gaps[:, slot]))
         gaps[:, slot] = gap
@@ -335,7 +335,7 @@ class ConstraintSystem:
         return _affine_project(self.F, self.P, self.b, Z)
 
     def affine_residual(self, Z: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(_tr(self.F, Z) - self.b, axis=-1)
+        return linalg.row_norm(_tr(self.F, Z) - self.b)
 
     def proj_psd(self, Z: np.ndarray) -> np.ndarray:
         return _psd_clip(Z)
@@ -528,7 +528,7 @@ def _linear_max_batch(cs: ConstraintSystem, G: np.ndarray, max_iter: int):
     K = len(G)
     X = np.tile(cs.x_identity, (K, 1, 1))
     # Step ~ a modest fraction of the spectrahedron diameter per move.
-    step = 0.1 * cs.d / np.linalg.norm(G.reshape(K, -1), axis=1)
+    step = 0.1 * cs.d / linalg.row_norm(G.reshape(K, -1))
     base = _tr(G, cs.x_identity)
     prev_raw = base.copy()
     stall = np.zeros(K, dtype=int)
@@ -610,9 +610,9 @@ def _validate(P: UepProblem) -> tuple:
     d = P.d
     if P.G.d != d:  # GeneratorSet makes every generator G.d x G.d
         raise InvalidInput(f"pinned element shape ({P.G.d}, {P.G.d}) != ({d}, {d})")
-    span = _pinned_span(P)
-    # The theorem's premise (_theorem_step) picks the one closure of C*(G).
     gens = np.array(P.G.generators)
+    span = _pinned_span(gens)
+    # The theorem's premise (_theorem_step) picks the one closure of C*(G).
     g0, _ = _unit_traceless(gens)
     g0h = g0.conj().swapaxes(-1, -2)
     A = np.concatenate([g0h @ g0, g0 @ g0h])
@@ -635,21 +635,20 @@ def _validate(P: UepProblem) -> tuple:
                 raise InvalidInput(f"probe shape {a.shape} != ({d}, {d})")
         probes = np.array(probes)
     resid = alg.projection_residual(probes)
-    cutoff = MEMBERSHIP_RTOL * (1.0 + np.linalg.norm(probes, axis=(1, 2)))
-    info = [ProbeDeviation(index=idx, deviation=0.0, in_algebra=bool(r <= c),
-                           projection_residual=float(r))
-            for idx, (r, c) in enumerate(zip(resid, cutoff))]
+    cutoff = MEMBERSHIP_RTOL * (1.0 + linalg.row_norm(probes, axis=(1, 2)))
+    info = [ProbeDeviation(index=idx, deviation=0.0, in_algebra=r <= c, projection_residual=r)
+            for idx, (r, c) in enumerate(zip(resid.tolist(), cutoff.tolist()))]
     if not any(row.in_algebra for row in info):
         raise InvalidInput("no probe lies in C*(G), so no UEP question is asked")
     return span, probes, info, membership
 
 
-def _pinned_span(P: UepProblem) -> opsys.AlgebraBasis:
-    """Orthonormal basis of span_C{I, G, G*} from one complex SVD, rank cut
-    at 1e-12 of the largest singular value; build_constraints cuts there in
-    real hermvec coordinates instead, so near the cut the ranks can differ."""
-    d = P.d
-    gens = np.array(P.G.generators)
+def _pinned_span(gens: np.ndarray) -> opsys.AlgebraBasis:
+    """Orthonormal basis of span_C{I, G, G*}, G the (k, d, d) stack gens, from
+    one complex SVD, rank cut at 1e-12 of the largest singular value;
+    build_constraints cuts there in real hermvec coordinates instead, so
+    near the cut the ranks can differ."""
+    d = gens.shape[-1]
     S = np.concatenate([np.eye(d)[None], gens, gens.conj().swapaxes(-1, -2)]).reshape(-1, d * d)
     _, sv, Vh = np.linalg.svd(S, full_matrices=False)
     return opsys.AlgebraBasis(d=d, basis=Vh[sv > 1e-12 * sv[0]].reshape(-1, d, d))
@@ -661,7 +660,7 @@ def _unit_traceless(gens: np.ndarray) -> tuple:
     norm of that part."""
     d = gens.shape[-1]
     g0 = gens - (np.trace(gens, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
-    size = np.linalg.norm(g0, axis=(1, 2))
+    size = linalg.row_norm(g0, axis=(1, 2))
     return g0 / np.where(size > 0.0, size, 1.0)[:, None, None], size
 
 
@@ -805,7 +804,7 @@ def _joint_spectrum(gens: np.ndarray):
     """
     d = gens.shape[-1]
     g0, size = _unit_traceless(gens)
-    unit = d * np.finfo(float).eps * np.linalg.norm(gens, axis=(1, 2))  # roundoff of each g
+    unit = d * np.finfo(float).eps * linalg.row_norm(gens, axis=(1, 2))  # roundoff of each g
     # A traceless part within its generator's roundoff is 0: that g is a scalar.
     live = size > SPECTRUM_ZERO * unit
     if np.any(live & (size < SPECTRUM_GAP * unit)):
@@ -822,7 +821,7 @@ def _joint_spectrum(gens: np.ndarray):
     if np.linalg.norm(D - z[..., None] * np.eye(d)) > zero:
         return None
     points = np.concatenate([z.real, z.imag]).T  # one row per column of V
-    dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    dist = linalg.row_norm(points[:, None] - points[None])
     if np.any((dist > zero) & (dist < gap)):
         return None
     head = np.argmax(dist <= zero, axis=0)  # first column of each column's cluster
@@ -987,7 +986,7 @@ def _search(P: UepProblem, probes: np.ndarray, info: list) -> UepReport:
         # unit witness's objective by more than 2d ||G_t||_F, G_t the part of
         # its gradient tangent to the slice: below tol/10 the answer is fixed.
         tangent = _affine_project(cs.F, cs.P, 0.0, grads)
-        live = np.flatnonzero(2 * d * np.linalg.norm(tangent.reshape(len(grads), -1), axis=1)
+        live = np.flatnonzero(2 * d * linalg.row_norm(tangent.reshape(len(grads), -1))
                               > P.tol / 10.0)
         if not len(live):
             return

@@ -35,6 +35,35 @@ def test_identity_choi_is_rank_one():
     assert np.allclose(cpmaps.apply_choi(C, A), A, atol=1e-12)
 
 
+def test_identity_choi_is_shared_and_read_only():
+    """Each d gives the one shared object, whose mat cannot be written; a
+    numpy integer d shares the entry of its int."""
+    for d in (1, 2, 3, 5):
+        C = cpmaps.identity_choi(d)
+        assert cpmaps.identity_choi(d) is C is cpmaps.identity_choi(np.int64(d))
+        assert type(C.d) is int and C.d == d
+        w = np.eye(d, dtype=complex).reshape(-1)
+        assert np.array_equal(C.mat, np.outer(w, w.conj()))
+        with pytest.raises(ValueError):
+            C.mat[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            C.mat += 1.0
+        assert C.mat[0, 0] == 1.0
+
+
+def test_identity_choi_cache_stays_bounded():
+    """The cache holds a few dimensions only: asking for many values of d
+    leaves at most maxsize entries, and an evicted d is built again, equal
+    to the first build."""
+    first = cpmaps.identity_choi(2).mat.copy()
+    maxsize = cpmaps._identity_choi.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    for d in range(1, 2 * maxsize + 3):
+        cpmaps.identity_choi(d)
+        assert cpmaps._identity_choi.cache_info().currsize <= maxsize
+    assert np.array_equal(cpmaps.identity_choi(2).mat, first)
+
+
 def test_depolarizing_kraus_rank_and_apply():
     C = depolarizing_choi()
     K = cpmaps.kraus_from_choi(C)
@@ -243,7 +272,9 @@ def test_stinespring_accepts_every_choi_matrix_its_ucp_check_accepts():
 def _bad_shape_calls() -> dict:
     """(call, message) pairs that each hand a cpmaps constructor or method a
     matrix of the wrong shape, a non-Hermitian Choi matrix, no Kraus
-    operator or a dimension that is a float or a bool."""
+    operator or a dimension or multiplicity that is a float or a bool (the
+    identity Choi matrix checks d before its cache lookup, where 3.0 and
+    True would find the entries of 3 and 1)."""
     E01 = np.zeros((4, 4), dtype=complex)
     E01[0, 1] = 1.0
     K2 = cpmaps.KrausSet(d_in=2, d_out=2, operators=(np.eye(2),))
@@ -265,6 +296,16 @@ def _bad_shape_calls() -> dict:
                               "d_out must be an integer"),
         "kraus-bool-d": (lambda: cpmaps.KrausSet(d_in=True, d_out=True, operators=(np.eye(1),)),
                          "d_in must be an integer"),
+        "dilation-float-d": (lambda: cpmaps.StinespringDilation(d=2.0, r=1, V=np.eye(2), minimal=True),
+                             "d must be an integer"),
+        "dilation-bool-d": (lambda: cpmaps.StinespringDilation(d=True, r=1, V=np.eye(1), minimal=True),
+                            "d must be an integer"),
+        "dilation-float-r": (lambda: cpmaps.StinespringDilation(d=2, r=1.0, V=np.eye(2), minimal=True),
+                             "r must be an integer"),
+        "dilation-bool-r": (lambda: cpmaps.StinespringDilation(d=2, r=True, V=np.eye(2), minimal=True),
+                            "r must be an integer"),
+        "identity-float-d": (lambda: cpmaps.identity_choi(3.0), "d must be an integer"),
+        "identity-bool-d": (lambda: cpmaps.identity_choi(True), "d must be an integer"),
         "sigma": (lambda: D.sigma(np.eye(3)), "input must be 2 x 2"),
         "choi-rectangular": (lambda: cpmaps.choi_from_kraus(K21), "square maps"),
         "sigma-S-size": (lambda: cpmaps.coinvariance_block(D, np.eye(3), np.eye(2)),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlab import linalg, opsys, uep
 from hyperlab.errors import InvalidInput
@@ -41,6 +43,40 @@ def test_op_norm_stack_edges():
         linalg.op_norm(np.array([np.eye(2), np.full((2, 2), np.inf)]))
     with pytest.raises(InvalidInput):
         linalg.op_norm(np.zeros((1, 1, 2, 2)))
+
+
+# Entries of the row_norm stacks: zeros, values whose squares underflow or
+# overflow, and ordinary ones.
+_EXTREME = [0.0, -0.0, 1e-300, -3e-300, 5e-324, 1e300, -2e300, 1.7e308]
+
+
+@st.composite
+def _norm_stacks(draw):
+    """(stack, axis): a real or complex (k, m, n) stack, n possibly 0, some of
+    whose rows are exactly zero, and one of the axes -1, 1 and (1, 2)."""
+    k, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_EXTREME))
+    vals = draw(st.lists(entry, min_size=2 * k * m * n, max_size=2 * k * m * n))
+    A = np.array(vals).reshape(2, k, m, n)
+    A = A[0] + 1j * A[1] if draw(st.booleans()) else A[0]
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        A[i, draw(st.integers(0, m - 1))] = 0.0
+    return A, draw(st.sampled_from([-1, 1, (1, 2)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_norm_stacks())
+def test_row_norm_is_numpy_norm_bit_for_bit(case):
+    """row_norm gives np.linalg.norm(A, axis=...)'s bits, dtype and shape,
+    including the zero rows, the underflowing squares near 1e-300 and the
+    infinite norms from squares past 1e308; the default axis is -1."""
+    A, axis = case
+    with np.errstate(over="ignore"):  # both overflow alike on squares past 1e308
+        got, want = linalg.row_norm(A, axis=axis), np.linalg.norm(A, axis=axis)
+        if axis == -1:
+            assert linalg.row_norm(A).tobytes() == want.tobytes()
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_op_norm_sampling_oracle():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1072,7 +1074,7 @@ def _held_and_old_rule(P: uep.UepProblem) -> tuple:
     gens = np.array(P.G.generators)
     g0, _ = uep._unit_traceless(gens)
     g0h = g0.conj().swapaxes(-1, -2)
-    resid = uep._pinned_span(P).projection_residual(np.concatenate([g0h @ g0, g0 @ g0h]))
+    resid = uep._pinned_span(gens).projection_residual(np.concatenate([g0h @ g0, g0 @ g0h]))
     held = resid.reshape(2, -1).max(axis=0) <= uep.MEMBERSHIP_RTOL
     decided = bool(held.any()) and (opsys.generate_algebra(gen(P.d, *gens[held])).dim
                                     == opsys.generate_algebra(P.G).dim)
@@ -1388,7 +1390,7 @@ def _joint_spectrum_every_cluster(gens: np.ndarray):
     """_joint_spectrum without its hull bound, one NNLS for every cluster:
     the reference the bound must reproduce bit for bit."""
     d = gens.shape[-1]
-    g0, size = uep._unit_traceless(gens)
+    g0, size = _reference_unit_traceless(gens)
     unit = d * np.finfo(float).eps * np.linalg.norm(gens, axis=(1, 2))
     live = size > uep.SPECTRUM_ZERO * unit
     if np.any(live & (size < uep.SPECTRUM_GAP * unit)):
@@ -1531,3 +1533,150 @@ def test_validate_certificate_rejects_a_probe_outside_the_algebra():
                                     residuals={"affine": 0.0, "psd": 0.0})
     assert linalg.op_norm(cpmaps.apply_choi(pinch, E01) - E01) == 1.0
     assert not uep.validate_certificate(cert, P)
+
+
+# ----------------------------------------------------------------------------
+# Theorem and spectrum reports against a reference built the long way
+# ----------------------------------------------------------------------------
+
+def _reference_unit_traceless(gens: np.ndarray) -> tuple:
+    """uep._unit_traceless with np.linalg.norm."""
+    d = gens.shape[-1]
+    g0 = gens - (np.trace(gens, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+    size = np.linalg.norm(g0, axis=(1, 2))
+    return g0 / np.where(size > 0.0, size, 1.0)[:, None, None], size
+
+
+def _reference_residual(alg: opsys.AlgebraBasis, A: np.ndarray) -> np.ndarray:
+    """AlgebraBasis.projection_residual of a stack with np.linalg.norm."""
+    X = A.reshape(-1, alg.d * alg.d)
+    B = alg.basis.reshape(alg.dim, -1)
+    return np.linalg.norm(X - (X @ B.conj().T) @ B, axis=1)
+
+
+def _reference_identity(P: uep.UepProblem, basis: str, info: list, span: opsys.AlgebraBasis,
+                        membership: dict | None = None) -> uep.UepReport:
+    """The identity report with a Choi matrix of its own."""
+    d = P.d
+    w = np.eye(d, dtype=complex).reshape(-1)
+    return uep.UepReport(status="Unique-evidence", basis=basis, deviations=info, iterations=0,
+                         residuals={"affine": 0.0, "psd": 0.0}, constraint_rank=d * d * span.dim,
+                         face_dim=None, certificate=None,
+                         choi=cpmaps.ChoiMatrix(d=d, mat=np.outer(w, w.conj())),
+                         seed=P.seed, tol=P.tol, membership=membership)
+
+
+def _reference_report(P: uep.UepProblem) -> uep.UepReport | None:
+    """The theorem or spectrum report of P, the long way: _validate's rows
+    from np.linalg.norm with float() and bool() per element, the identity
+    report with a fresh ChoiMatrix, and the spectrum step on
+    _joint_spectrum_every_cluster with one apply_choi and op_norm call per
+    probe; None where solve would search."""
+    d = P.d
+    gens = np.array(P.G.generators)
+    S = np.concatenate([np.eye(d)[None], gens, gens.conj().swapaxes(-1, -2)]).reshape(-1, d * d)
+    _, sv, Vh = np.linalg.svd(S, full_matrices=False)
+    span = opsys.AlgebraBasis(d=d, basis=Vh[sv > 1e-12 * sv[0]].reshape(-1, d, d))
+    g0, _ = _reference_unit_traceless(gens)
+    g0h = g0.conj().swapaxes(-1, -2)
+    premise = _reference_residual(span, np.concatenate([g0h @ g0, g0 @ g0h])).reshape(2, -1).max(axis=0)
+    held = premise <= uep.MEMBERSHIP_RTOL
+    proved, alg = held.all(), None
+    if held.any() and not proved:
+        alg = opsys.generate_algebra(gen(d, *gens[held]))
+        proved = np.all(_reference_residual(alg, g0[~held]) <= uep.MEMBERSHIP_RTOL)
+    if not proved or alg is None:
+        alg = opsys.generate_algebra(P.G)
+    probes = alg.basis if P.probes is None else np.array(P.probes, dtype=complex)
+    resid = _reference_residual(alg, probes)
+    cutoff = uep.MEMBERSHIP_RTOL * (1.0 + np.linalg.norm(probes, axis=(1, 2)))
+    info = [uep.ProbeDeviation(index=idx, deviation=0.0, in_algebra=bool(r <= c),
+                               projection_residual=float(r))
+            for idx, (r, c) in enumerate(zip(resid, cutoff))]
+    inside = all(row.in_algebra for row in info)
+    if proved and inside:
+        membership = {"residual": float(np.max(premise[held])), "cutoff": uep.MEMBERSHIP_RTOL}
+        return _reference_identity(P, "theorem", info, span, membership)
+    found = _joint_spectrum_every_cluster(gens)
+    if found is None:
+        return None
+    V, clusters, interior = found
+    if not interior:
+        return _reference_identity(P, "spectrum", info, span) if inside else None
+    maps = []
+    for c, mu in interior.items():
+        choi = uep._pinch_and_mix(V, clusters, c, mu)
+        rows = [replace(row, deviation=linalg.op_norm(cpmaps.apply_choi(choi, probes[row.index])
+                                                      - probes[row.index])) for row in info]
+        maps.append((max(p.deviation for p in rows if p.in_algebra), choi, rows))
+    _, choi, rows = max(maps, key=lambda m: m[0])
+    worst = max((p for p in rows if p.in_algebra), key=lambda p: p.deviation)
+    residuals = {"affine": float(np.linalg.norm(cpmaps.apply_choi(choi, gens) - gens)), "psd": 0.0}
+    certificate = None
+    if worst.deviation >= 10.0 * P.tol:
+        certificate = uep.ViolationCertificate(choi=choi, probe=probes[worst.index],
+                                               residuals=residuals, deviation=worst.deviation)
+        certificate = certificate if uep.validate_certificate(certificate, P) else None
+    return uep.UepReport(status="NonConverged" if certificate is None else "ViolationFound",
+                         basis="spectrum", deviations=rows, iterations=0, residuals=residuals,
+                         constraint_rank=d * d * span.dim, face_dim=None, certificate=certificate,
+                         choi=choi, seed=P.seed, tol=P.tol)
+
+
+def _reference_cases() -> list:
+    """(label, d, generators, probes, basis) of the bit-for-bit comparison:
+    polar, normal and unitary sets at d = 2..5 from fixed streams, {X, X^2}
+    and its unitary conjugates (once with explicit probes), and the shapes
+    of the violation-search benchmark, X, U X U* and H, also under an
+    affine change a g + b I."""
+    cases = []
+    for d in range(2, 6):
+        for j in range(2):
+            rng = make_rng(7700 + 10 * d + j)
+            T, N, U = random_complex(rng, d, d), random_normal_matrix(rng, d), random_unitary(rng, d)
+            cases += [(f"polar d={d}", d, (T, T.conj().T @ T, T @ T.conj().T), None, "theorem"),
+                      (f"normal d={d}", d, (N, N @ N.conj().T), None, "theorem"),
+                      (f"unitary d={d}", d, (U,), None, "theorem")]
+    X = x_diag()
+    for j in range(3):
+        U = random_unitary(make_rng(7800 + j), 3) if j else np.eye(3)
+        Xc = U @ X @ U.conj().T
+        cases.append(("X,X^2", 3, (Xc, Xc @ Xc), None, "theorem"))
+    cases.append(("X,X^2 probes", 3, (X, X @ X), [X @ X, X + 2.0 * np.eye(3)], "theorem"))
+    shapes = [("X", X)] + [("UXU*", U @ X @ U.conj().T)
+                           for U in (random_unitary(make_rng(1000 + j), 3) for j in range(2))]
+    shapes += [("H", random_hermitian(make_rng(2000 + j), 3)) for j in range(2)]
+    for label, g in shapes:
+        cases += [(label, 3, (g,), None, "spectrum"), (f"a {label} + bI", 3, (-1.5 * g + 0.7 * np.eye(3),),
+                                                        None, "spectrum")]
+    return cases
+
+
+@pytest.mark.parametrize("label, d, gens, probes, basis", _reference_cases())
+def test_reports_match_the_long_way_bit_for_bit(label, d, gens, probes, basis):
+    """Theorem and spectrum reports serialize to the same canonical JSON as
+    the reference built the long way, with plain float and bool row fields
+    and the bits of the identity or pinch-and-mix Choi matrix."""
+    P = uep.UepProblem(d=d, G=gen(d, *gens), probes=probes, seed=7)
+    rep, ref = uep.solve(P), _reference_report(P)
+    assert rep.basis == basis and ref is not None, label
+    assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(ref.to_json(), sort_keys=True), label
+    assert np.array_equal(rep.choi.mat, ref.choi.mat), label
+    for row in rep.deviations:
+        assert type(row.in_algebra) is bool and type(row.projection_residual) is float, label
+
+
+def test_theorem_reports_share_the_identity_choi_matrix():
+    """Two theorem solves in a row give equal reports; both carry the one
+    read-only identity Choi matrix, which the second solve leaves as the
+    first report had it."""
+    T = random_complex(make_rng(7901), 4, 4)
+    P = uep.UepProblem(d=4, G=gen(4, T, T.conj().T @ T, T @ T.conj().T), seed=3)
+    first = uep.solve(P)
+    js, mat = first.to_json(), first.choi.mat.copy()
+    second = uep.solve(P)
+    assert first.basis == second.basis == "theorem"
+    assert second.to_json() == js
+    assert second.choi is first.choi is cpmaps.identity_choi(4)
+    assert not first.choi.mat.flags.writeable
+    assert np.array_equal(first.choi.mat, mat)
