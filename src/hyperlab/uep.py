@@ -62,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -573,13 +574,14 @@ def solve(P: UepProblem) -> UepReport:
     deviations, a certificate, or evidence of uniqueness, as described at
     _search.
     """
-    span, probes, info, membership = _validate(P)
+    span, probes, info, membership, stack = _validate(P)
     return (_theorem_step(P, span, info, membership)
-            or _spectrum_step(P, span, probes, info) or _search(P, probes, info))
+            or _spectrum_step(P, span, probes, info, stack) or _search(P, probes, info))
 
 
 def _validate(P: UepProblem) -> tuple:
-    """Input checks and what the steps share: (span, probes, info, membership).
+    """Input checks and what the steps share: (span, probes, info,
+    membership, stack).
 
     This is the one place a UepProblem is checked.  span is span_C{I, G, G*}
     (_pinned_span), built once for the theorem and spectrum steps; alg =
@@ -589,16 +591,23 @@ def _validate(P: UepProblem) -> tuple:
     info holds one ProbeDeviation row per probe, with its index, projection
     residual and membership, at deviation 0.  The residuals are one
     alg.projection_residual call on the stack, and a probe a lies in C*(G)
-    when its residual is at most MEMBERSHIP_RTOL (1 + ||a||_F).  Raises
-    InvalidInput on a missing generator set, a bad field (a non-integral
-    or boolean d, max_iter, n_witnesses or seed, or a seed outside
-    [0, 2**64)), a shape other than (d, d), or when no probe lies in C*(G).
+    when its residual is at most MEMBERSHIP_RTOL (1 + ||a||_F).  stack is
+    (gens, g0, size): the generators as one (k, d, d) array and their
+    _unit_traceless parts, built here for the theorem's premise and reused
+    by the spectrum step.  Raises InvalidInput on a missing generator set, a
+    bad field (a non-integral or boolean d, max_iter, n_witnesses or seed, a
+    seed outside [0, 2**64), or a tol that is boolean, not a real number,
+    negative or not finite), a shape other than (d, d), or when no probe
+    lies in C*(G).
     """
     if P.G is None:
         raise InvalidInput("solve requires a generator set")
     for name in ("d", "max_iter", "n_witnesses"):
         require_integer(name, getattr(P, name))
     check_seed(P.seed)
+    # A plain float skips the numbers.Real check, as require_integer does for int.
+    if type(P.tol) is not float and (isinstance(P.tol, bool) or not isinstance(P.tol, numbers.Real)):
+        raise InvalidInput(f"tol must be a real number, got {P.tol!r}")
     if not (math.isfinite(P.tol) and P.tol >= 0.0):
         raise InvalidInput(f"tol must be finite and >= 0, got {P.tol}")
     if P.max_iter < 1:
@@ -613,7 +622,7 @@ def _validate(P: UepProblem) -> tuple:
     gens = np.array(P.G.generators)
     span = _pinned_span(gens)
     # The theorem's premise (_theorem_step) picks the one closure of C*(G).
-    g0, _ = _unit_traceless(gens)
+    g0, size = _unit_traceless(gens)
     g0h = g0.conj().swapaxes(-1, -2)
     A = np.concatenate([g0h @ g0, g0 @ g0h])
     premise = span.projection_residual(A).reshape(2, -1).max(axis=0)
@@ -640,7 +649,7 @@ def _validate(P: UepProblem) -> tuple:
             for idx, (r, c) in enumerate(zip(resid.tolist(), cutoff.tolist()))]
     if not any(row.in_algebra for row in info):
         raise InvalidInput("no probe lies in C*(G), so no UEP question is asked")
-    return span, probes, info, membership
+    return span, probes, info, membership, (gens, g0, size)
 
 
 def _pinned_span(gens: np.ndarray) -> opsys.AlgebraBasis:
@@ -767,12 +776,13 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple:
     return x, float(np.linalg.norm(A @ x - b))
 
 
-def _joint_spectrum(gens: np.ndarray):
+def _joint_spectrum(gens: np.ndarray, g0: np.ndarray, size: np.ndarray):
     """The joint spectrum of commuting normal generators: (V, clusters,
     interior), or None.
 
     V is one unitary eigenbasis, from one eigh of a fixed real mix of the
-    Hermitian and anti-Hermitian parts of the g0 (_unit_traceless); it must
+    Hermitian and anti-Hermitian parts of the g0 (g0, size =
+    _unit_traceless(gens), which the caller already holds); it must
     diagonalize every g0 to within the zero level, which holds exactly when
     the generators are normal and commute.  clusters lists the column
     indices of V per joint eigenvalue: columns whose points p (real and
@@ -803,7 +813,6 @@ def _joint_spectrum(gens: np.ndarray):
     eps, over the generators left, stays below 1 / SPECTRUM_GAP.
     """
     d = gens.shape[-1]
-    g0, size = _unit_traceless(gens)
     unit = d * np.finfo(float).eps * linalg.row_norm(gens, axis=(1, 2))  # roundoff of each g
     # A traceless part within its generator's roundoff is 0: that g is a scalar.
     live = size > SPECTRUM_ZERO * unit
@@ -825,19 +834,23 @@ def _joint_spectrum(gens: np.ndarray):
     if np.any((dist > zero) & (dist < gap)):
         return None
     head = np.argmax(dist <= zero, axis=0)  # first column of each column's cluster
-    clusters = [np.flatnonzero(head == h) for h in np.unique(head)]
-    reps = np.array([points[c].mean(axis=0) for c in clusters])
-    extreme = np.zeros(len(clusters), dtype=bool)
-    if len(clusters) > 1:
+    members = {}  # head -> columns, heads ascending as each is its cluster's first column
+    for j, h in enumerate(head.tolist()):
+        members.setdefault(h, []).append(j)
+    clusters = [np.array(cols) for cols in members.values()]
+    n = len(clusters)
+    reps = np.array([points[c[0]] if len(c) == 1 else points[c].mean(axis=0) for c in clusters])
+    extreme = np.zeros(n, dtype=bool)
+    if n > 1:
         proj = np.concatenate([reps, -reps], axis=1)  # e.p_c, one column per direction e
-        t = np.where(np.eye(len(clusters), dtype=bool)[..., None], -np.inf, proj).max(axis=1)
+        t = np.where(np.eye(n, dtype=bool)[..., None], -np.inf, proj).max(axis=1)
         extreme = np.any((proj - t) / np.sqrt(1.0 + t * t) >= 2.0 * gap, axis=1)
+    Q = np.concatenate([reps, np.ones((n, 1))], axis=1)  # row nu: (p_nu, 1)
     interior = {}
-    for c in range(len(clusters)):
-        if extreme[c]:
-            continue
-        others = np.delete(reps, c, axis=0)
-        mu, resid = _nnls(np.vstack([others.T, np.ones(len(others))]), np.append(reps[c], 1.0))
+    for c in np.flatnonzero(~extreme).tolist():
+        # take returns the columns C-ordered; fancy indexing would give F order,
+        # and _nnls's BLAS products may round differently on it.
+        mu, resid = _nnls(Q.T.take([nu for nu in range(n) if nu != c], axis=1), Q[c])
         if zero < resid < gap:
             return None
         if resid <= zero:
@@ -849,22 +862,29 @@ def _pinch_and_mix(V: np.ndarray, clusters: list, c: int, mu: np.ndarray) -> cpm
     """Choi matrix of Phi(x) = sum_{k != c} P_k x P_k + (sum_nu mu_nu
     <e_nu, x e_nu>) P_c, P_k the projection onto the columns of V in
     cluster k and e_nu the first of them (mu over the clusters other than c,
-    in order), from its Kraus operators: the P_k, and sqrt(mu_nu) f e_nu*
-    for each column f of cluster c."""
+    in order), from its Kraus operators K_a: the P_k, and sqrt(mu_nu) f e_nu*
+    for each column f of cluster c.  Each Kraus vector w_a = vec(K_a^T) is
+    added into the matrix as w_a w_a* as soon as it is made, from zeros and
+    in the order above, which is what cpmaps.choi_from_kraus does with that
+    KrausSet, so the bits are the same; the ChoiMatrix checks the sum once."""
     d = len(V)
-    ops = []
+    C = np.zeros((d * d, d * d), dtype=complex)
     for k, m in zip((k for k in range(len(clusters)) if k != c), mu):
         Vk = V[:, clusters[k]]
-        ops.append(Vk @ Vk.conj().T)
+        ops = [Vk @ Vk.conj().T]
         if m > 0.0:
             ops += [np.sqrt(m) * np.outer(f, Vk[:, 0].conj()) for f in V[:, clusters[c]].T]
-    return cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=d, d_out=d, operators=tuple(ops)))
+        for op in ops:
+            w = op.T.reshape(-1)  # w[(i,m)] = K[m,i]
+            C += np.outer(w, w.conj())
+    return cpmaps.ChoiMatrix(d=d, mat=C)
 
 
 def _spectrum_step(P: UepProblem, span: opsys.AlgebraBasis, probes: np.ndarray,
-                   info: list) -> UepReport | None:
+                   info: list, stack: tuple) -> UepReport | None:
     """A report from the joint spectrum of commuting normal generators
-    (basis "spectrum"), or None (_joint_spectrum declines).
+    (basis "spectrum"), or None (_joint_spectrum declines on stack, the
+    generators and their _unit_traceless parts from _validate).
 
     When every joint eigenvalue is an extreme point, Phi = id on C*(G) for
     every feasible Phi, and when every probe lies in C*(G) the report is a
@@ -873,17 +893,19 @@ def _spectrum_step(P: UepProblem, span: opsys.AlgebraBasis, probes: np.ndarray,
     gives a pinch-and-mix map (_pinch_and_mix), which fixes G and moves P_c
     by 1; the report takes the map that moves an in-algebra probe the most
     (the first such cluster on ties), with every probe's operator-norm
-    deviation under it.  Each map measures all its probe deviations in one
-    stacked apply_choi and op_norm call, and the residual over G in one
-    more apply_choi call.  Its largest in-algebra deviation decides as in
-    _search: from 10 tol up, the certificate of that probe, carrying that
-    row's deviation, must pass validate_certificate (which measures it
-    again on its own) to give ViolationFound.  Below 10 tol the status is
-    NonConverged, never Unique-evidence: the map proves that the identity
-    lacks the unique extension property even when the probes barely see it.
+    deviation under it.  Each map moves the probes and the generators in
+    one stacked apply_choi call, and all its probe deviations are one
+    op_norm call on the probes' part; the generators' part gives the
+    chosen map's residual over G.  Each deviation and each moved generator
+    keeps the bits of its own 2-d call.  The largest in-algebra deviation
+    decides as in _search: from 10 tol up, the certificate of that probe,
+    carrying that row's deviation, must pass validate_certificate (which
+    measures it again on its own) to give ViolationFound.  Below 10 tol the
+    status is NonConverged, never Unique-evidence: the map proves that the
+    identity lacks the unique extension property even when the probes
+    barely see it.
     """
-    gens = np.array(P.G.generators)
-    found = _joint_spectrum(gens)
+    found = _joint_spectrum(*stack)
     if found is None:
         return None
     V, clusters, interior = found
@@ -891,17 +913,19 @@ def _spectrum_step(P: UepProblem, span: opsys.AlgebraBasis, probes: np.ndarray,
         if not all(row.in_algebra for row in info):
             return None
         return _identity_report(P, "spectrum", info, span)
-    maps = []  # (largest in-algebra deviation, Choi matrix, rows) per interior cluster
+    gens, k = stack[0], len(probes)
+    A = np.concatenate([probes, gens])
+    maps = []  # (largest in-algebra deviation, Choi matrix, rows, moved G) per interior cluster
     for c, mu in interior.items():
         choi = _pinch_and_mix(V, clusters, c, mu)
-        devs = linalg.op_norm(cpmaps.apply_choi(choi, probes) - probes).tolist()
-        rows = [replace(row, deviation=dev) for row, dev in zip(info, devs)]
-        maps.append((max(p.deviation for p in rows if p.in_algebra), choi, rows))
-    _, choi, deviations = max(maps, key=lambda m: m[0])
+        moved = cpmaps.apply_choi(choi, A) - A
+        rows = [ProbeDeviation(row.index, dev, row.in_algebra, row.projection_residual)
+                for row, dev in zip(info, linalg.op_norm(moved[:k]).tolist())]
+        maps.append((max(p.deviation for p in rows if p.in_algebra), choi, rows, moved[k:]))
+    _, choi, deviations, moved = max(maps, key=lambda m: m[0])
     worst = max((p for p in deviations if p.in_algebra), key=lambda p: p.deviation)
     # Phi fixes G only as well as the hull weights solve p_c = sum mu_nu p_nu,
     # so that residual is measured; its Choi matrix sum_a w_a w_a* is PSD.
-    moved = cpmaps.apply_choi(choi, gens) - gens
     residuals = {"affine": float(np.linalg.norm(moved)), "psd": 0.0}
     certificate = None
     if worst.deviation >= 10.0 * P.tol:
@@ -1066,19 +1090,26 @@ def validate_certificate(cert: ViolationCertificate, P: UepProblem) -> bool:
     """Independent re-check of a violation certificate (no solver state).
 
     The map must be UCP within 1e-7, agree with the identity on G u G*
-    within 1e-7 (one stacked apply_choi and op_norm call), and move the
-    probe by at least 10x both the agreement residual and the problem
-    tolerance, a deviation measured here again that must match the
-    certificate's.
+    within 1e-7, and move the probe by at least 10x both the agreement
+    residual and the problem tolerance, a deviation measured here again
+    that must match the certificate's.  The agreement on G u G* and the
+    probe's deviation are one stacked apply_choi and op_norm call on [G,
+    G*, probe], each keeping the bits of its own 2-d call; the checks run
+    in the order above.  A probe that is not a finite matrix of G's shape
+    raises InvalidInput before the stack is built.
     """
     defects = cpmaps.validate_ucp(cert.choi)
     if defects["cp_defect"] > 1e-7 or defects["unital_defect"] > 1e-7:
         return False
-    S = np.array(P.G.with_adjoints())
-    agreement = float(np.max(linalg.op_norm(cpmaps.apply_choi(cert.choi, S) - S)))
+    probe = linalg.as_matrix(cert.probe)
+    if probe.shape != (P.G.d, P.G.d):
+        raise InvalidInput(f"probe shape {probe.shape} != ({P.G.d}, {P.G.d})")
+    S = np.array(P.G.with_adjoints() + [probe])
+    norms = linalg.op_norm(cpmaps.apply_choi(cert.choi, S) - S)
+    agreement = float(np.max(norms[:-1]))
     if agreement > 1e-7:
         return False
-    dev = linalg.op_norm(cpmaps.apply_choi(cert.choi, cert.probe) - cert.probe)
+    dev = float(norms[-1])
     if abs(dev - cert.deviation) > 1e-6 * (1.0 + dev):
         return False
     return dev >= 10.0 * max(agreement, P.tol)

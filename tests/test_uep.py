@@ -34,13 +34,13 @@ def gen(d, *mats) -> opsys.GeneratorSet:
 
 def search(P: uep.UepProblem) -> uep.UepReport:
     """The search alone, after solve's input checks, without the theorem step."""
-    _, probes, info, _ = uep._validate(P)
+    _, probes, info, _, _ = uep._validate(P)
     return uep._search(P, probes, info)
 
 
 def theorem(P: uep.UepProblem) -> uep.UepReport | None:
     """The theorem step alone, after solve's input checks."""
-    span, _, info, membership = uep._validate(P)
+    span, _, info, membership, _ = uep._validate(P)
     return uep._theorem_step(P, span, info, membership)
 
 
@@ -515,6 +515,53 @@ def test_validate_certificate_rejects_non_cp():
     assert not uep.validate_certificate(cert, P)
 
 
+def test_validate_certificate_rejects_a_map_that_moves_g():
+    """(1 - e) H + e S, H the hand certificate and S the UCP conjugation by
+    the swap of e_0 and e_2, at e = 1e-6: UCP, with X's agreement near
+    2e-6, above the 1e-7 cutoff, while its true probe deviation, near 1,
+    would pass every later check.  The agreement alone rejects it."""
+    X = x_diag()
+    P = uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X])
+    swap = np.eye(3)[[2, 1, 0]].astype(complex)
+    S = cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=3, d_out=3, operators=(swap,)))
+    H = cpmaps.choi_from_kraus(hand_certificate())
+    choi = cpmaps.ChoiMatrix(d=3, mat=(1.0 - 1e-6) * H.mat + 1e-6 * S.mat)
+    defects = cpmaps.validate_ucp(choi)
+    assert defects["cp_defect"] <= 1e-7 and defects["unital_defect"] <= 1e-7
+    agreement = linalg.op_norm(cpmaps.apply_choi(choi, X) - X)
+    dev = linalg.op_norm(cpmaps.apply_choi(choi, X @ X) - X @ X)
+    assert 1e-7 < agreement and dev >= 10.0 * max(agreement, P.tol)
+    cert = uep.ViolationCertificate(choi=choi, probe=X @ X, deviation=dev, residuals={})
+    assert not uep.validate_certificate(cert, P)
+    passing = uep.ViolationCertificate(choi=H, probe=X @ X, deviation=1.0, residuals={})
+    assert uep.validate_certificate(passing, P)
+
+
+def test_validate_certificate_rejects_a_wrong_deviation_and_a_small_one():
+    """The certificate of solve on X passes as reported, fails with its
+    deviation off by 1e-3, and fails at tol = 0.2, where its deviation of
+    about 1.225 lies below 10 tol."""
+    X = x_diag()
+    P = uep.UepProblem(d=3, G=gen(3, X), seed=7)
+    cert = uep.solve(P).certificate
+    assert uep.validate_certificate(cert, P)
+    assert 1.0 < cert.deviation < 2.0
+    off = replace(cert, deviation=cert.deviation + 1e-3)
+    assert not uep.validate_certificate(off, P)
+    assert not uep.validate_certificate(cert, replace(P, tol=0.2))
+
+
+@pytest.mark.parametrize("probe", [np.eye(2), np.diag([0.0, np.nan, 2.0])])
+def test_validate_certificate_rejects_a_malformed_probe(probe):
+    """A probe of the wrong shape or with a NaN raises InvalidInput."""
+    X = x_diag()
+    P = uep.UepProblem(d=3, G=gen(3, X), probes=[X @ X])
+    cert = uep.ViolationCertificate(choi=cpmaps.choi_from_kraus(hand_certificate()), probe=probe,
+                                    deviation=1.0, residuals={})
+    with pytest.raises(InvalidInput):
+        uep.validate_certificate(cert, P)
+
+
 def test_solve_is_deterministic():
     X = x_diag()
     P = uep.UepProblem(d=3, G=gen(3, X, X @ X), probes=[X @ X @ X], seed=5, n_witnesses=2)
@@ -979,6 +1026,7 @@ def test_scalar_problem_is_unique():
     ("seed", -1), ("seed", 2 ** 64),
     ("max_iter", 2.5), ("max_iter", True), ("n_witnesses", 1.5), ("n_witnesses", True),
     ("d", 3.0), ("seed", 2.5),
+    ("tol", True), ("tol", "1e-7"), ("tol", None), ("tol", 1e-7 + 0j), ("tol", np.True_),
 ])
 def test_solve_rejects_bad_inputs(field, value):
     X = x_diag()
@@ -986,6 +1034,20 @@ def test_solve_rejects_bad_inputs(field, value):
     setattr(P, field, value)
     with pytest.raises(InvalidInput):
         uep.solve(P)
+
+
+def test_solve_takes_numpy_and_integer_tol():
+    """A numpy float or an int tol is a real number.  At np.float64 the
+    report is the one of the plain float; np.float32 and int tols decide
+    X as the plain float of the same value does."""
+    X = x_diag()
+    P = uep.UepProblem(d=3, G=gen(3, X), seed=1)
+    want = json.dumps(uep.solve(P).to_json(), sort_keys=True)
+    assert json.dumps(uep.solve(replace(P, tol=np.float64(1e-7))).to_json(), sort_keys=True) == want
+    for tol in (np.float32(0.5), 0, 1):
+        rep, ref = uep.solve(replace(P, tol=tol)), uep.solve(replace(P, tol=float(tol)))
+        assert rep.status == ref.status, tol
+        assert [p.deviation for p in rep.deviations] == [p.deviation for p in ref.deviations], tol
 
 
 def test_schwarz_pinning_check():
@@ -1231,8 +1293,13 @@ def test_theorem_step_needs_the_passing_generators_to_generate_c_star():
 
 def spectrum(P: uep.UepProblem) -> uep.UepReport | None:
     """The spectrum step alone, after solve's input checks."""
-    span, probes, info, _ = uep._validate(P)
-    return uep._spectrum_step(P, span, probes, info)
+    span, probes, info, _, stack = uep._validate(P)
+    return uep._spectrum_step(P, span, probes, info, stack)
+
+
+def joint_spectrum(gens: np.ndarray):
+    """_joint_spectrum of a generator stack with its own _unit_traceless."""
+    return uep._joint_spectrum(gens, *uep._unit_traceless(gens))
 
 
 def _commutative_grid() -> list:
@@ -1268,20 +1335,35 @@ def test_spectrum_agrees_with_the_search():
     assert statuses == {"Unique-evidence", "ViolationFound"}
 
 
+def _reference_pinch_and_mix(V: np.ndarray, clusters: list, c: int, mu: np.ndarray) -> cpmaps.ChoiMatrix:
+    """cpmaps.choi_from_kraus of the KrausSet that _pinch_and_mix's docstring
+    names: P_k = V_k V_k* for each cluster k != c, in order, each followed,
+    when mu_k > 0, by sqrt(mu_k) f e_k* for each column f of cluster c."""
+    ops = []
+    for k, m in zip([k for k in range(len(clusters)) if k != c], mu):
+        Vk = V[:, clusters[k]]
+        ops.append(Vk @ Vk.conj().T)
+        if m > 0.0:
+            ops += [np.sqrt(m) * np.outer(f, Vk[:, 0].conj()) for f in V[:, clusters[c]].T]
+    return cpmaps.choi_from_kraus(cpmaps.KrausSet(d_in=len(V), d_out=len(V), operators=tuple(ops)))
+
+
 def test_interior_maps_move_their_projection_by_one():
     """Every interior joint eigenvalue's pinch-and-mix map is UCP, fixes G
     and moves its spectral projection P_lambda by 1 within 1e-9: on the
     grid, on X and on the two d = 5 {H, H^3} sets of the search's wrong
-    Unique-evidence."""
+    Unique-evidence.  Each has the bits of its Kraus set's
+    cpmaps.choi_from_kraus."""
     sets = [(d, gens) for _, d, gens in _commutative_grid()] + [(3, (x_diag(),))]
     for k in (9051, 20105):
         H = random_hermitian(make_rng(k), 5)
         sets.append((5, (H, H @ H @ H)))
     maps = 0
     for d, gens in sets:
-        V, clusters, interior = uep._joint_spectrum(np.array(gens, dtype=complex))
+        V, clusters, interior = joint_spectrum(np.array(gens, dtype=complex))
         for c, mu in interior.items():
             choi = uep._pinch_and_mix(V, clusters, c, mu)
+            assert choi.mat.tobytes() == _reference_pinch_and_mix(V, clusters, c, mu).mat.tobytes()
             proj = V[:, clusters[c]] @ V[:, clusters[c]].conj().T
             assert abs(linalg.op_norm(cpmaps.apply_choi(choi, proj) - proj) - 1.0) <= 1e-9
             defects = cpmaps.validate_ucp(choi)
@@ -1295,7 +1377,7 @@ def test_interior_maps_move_their_projection_by_one():
 def test_x_hull_weights_are_one_half():
     """X = diag(0, 1, 2) has one interior joint eigenvalue, 1 = (0 + 2)/2:
     mu = (1/2, 1/2), and its map is suite's hand certificate."""
-    V, clusters, interior = uep._joint_spectrum(x_diag()[None])
+    V, clusters, interior = joint_spectrum(x_diag()[None])
     assert len(clusters) == 3 and list(interior) == [1]
     assert np.allclose(interior[1], [0.5, 0.5], rtol=0, atol=1e-12)
     choi = uep._pinch_and_mix(V, clusters, 1, interior[1])
@@ -1326,7 +1408,7 @@ def test_spectrum_step_declines_off_commuting_normal_sets():
     T = random_complex(rng, 3, 3)
     X = x_diag()
     for gens in ((A, B), (T,), (X, np.eye(3) + 1e-13 * X)):
-        assert uep._joint_spectrum(np.array(gens)) is None
+        assert joint_spectrum(np.array(gens)) is None
         assert spectrum(uep.UepProblem(d=3, G=gen(3, *gens))) is None
 
 
@@ -1480,7 +1562,7 @@ def test_hull_bound_matches_every_cluster_nnls(monkeypatch):
         gens = np.array(gens, dtype=complex)
         ref = _joint_spectrum_every_cluster(gens)
         calls.clear()
-        got = uep._joint_spectrum(gens)
+        got = joint_spectrum(gens)
         if want_calls is not None:
             assert len(calls) == want_calls, label
         assert (got is None) == (ref is None), label
@@ -1494,7 +1576,7 @@ def test_hull_bound_matches_every_cluster_nnls(monkeypatch):
         for c, mu in interior.items():
             assert mu.tobytes() == interior_ref[c].tobytes(), label
         interior_seen += len(interior)
-    assert uep._joint_spectrum(offset_midpoint()[None]) is None
+    assert joint_spectrum(offset_midpoint()[None]) is None
     assert interior_seen >= 10
 
 
@@ -1506,7 +1588,7 @@ def test_spectrum_deviations_are_the_per_probe_norms():
     for d, gens in ((3, (x_diag(),)), (5, (tied_square(),)), (5, (H, H @ H @ H)),
                     (4, (random_hermitian(make_rng(9604), 4),))):
         P = uep.UepProblem(d=d, G=gen(d, *gens), seed=7)
-        _, probes, _, _ = uep._validate(P)
+        _, probes, _, _, _ = uep._validate(P)
         rep = spectrum(P)
         assert (rep.status, rep.basis) == ("ViolationFound", "spectrum")
         for row in rep.deviations:
@@ -1570,8 +1652,8 @@ def _reference_report(P: uep.UepProblem) -> uep.UepReport | None:
     """The theorem or spectrum report of P, the long way: _validate's rows
     from np.linalg.norm with float() and bool() per element, the identity
     report with a fresh ChoiMatrix, and the spectrum step on
-    _joint_spectrum_every_cluster with one apply_choi and op_norm call per
-    probe; None where solve would search."""
+    _joint_spectrum_every_cluster with _reference_pinch_and_mix and one
+    apply_choi and op_norm call per probe; None where solve would search."""
     d = P.d
     gens = np.array(P.G.generators)
     S = np.concatenate([np.eye(d)[None], gens, gens.conj().swapaxes(-1, -2)]).reshape(-1, d * d)
@@ -1605,7 +1687,7 @@ def _reference_report(P: uep.UepProblem) -> uep.UepReport | None:
         return _reference_identity(P, "spectrum", info, span) if inside else None
     maps = []
     for c, mu in interior.items():
-        choi = uep._pinch_and_mix(V, clusters, c, mu)
+        choi = _reference_pinch_and_mix(V, clusters, c, mu)
         rows = [replace(row, deviation=linalg.op_norm(cpmaps.apply_choi(choi, probes[row.index])
                                                       - probes[row.index])) for row in info]
         maps.append((max(p.deviation for p in rows if p.in_algebra), choi, rows))
