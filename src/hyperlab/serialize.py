@@ -27,12 +27,19 @@ def matrix_to_literal(A) -> list:
 
 
 def literal_to_matrix(lit) -> np.ndarray:
+    """The complex matrix of an [re, im] literal.  Every entry must be a
+    number: float() would also read a string such as "1e3" and a boolean,
+    so both are rejected.  One scan of the entry types does it, as the dtype
+    numpy infers misses a boolean among numbers."""
     try:
         arr = np.asarray(lit, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"bad matrix literal: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InvalidInput(f"matrix literal must be rows x cols x [re,im], got shape {arr.shape}")
+    bad = {type(x) for row in lit for pair in row for x in pair} & {str, bool}
+    if bad:
+        raise InvalidInput(f"matrix literal entries must be numbers, got {sorted(t.__name__ for t in bad)}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("matrix literal has non-finite entries")
     return arr[:, :, 0] + 1j * arr[:, :, 1]

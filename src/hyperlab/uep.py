@@ -8,7 +8,9 @@ and gg* lie in span{I, G, G*}, every feasible Phi has
 Phi(g*g) = Phi(g)*Phi(g) and Phi(gg*) = Phi(g)Phi(g)*, so g lies in the
 multiplicative domain of Phi, where Phi is a *-homomorphism fixing g.
 When such generators generate C*(G), Phi = id on C*(G) and solve reports
-Unique-evidence with basis "theorem", having built no face.
+Unique-evidence with basis "theorem", having built no face; C*(G) is then
+read from one eigh of a generic element when it is M_d or a diagonal
+algebra (_eigh_algebra), and closed by words otherwise.
 
 Commuting normal generators are next decided from their joint spectrum
 (basis "spectrum"; Arveson 2011, Phelps 2001): C*(G) is the span of the
@@ -585,8 +587,11 @@ def _validate(P: UepProblem) -> tuple:
 
     This is the one place a UepProblem is checked.  span is span_C{I, G, G*}
     (_pinned_span), built once for the theorem and spectrum steps; alg =
-    C*(G) is closed once (opsys.generate_algebra), and membership is the
-    theorem's decision (see _theorem_step), None when it declines; probes
+    C*(G), and membership is the theorem's decision (see _theorem_step),
+    None when it declines.  When the theorem holds, alg is C*(passing),
+    read by _eigh_algebra where it answers; otherwise words are closed
+    (opsys.generate_algebra), the passing generators' when some pass and
+    then, unless their algebra proves the theorem, G's; probes
     are P.probes, or the basis of alg when None, as one (k, d, d) stack;
     info holds one ProbeDeviation row per probe, with its index, projection
     residual and membership, at deviation 0.  The residuals are one
@@ -621,18 +626,24 @@ def _validate(P: UepProblem) -> tuple:
         raise InvalidInput(f"pinned element shape ({P.G.d}, {P.G.d}) != ({d}, {d})")
     gens = np.array(P.G.generators)
     span = _pinned_span(gens)
-    # The theorem's premise (_theorem_step) picks the one closure of C*(G).
+    # The theorem's premise (_theorem_step) picks how C*(G) is built.
     g0, size = _unit_traceless(gens)
     g0h = g0.conj().swapaxes(-1, -2)
     A = np.concatenate([g0h @ g0, g0 @ g0h])
     premise = span.projection_residual(A).reshape(2, -1).max(axis=0)
     held = premise <= MEMBERSHIP_RTOL
-    proved, alg = held.all(), None
-    if held.any() and not proved:
-        alg = opsys.generate_algebra(opsys.GeneratorSet(d=d, generators=tuple(gens[held])))
-        proved = np.all(alg.projection_residual(g0[~held]) <= MEMBERSHIP_RTOL)
-    if not proved or alg is None:
-        alg = opsys.generate_algebra(P.G)
+    # C*(passing) is C*(G) when it holds the g0 of the others.  It is read
+    # from one eigh where that proves the theorem; otherwise words are closed.
+    alg = _eigh_algebra(gens[held], g0[held], size[held]) if held.any() else None
+    proved = alg is not None and (
+        held.all() or np.all(alg.projection_residual(g0[~held]) <= MEMBERSHIP_RTOL))
+    if not proved:
+        proved, alg = held.all(), None
+        if held.any() and not proved:
+            alg = opsys.generate_algebra(opsys.GeneratorSet(d=d, generators=tuple(gens[held])))
+            proved = np.all(alg.projection_residual(g0[~held]) <= MEMBERSHIP_RTOL)
+        if not proved or alg is None:
+            alg = opsys.generate_algebra(P.G)
     membership = {"residual": float(np.max(premise[held])), "cutoff": MEMBERSHIP_RTOL} if proved else None
 
     if P.probes is None:
@@ -686,7 +697,7 @@ def _theorem_step(P: UepProblem, span: opsys.AlgebraBasis, info: list,
     generators.  That algebra is C*(G) when every generator passes, and
     otherwise exactly when it holds the g0 of every other generator within
     MEMBERSHIP_RTOL (then C*(passing) is in C*(G), which is in
-    C*(passing)); _validate decides this while closing C*(G) and passes
+    C*(passing)); _validate decides this while it builds C*(G) and passes
     membership, the largest passing residual and its cutoff, or None.
     When it is set and every probe lies in C*(G), the answer is proved, and
     _validate's rows (deviation 0) are the report's deviations.  Testing g0
@@ -739,9 +750,9 @@ SPECTRUM_MIX_KEY = 0x5BEC
 
 @functools.lru_cache(maxsize=None)
 def _mix_weights(n: int) -> np.ndarray:
-    """The first n draws of the SPECTRUM_MIX_KEY stream, drawn once per n
-    (read-only, as every caller shares them)."""
-    w = make_rng(SPECTRUM_MIX_KEY).standard_normal(n)
+    """The first n draws of the SPECTRUM_MIX_KEY stream as one (1, n) row,
+    drawn once per n (read-only, as every caller shares them)."""
+    w = make_rng(SPECTRUM_MIX_KEY).standard_normal((1, n))
     w.flags.writeable = False
     return w
 
@@ -776,22 +787,95 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple:
     return x, float(np.linalg.norm(A @ x - b))
 
 
+def _mix_eigh(gens: np.ndarray, g0: np.ndarray, size: np.ndarray):
+    """What _joint_spectrum and _eigh_algebra read the generators from:
+    (w, V, D, zero, gap), or None when a generator's traceless part lies
+    between the levels.
+
+    g0, size = _unit_traceless(gens).  A traceless part at most at the zero
+    level, relative to d u ||g||_F, is 0: that g is a scalar and is left out
+    (it adds nothing to C*(G)).  w, V is the eigh of a fixed real mix of the
+    Hermitian and anti-Hermitian parts of the other g0, D the stack V* g0 V
+    of those g0, and zero, gap the two levels at their eps (see
+    SPECTRUM_ZERO), which stays below 1 / SPECTRUM_GAP.
+    """
+    d = gens.shape[-1]
+    unit = d * np.finfo(float).eps * linalg.row_norm(gens, axis=(1, 2))  # roundoff of each g
+    live = size > SPECTRUM_ZERO * unit
+    if np.any(live & (size < SPECTRUM_GAP * unit)):
+        return None
+    g0 = g0[live]
+    eps = np.max(unit[live] / size[live], initial=0.0)
+    g0h = g0.conj().swapaxes(-1, -2)
+    parts = np.concatenate([g0 + g0h, (g0 - g0h) / 1j]) / 2.0
+    # np.tensordot(weights, parts, axes=1) is this one dot, without its set-up.
+    mix = np.dot(_mix_weights(len(parts)), parts.reshape(len(parts), d * d)).reshape(d, d)
+    w, V = np.linalg.eigh(mix)
+    return w, V, V.conj().T @ g0 @ V, SPECTRUM_ZERO * eps, SPECTRUM_GAP * eps
+
+
+def _eigh_algebra(gens: np.ndarray, g0: np.ndarray, size: np.ndarray) -> opsys.AlgebraBasis | None:
+    """C*(S) of the (k, d, d) stack gens, read from _mix_eigh, or None.
+
+    When the mix h has a simple spectrum (every step between its
+    eigenvalues above the zero level and at least at the gap level), each
+    v_i v_i* is a spectral projection of h, which lies in C*(S), and
+    v_i v_i* g v_j v_j* = (V* g V)_ij v_i v_j*.  So when every coupling
+    max_g |D_ij| + |D_ji| (i != j) is at least at the gap level, C*(S)
+    holds every matrix unit v_i v_j* and is M_d, whose basis is the
+    standard matrix units (_matrix_units); when every coupling is at most
+    at the zero level, every D is diagonal and C*(S) is the diagonal
+    algebra, with basis {v_i v_i*} (Murota, Kanno, Kojima & Kojima 2010;
+    Burnside's theorem).
+    Anything else (a repeated eigenvalue, a step or coupling between the
+    levels, couplings that are 0 for some pairs) gives None, and the caller
+    closes words (opsys.generate_algebra).
+    """
+    found = _mix_eigh(gens, g0, size)
+    if found is None:
+        return None
+    w, V, D, zero, gap = found
+    step = (w[1:] - w[:-1]).min(initial=np.inf)
+    if not (step > zero and step >= gap):
+        return None
+    d = len(V)
+    A = np.abs(D)
+    coupling = (A + A.swapaxes(-1, -2)).max(axis=0, initial=0.0)
+    np.fill_diagonal(coupling, np.inf)
+    if coupling.min() >= gap:
+        return opsys.AlgebraBasis(d=d, basis=_matrix_units(d))
+    np.fill_diagonal(coupling, 0.0)
+    if coupling.max() <= zero:
+        return opsys.AlgebraBasis(d=d, basis=V.T[:, :, None] * V.T.conj()[:, None, :])
+    return None
+
+
+# A few dimensions at a time: each entry holds d^4 complex numbers.
+@functools.lru_cache(maxsize=8)
+def _matrix_units(d: int) -> np.ndarray:
+    """The standard matrix units E_ij of M_d as one (d^2, d, d) stack, built
+    once per d and shared, so only ever read; a projection onto their span
+    returns its input exactly, so every residual against it is 0.0."""
+    E = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    E.flags.writeable = False
+    return E
+
+
 def _joint_spectrum(gens: np.ndarray, g0: np.ndarray, size: np.ndarray):
     """The joint spectrum of commuting normal generators: (V, clusters,
     interior), or None.
 
-    V is one unitary eigenbasis, from one eigh of a fixed real mix of the
-    Hermitian and anti-Hermitian parts of the g0 (g0, size =
-    _unit_traceless(gens), which the caller already holds); it must
-    diagonalize every g0 to within the zero level, which holds exactly when
-    the generators are normal and commute.  clusters lists the column
-    indices of V per joint eigenvalue: columns whose points p (real and
-    imaginary parts of the diagonal entries of V* g0 V) lie within the
-    zero level of each other.  interior maps a cluster index c to the
-    weights mu over the other clusters (in order, summing to 1) with
-    p_c = sum mu_nu p_nu: one NNLS of b = (p_c, 1) against the columns
-    (p_nu, 1), its residual read as 0 at or below the zero level and as
-    positive at or above the gap level (see SPECTRUM_ZERO).
+    V is the eigenbasis of _mix_eigh (g0, size = _unit_traceless(gens),
+    which the caller already holds); it must diagonalize every g0 to within
+    the zero level, which holds exactly when the generators are normal and
+    commute.  clusters lists the column indices of V per joint eigenvalue:
+    columns whose points p (real and imaginary parts of the diagonal
+    entries of V* g0 V) lie within the zero level of each other.  interior
+    maps a cluster index c to the weights mu over the other clusters (in
+    order, summing to 1) with p_c = sum mu_nu p_nu: one NNLS of b =
+    (p_c, 1) against the columns (p_nu, 1), its residual read as 0 at or
+    below the zero level and as positive at or above the gap level (see
+    SPECTRUM_ZERO).
 
     A hull bound spares the NNLS of clusters it proves extreme.  For a
     coordinate direction e (each axis, both signs) let t be the largest
@@ -803,29 +887,16 @@ def _joint_spectrum(gens: np.ndarray, g0: np.ndarray, size: np.ndarray):
     a vertex that ties another on each axis too, runs its NNLS, so the
     result is that of an NNLS for every cluster, bit for bit.
 
-    None when a generator is not normal, they do not commute, or a
-    residual or a distance between points lies between the two levels
-    (gap >= 2 zero, so points within the zero level of each other form
-    classes).  The same two levels, relative
-    to d u ||g||_F, first sort each generator: a traceless part at most at
-    the zero level is 0, so that g is a scalar and is left out (it adds
-    nothing to C*(G)); one between the levels makes the step decline.  So
-    eps, over the generators left, stays below 1 / SPECTRUM_GAP.
+    None when _mix_eigh declines, a generator is not normal, they do not
+    commute, or a residual or a distance between points lies between the
+    two levels (gap >= 2 zero, so points within the zero level of each
+    other form classes).
     """
-    d = gens.shape[-1]
-    unit = d * np.finfo(float).eps * linalg.row_norm(gens, axis=(1, 2))  # roundoff of each g
-    # A traceless part within its generator's roundoff is 0: that g is a scalar.
-    live = size > SPECTRUM_ZERO * unit
-    if np.any(live & (size < SPECTRUM_GAP * unit)):
+    found = _mix_eigh(gens, g0, size)
+    if found is None:
         return None
-    g0 = g0[live]
-    eps = np.max(unit[live] / size[live], initial=0.0)
-    zero, gap = SPECTRUM_ZERO * eps, SPECTRUM_GAP * eps
-    g0h = g0.conj().swapaxes(-1, -2)
-    parts = np.concatenate([g0 + g0h, (g0 - g0h) / 1j]) / 2.0
-    mix = np.tensordot(_mix_weights(len(parts)), parts, axes=1)
-    _, V = np.linalg.eigh(mix)
-    D = V.conj().T @ g0 @ V
+    _, V, D, zero, gap = found
+    d = len(V)
     z = np.diagonal(D, axis1=1, axis2=2)
     if np.linalg.norm(D - z[..., None] * np.eye(d)) > zero:
         return None

@@ -209,6 +209,10 @@ def test_missing_config_exits_2(capsys):
     ({}, ["--tol", "nan"], "tol"),
     ({"probes": [[[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]]},
      [], "no probe lies in C*(G)"),
+    ({"probes": [[[["1", 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]]},
+     [], "matrix literal entries must be numbers, got ['str']"),
+    ({"probes": [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [True, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]]},
+     [], "matrix literal entries must be numbers, got ['bool']"),
 ])
 def test_uep_search_bad_input_exits_2(tmp_path, capsys, extra, argv, message):
     cfg = write(tmp_path, "x.json", {"d": 3, "generators": [diag3(0, 1, 2)], **extra})

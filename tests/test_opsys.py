@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hyperlab import linalg, opsys
+from hyperlab import linalg, opsys, uep
 from hyperlab.errors import InvalidInput
 from hyperlab.rng import (make_rng, random_complex, random_hermitian, random_normal_matrix,
                           random_unitary)
@@ -199,6 +199,53 @@ def test_bases_match_list_reference(d):
             B, R = com.basis.reshape(com.dim, -1), ref.reshape(len(ref), -1)
             assert B.shape == R.shape, name
             assert np.allclose(B.T @ B.conj(), R.T @ R.conj(), rtol=0, atol=1e-12), name
+
+
+def _structure_cases(d):
+    """_basis_cases, {X, X^2} (X = diag(0, .., d - 1)) and a unitary conjugate,
+    and {H, H^3}, each also as a g - 0.3 I (a = -1.7) and reordered."""
+    rng = make_rng(7100 + d)
+    X = np.diag(np.arange(d)).astype(complex)
+    U, H = random_unitary(rng, d), random_hermitian(rng, d)
+    Xc = U @ X @ U.conj().T
+    cases = dict(_basis_cases(d), **{"X,X^2": (X, X @ X), "UXU*": (Xc, Xc @ Xc), "H,H^3": (H, H @ H @ H)})
+    for name, gens in list(cases.items()):
+        cases["affine " + name] = tuple(-1.7 * g + 0.3 * np.eye(d) for g in gens)
+        cases["reordered " + name] = gens[::-1]
+    return cases
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_eigh_algebra_matches_word_closure(d):
+    """Wherever uep._eigh_algebra answers, it reads C*(S) with the dimension
+    of generate_algebra, each basis within 1e-12 of the other's span and
+    rows orthonormal within 1e-13, and an answer of M_d comes with a trivial
+    commutant (Burnside).  It answers on every set here with a simple
+    generic element and declines on the repeated diagonal D alone.  On
+    {H, H^3} the word closure itself drifts by up to about 1e-12 off C*(H)
+    (1.02e-12 on the reordered set at d = 5), so there the step's basis is
+    held to 1e-13 of the eigenprojections of H and the closure to 1e-11."""
+    for name, gens in _structure_cases(d).items():
+        S = np.array(gens)
+        alg = uep._eigh_algebra(S, *uep._unit_traceless(S))
+        assert (alg is None) == name.endswith("repeated-diagonal"), name
+        if alg is None:
+            continue
+        G = opsys.GeneratorSet(d=d, generators=gens)
+        ref = opsys.generate_algebra(G)
+        assert alg.basis.shape == (ref.dim, d, d), name
+        tol = 1e-12
+        if "H^3" in name:
+            tol = 1e-11
+            Q = np.linalg.eigh(gens[0])[1]  # H^3 has the eigenvectors of H
+            eig = opsys.AlgebraBasis(d=d, basis=np.array([np.outer(q, q.conj()) for q in Q.T]))
+            assert np.max(eig.projection_residual(alg.basis)) <= 1e-13, name
+        assert np.max(ref.projection_residual(alg.basis)) <= tol, name
+        assert np.max(alg.projection_residual(ref.basis)) <= tol, name
+        rows = alg.basis.reshape(alg.dim, -1)
+        assert np.allclose(rows.conj() @ rows.T, np.eye(alg.dim), rtol=0, atol=1e-13), name
+        if alg.dim == d * d:
+            assert opsys.is_irreducible(G), name
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,24 @@ def test_literal_shape_and_finite_validation():
         literal_to_matrix([[[float("nan"), 0.0]]])
     with pytest.raises(InvalidInput):
         matrix_to_literal(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("lit, kinds", [
+    ([[["1", "0"]]], "['str']"),
+    ([[[True, False]]], "['bool']"),
+    ([[["1e3", " 2 "]]], "['str']"),
+    ([[[1.0, 0.0], [0.0, True]]], "['bool']"),
+    ([[[1, "2"], [False, 0.5]]], "['bool', 'str']"),
+])
+def test_literal_entries_must_be_numbers(lit, kinds):
+    """float() reads "1e3", " 2 " and True as numbers; a literal takes JSON
+    numbers only, also where one boolean sits among numbers."""
+    with pytest.raises(InvalidInput, match=re.escape(kinds)):
+        literal_to_matrix(lit)
+
+
+def test_literal_ints_and_floats_mix():
+    assert np.array_equal(literal_to_matrix([[[1, 2.5], [0, -3]]]), np.array([[1 + 2.5j, -3j]]))
 
 
 def test_matrix_literal_matches_the_elementwise_form():

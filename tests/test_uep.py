@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -1169,21 +1170,22 @@ def test_early_exit_agrees_with_the_full_closure():
 
 
 def test_each_solve_closes_c_star_once(monkeypatch):
-    """A solve closes C*(G) once when every generator passes the theorem's
-    span test, or when the passing ones generate C*(G): polar {T, T*T, TT*}
-    at d = 3, 4, 5 (T passes, and T*T, TT* lie in C*(T)), the d = 5 normal
-    {N, NN*} of make_rng(500), {U} and {X, X^2}.  A partly passing set that
-    declines closes the passing generators, then G: {X, 2I}, and {U, H} at
-    d = 3, where U passes and H lies outside C*(U)."""
+    """A solve the theorem proves closes no words: C*(passing) is read from
+    one eigh (uep._eigh_algebra) for polar {T, T*T, TT*} at d = 3, 4, 5 (T
+    passes, and C*(T) = M_d holds T*T, TT*), the d = 5 normal {N, NN*} of
+    make_rng(500), {U} and {X, X^2} (diagonal algebras).  A partly passing
+    set that declines closes the passing generators, then G: {X, 2I} (C*(2I)
+    has no simple generic element), and {U, H} at d = 3, where U passes and
+    H lies outside C*(U)."""
     cases = []  # (d, G, closures started, basis)
     for d in (3, 4, 5):
         T = random_complex(make_rng(7500 + d), d, d)
-        cases.append((d, (T, T.conj().T @ T, T @ T.conj().T), 1, "theorem"))
+        cases.append((d, (T, T.conj().T @ T, T @ T.conj().T), 0, "theorem"))
     X = x_diag()
     N = random_normal_matrix(make_rng(500), 5)
     U3, H3 = random_unitary(make_rng(3), 3), random_hermitian(make_rng(103), 3)
-    cases += [(5, (N, N @ N.conj().T), 1, "theorem"), (3, (U3,), 1, "theorem"),
-              (3, (X, X @ X), 1, "theorem"), (3, (X, 2.0 * np.eye(3)), 2, "spectrum"),
+    cases += [(5, (N, N @ N.conj().T), 0, "theorem"), (3, (U3,), 0, "theorem"),
+              (3, (X, X @ X), 0, "theorem"), (3, (X, 2.0 * np.eye(3)), 2, "spectrum"),
               (3, (U3, H3), 2, "search")]
     starts = []  # one flag per opsys._mgs_extend call: k == 0 starts a closure
     extend = opsys._mgs_extend
@@ -1197,6 +1199,72 @@ def test_each_solve_closes_c_star_once(monkeypatch):
         starts.clear()
         rep = uep.solve(uep.UepProblem(d=d, G=gen(d, *gens), seed=7, n_witnesses=2))
         assert (sum(starts), rep.basis) == (closures, basis), (d, len(gens))
+
+
+def _eigh_decline_sets():
+    """Sets without a simple generic element: polar A2 + A2 (A2 =
+    random_complex(make_rng(61), 2, 2)) and diag(0, 1, 1), which pass the
+    theorem's premise, and the near-scalar U(I + 1e-9 diag(0, 1, 1, 2))U*,
+    which does not."""
+    A = np.kron(np.eye(2), random_complex(make_rng(61), 2, 2))
+    yield pytest.param(4, (A, A.conj().T @ A, A @ A.conj().T), True, id="A2+A2")
+    yield pytest.param(3, (np.diag([0.0, 1.0, 1.0]),), True, id="diag(0,1,1)")
+    yield pytest.param(4, (_near_scalar(1.0, 1e-9),), False, id="near-scalar")
+
+
+@pytest.mark.parametrize("d, gens, premise", _eigh_decline_sets())
+def test_eigh_algebra_declines_to_the_closure_report(monkeypatch, d, gens, premise):
+    """Where uep._eigh_algebra sees no simple generic element it declines,
+    and the report is byte for byte the one of the word-closure path (the
+    step replaced by one that always declines)."""
+    S = np.array(gens, dtype=complex)
+    assert uep._eigh_algebra(S, *uep._unit_traceless(S)) is None
+    P = uep.UepProblem(d=d, G=gen(d, *gens), seed=7, n_witnesses=2)
+    answers = []
+    step = uep._eigh_algebra
+
+    def spy(*args):
+        answers.append(step(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(uep, "_eigh_algebra", spy)
+    rep = uep.solve(P)
+    assert answers == ([None] if premise else [])
+    monkeypatch.setattr(uep, "_eigh_algebra", lambda *args: None)
+    assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(uep.solve(P).to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("gens", [(np.zeros((3, 3)),), (2.0 * np.eye(3),), (np.zeros((3, 3)), np.eye(3)),
+                                  (np.array([[5.0]]),), (np.array([[0.0]]), np.array([[1j]]))])
+def test_solve_scalar_sets_raise_no_warning(gens):
+    """Zero, scalar and d = 1 sets pass the theorem with no live generator:
+    the mix is 0, so at d > 1 its repeated eigenvalue declines to the
+    closure, and at d = 1 C*(G) = M_1; no RuntimeWarning on the way."""
+    d = len(gens[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = uep.solve(uep.UepProblem(d=d, G=gen(d, *gens), seed=7))
+    assert (rep.status, rep.basis, len(rep.deviations)) == ("Unique-evidence", "theorem", 1)
+
+
+@pytest.mark.parametrize("d, key", [(18, 2802), (18, 2804), (20, 3000), (24, 1024)])
+def test_hermitian_square_reads_d_probes(d, key):
+    """ROADMAP item 17 on the theorem path: C*(H, H^2) of a random Hermitian
+    H is C*(H), of dimension d, read from one eigh, where word closure
+    reads 320 to 574 dimensions at these draws (H =
+    random_hermitian(make_rng(key), d))."""
+    H = random_hermitian(make_rng(key), d)
+    rep = uep.solve(uep.UepProblem(d=d, G=gen(d, H, H @ H), seed=7))
+    assert (rep.status, rep.basis, rep.iterations, len(rep.deviations)) == ("Unique-evidence", "theorem", 0, d)
+
+
+def test_polar_d24_reads_m_d():
+    """{T, T*T, TT*} at d = 24 (T = random_complex(make_rng(24), 24, 24)):
+    C*(T) = M_24, 576 default probes, each at residual 0."""
+    T = random_complex(make_rng(24), 24, 24)
+    rep = uep.solve(uep.UepProblem(d=24, G=gen(24, T, T.conj().T @ T, T @ T.conj().T), seed=7))
+    assert (rep.status, rep.basis, len(rep.deviations)) == ("Unique-evidence", "theorem", 576)
+    assert all(row.projection_residual == 0.0 for row in rep.deviations)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -1468,9 +1536,9 @@ def test_nnls_hull_weights_of_x():
     assert resid <= 1e-15
 
 
-def _joint_spectrum_every_cluster(gens: np.ndarray):
-    """_joint_spectrum without its hull bound, one NNLS for every cluster:
-    the reference the bound must reproduce bit for bit."""
+def _reference_mix_eigh(gens: np.ndarray):
+    """uep._mix_eigh with np.linalg.norm and a fresh draw of the mix weights:
+    (w, V, D, zero, gap), or None."""
     d = gens.shape[-1]
     g0, size = _reference_unit_traceless(gens)
     unit = d * np.finfo(float).eps * np.linalg.norm(gens, axis=(1, 2))
@@ -1479,12 +1547,41 @@ def _joint_spectrum_every_cluster(gens: np.ndarray):
         return None
     g0 = g0[live]
     eps = np.max(unit[live] / size[live], initial=0.0)
-    zero, gap = uep.SPECTRUM_ZERO * eps, uep.SPECTRUM_GAP * eps
     g0h = g0.conj().swapaxes(-1, -2)
     parts = np.concatenate([g0 + g0h, (g0 - g0h) / 1j]) / 2.0
     mix = np.tensordot(make_rng(uep.SPECTRUM_MIX_KEY).standard_normal(len(parts)), parts, axes=1)
-    _, V = np.linalg.eigh(mix)
-    D = V.conj().T @ g0 @ V
+    w, V = np.linalg.eigh(mix)
+    return w, V, V.conj().T @ g0 @ V, uep.SPECTRUM_ZERO * eps, uep.SPECTRUM_GAP * eps
+
+
+def _reference_eigh_algebra(gens: np.ndarray) -> opsys.AlgebraBasis | None:
+    """uep._eigh_algebra the long way: one test per eigenvalue step and per
+    pair (i, j), the matrix units from np.eye(d * d) and the diagonal
+    algebra from one np.outer per column of V."""
+    found = _reference_mix_eigh(gens)
+    if found is None:
+        return None
+    w, V, D, zero, gap = found
+    d = len(V)
+    if not all(w[i + 1] - w[i] > zero and w[i + 1] - w[i] >= gap for i in range(d - 1)):
+        return None
+    coupling = [max((abs(Dg[i, j]) + abs(Dg[j, i]) for Dg in D), default=0.0)
+                for i in range(d) for j in range(d) if i != j]
+    if all(c >= gap for c in coupling):
+        return opsys.AlgebraBasis(d=d, basis=np.eye(d * d, dtype=complex).reshape(d * d, d, d))
+    if all(c <= zero for c in coupling):
+        return opsys.AlgebraBasis(d=d, basis=np.array([np.outer(v, v.conj()) for v in V.T]))
+    return None
+
+
+def _joint_spectrum_every_cluster(gens: np.ndarray):
+    """_joint_spectrum without its hull bound, one NNLS for every cluster:
+    the reference the bound must reproduce bit for bit."""
+    found = _reference_mix_eigh(gens)
+    if found is None:
+        return None
+    _, V, D, zero, gap = found
+    d = len(V)
     z = np.diagonal(D, axis1=1, axis2=2)
     if np.linalg.norm(D - z[..., None] * np.eye(d)) > zero:
         return None
@@ -1650,7 +1747,8 @@ def _reference_identity(P: uep.UepProblem, basis: str, info: list, span: opsys.A
 
 def _reference_report(P: uep.UepProblem) -> uep.UepReport | None:
     """The theorem or spectrum report of P, the long way: _validate's rows
-    from np.linalg.norm with float() and bool() per element, the identity
+    from np.linalg.norm with float() and bool() per element, C*(passing)
+    from _reference_eigh_algebra where it answers and proves, the identity
     report with a fresh ChoiMatrix, and the spectrum step on
     _joint_spectrum_every_cluster with _reference_pinch_and_mix and one
     apply_choi and op_norm call per probe; None where solve would search."""
@@ -1663,12 +1761,16 @@ def _reference_report(P: uep.UepProblem) -> uep.UepReport | None:
     g0h = g0.conj().swapaxes(-1, -2)
     premise = _reference_residual(span, np.concatenate([g0h @ g0, g0 @ g0h])).reshape(2, -1).max(axis=0)
     held = premise <= uep.MEMBERSHIP_RTOL
-    proved, alg = held.all(), None
-    if held.any() and not proved:
-        alg = opsys.generate_algebra(gen(d, *gens[held]))
-        proved = np.all(_reference_residual(alg, g0[~held]) <= uep.MEMBERSHIP_RTOL)
-    if not proved or alg is None:
-        alg = opsys.generate_algebra(P.G)
+    alg = _reference_eigh_algebra(gens[held]) if held.any() else None
+    proved = alg is not None and (
+        held.all() or np.all(_reference_residual(alg, g0[~held]) <= uep.MEMBERSHIP_RTOL))
+    if not proved:
+        proved, alg = held.all(), None
+        if held.any() and not proved:
+            alg = opsys.generate_algebra(gen(d, *gens[held]))
+            proved = np.all(_reference_residual(alg, g0[~held]) <= uep.MEMBERSHIP_RTOL)
+        if not proved or alg is None:
+            alg = opsys.generate_algebra(P.G)
     probes = alg.basis if P.probes is None else np.array(P.probes, dtype=complex)
     resid = _reference_residual(alg, probes)
     cutoff = uep.MEMBERSHIP_RTOL * (1.0 + np.linalg.norm(probes, axis=(1, 2)))
@@ -1751,7 +1853,8 @@ def test_reports_match_the_long_way_bit_for_bit(label, d, gens, probes, basis):
 def test_theorem_reports_share_the_identity_choi_matrix():
     """Two theorem solves in a row give equal reports; both carry the one
     read-only identity Choi matrix, which the second solve leaves as the
-    first report had it."""
+    first report had it.  C*(T) = M_4 serves its default probes from the
+    one read-only stack of matrix units."""
     T = random_complex(make_rng(7901), 4, 4)
     P = uep.UepProblem(d=4, G=gen(4, T, T.conj().T @ T, T @ T.conj().T), seed=3)
     first = uep.solve(P)
@@ -1762,3 +1865,5 @@ def test_theorem_reports_share_the_identity_choi_matrix():
     assert second.choi is first.choi is cpmaps.identity_choi(4)
     assert not first.choi.mat.flags.writeable
     assert np.array_equal(first.choi.mat, mat)
+    probes = uep._validate(P)[1]
+    assert probes is uep._matrix_units(4) and not probes.flags.writeable
